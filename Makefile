@@ -6,7 +6,7 @@ BENCH ?= AllReduce64MB
 # chaos seed sweep offset; override with e.g. `make chaos CHAOS_SEED=20260806`.
 CHAOS_SEED ?= 1
 
-.PHONY: build test lint check race bench-comm bench-hot bench-compress bench-serve-scale chaos elastic trace-demo serve-demo
+.PHONY: build test lint check race bench-comm bench-hot bench-compress bench-serve-scale chaos elastic overlap trace-demo serve-demo
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ lint:
 ## check: lint the whole module and race-test everything (the Communicator's
 ## pooled buffers and pipelined ring segments are the code most exposed to
 ## data races, but the trainer and scheduler fan out goroutines too).
-check: lint
+check: lint overlap
 	$(GO) test -race ./...
 
 race: check
@@ -82,6 +82,17 @@ elastic:
 	$(GO) run ./cmd/embrace-train -elastic -workers 4 -dim 12 -steps 9 \
 		-ckpt-every 3 -rejoin -rejoin-after 2 -crash-rank 3 -crash-step 4 \
 		-chaos-seed $(CHAOS_SEED) -adam=false -elastic-report ELASTIC_recovery.json
+
+## overlap: what the concurrent hybrid step rests on, under the race detector
+## — the fused ring pass is bit-identical to per-block AllReduce (clean, under
+## maskable chaos, over TCP), Algorithm 1's delayed rows never meet the next
+## batch and late harvest trains bit-identically to early harvest, plus the
+## strategies/trainer chaos-equivalence suites that run the three goroutines
+## of a step against a fault-injecting fabric. CHAOS_SEED offsets the seeds.
+overlap:
+	EMBRACE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -timeout 10m -count=1 \
+		-run 'AllReduceBlocks|DelayedRowsDisjoint|LateHarvest|ChaosTrainingEquivalence|UnderChaos|MaskableChaos|CrossStrategyEquivalence|EmbRace2DEqualsWholeUpdate|TraceChromeExportGolden|TraceDelayedOverlaps' \
+		./internal/collective ./internal/strategies ./internal/trainer
 
 ## trace-demo: trace a real 4-rank EmbRace training run and write trace.json
 ## (Chrome trace-event format; open in Perfetto or chrome://tracing). The

@@ -337,8 +337,9 @@ type TrainConfig struct {
 	ElasticRejoinAfter int
 	// CrashRank and CrashStep inject a deterministic rank failure for
 	// elastic demos and experiments: rank CrashRank crashes on its first
-	// send of training step CrashStep — the token gather under EmbRace, the
-	// embedding-gradient collective under the Horovod baselines. Enabled
+	// send of training step CrashStep's embedding-data AlltoAll under EmbRace
+	// (the first wire operation after the step's token-gather rendezvous), of
+	// the embedding-gradient collective under the Horovod baselines. Enabled
 	// when CrashStep > 0 and Elastic is set; the surrounding chaos noise is
 	// drawn from ChaosSeed (or seed 1 when ChaosSeed is zero).
 	CrashRank, CrashStep int
@@ -360,7 +361,7 @@ type TrainResult struct {
 	CommBytes    int64
 	CommMessages int64
 	// CommPerOp breaks the traffic down by logical collective operation
-	// (summed over ranks): e.g. "emb/grad" vs "dense/w1" vs
+	// (summed over ranks): e.g. "emb/grad" vs "dense/trunk" vs
 	// "trainer/stats". It shows WHERE a strategy's bytes go, the per-op
 	// refinement of CommBytes.
 	CommPerOp map[string]OpTraffic
@@ -719,8 +720,8 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 			return nil, err
 		}
 		if job.Strategy != strategies.EmbRace {
-			// The baselines never gather tokens; pin the crash to their
-			// first wire op, the embedding-gradient collective.
+			// The baselines have no embedding-data AlltoAll; pin the crash to
+			// their first wire op, the embedding-gradient collective.
 			tag, err := collective.TagOf(strategies.OpEmbGrad, cfg.CrashStep)
 			if err != nil {
 				return nil, err

@@ -54,6 +54,7 @@ type argIdx struct{ op, step int }
 var collectiveMethods = map[string]argIdx{
 	"AllReduce":             {0, 1},
 	"AllReduceWith":         {0, 1},
+	"AllReduceBlocks":       {0, 1},
 	"ReduceScatter":         {0, 1},
 	"Broadcast":             {0, 1},
 	"Barrier":               {0, 1},

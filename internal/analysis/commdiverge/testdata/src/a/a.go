@@ -124,6 +124,34 @@ func switchSymmetric(cm *collective.Communicator, buf []float32) {
 	}
 }
 
+// fusedOnOneArm runs the multi-block ring pass on one arm only: the variadic
+// fused AllReduce is a rendezvous like any other.
+func fusedOnOneArm(cm *collective.Communicator, w, b []float32) {
+	if cm.Rank() == 0 { // want `no matching collective`
+		_ = cm.AllReduceBlocks("trunk", 1, w, b)
+	}
+}
+
+// fusedVersusPerBlock sums the same data on both arms, but one fused pass
+// and two per-block passes are different schedules on the wire.
+func fusedVersusPerBlock(cm *collective.Communicator, w, b []float32) {
+	if cm.Rank() == 0 { // want `no matching collective`
+		_ = cm.AllReduceBlocks("trunk", 1, w, b)
+	} else {
+		_ = cm.AllReduce("trunk", 1, w)
+		_ = cm.AllReduce("trunk", 1, b)
+	}
+}
+
+// fusedSymmetric issues the same fused pass on both arms — silent.
+func fusedSymmetric(cm *collective.Communicator, w, b []float32) {
+	if cm.Rank() == 0 {
+		_ = cm.AllReduceBlocks("trunk", 1, w, b)
+	} else {
+		_ = cm.AllReduceBlocks("trunk", 1, b, w)
+	}
+}
+
 // dataConditioned branches on data, not rank — silent.
 func dataConditioned(cm *collective.Communicator, buf []float32) {
 	if len(buf) > 0 {

@@ -14,6 +14,8 @@ func (c *Communicator) Size() int { return c.size }
 
 func (c *Communicator) AllReduce(op string, step int, buf []float32) error { return nil }
 
+func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error { return nil }
+
 func (c *Communicator) Broadcast(op string, step, root int, buf []float32) error { return nil }
 
 func (c *Communicator) Barrier(op string, step int) error { return nil }

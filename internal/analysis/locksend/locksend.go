@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 // collective.Communicator. Tag/Ticket/Rank/Size are pure bookkeeping.
 var communicatorMethods = map[string]bool{
 	"Send": true, "Recv": true,
-	"AllReduce": true, "AllReduceWith": true, "ReduceScatter": true,
+	"AllReduce": true, "AllReduceWith": true, "AllReduceBlocks": true, "ReduceScatter": true,
 	"Broadcast": true, "Barrier": true,
 	"SparseAllGather": true, "SparseAllToAll": true,
 	"HierarchicalAllReduce": true,

@@ -605,19 +605,62 @@ func (c *Communicator) segCount(n int) int {
 	return (n + c.chunkElems - 1) / c.chunkElems
 }
 
-// ringExchange performs one ring step: it streams chunk [slo, shi) of buf to
-// `right` while receiving chunk [rlo, rhi) from `left`, both split into
-// pipelined segments. Segment k+1 is on the wire before segment k is
-// combined, so transfer overlaps reduction. combine folds each received
-// segment into its destination slice.
-func (c *Communicator) ringExchange(op string, tag, right, left int, buf []float32, slo, shi, rlo, rhi int, combine func(dst, src []float32)) error {
-	ss := c.segCount(shi - slo)
-	rs := c.segCount(rhi - rlo)
+// hopStream reads ring chunk `chunk` of every block, back to back, as one
+// stream, so a hop's segments can straddle block boundaries. Each block is
+// split into `parts` chunks on its own, exactly as when it travels alone.
+type hopStream struct {
+	bufs         [][]float32
+	parts, chunk int
+	i, off       int // next element: offset off into block i's chunk
+}
+
+// len returns the stream's total element count.
+func (h *hopStream) len() int {
+	n := 0
+	for _, buf := range h.bufs {
+		lo, hi := chunkBounds(len(buf), h.parts, h.chunk)
+		n += hi - lo
+	}
+	return n
+}
+
+// walk pairs the stream's next len(seg) elements with seg and calls f once
+// per run that lies inside one block.
+func (h *hopStream) walk(seg []float32, f func(part, seg []float32)) {
+	for len(seg) > 0 {
+		lo, hi := chunkBounds(len(h.bufs[h.i]), h.parts, h.chunk)
+		part := h.bufs[h.i][lo+h.off : hi]
+		if len(part) == 0 {
+			h.i++
+			h.off = 0
+			continue
+		}
+		if len(part) > len(seg) {
+			part = part[:len(seg)]
+		}
+		f(part, seg[:len(part)])
+		h.off += len(part)
+		seg = seg[len(part):]
+	}
+}
+
+// ringExchange performs one ring hop for every block of bufs at once: it
+// streams chunk sendChunk of each block to `right` while receiving chunk
+// recvChunk of each from `left`, both as one stream split into pipelined
+// segments. Segment k+1 is on the wire before segment k is combined, so
+// transfer overlaps reduction. combine folds each received run into the
+// block chunk it belongs to.
+func (c *Communicator) ringExchange(op string, tag, right, left int, bufs [][]float32, sendChunk, recvChunk int, combine func(dst, src []float32)) error {
+	out := hopStream{bufs: bufs, parts: c.t.Size(), chunk: sendChunk}
+	into := hopStream{bufs: bufs, parts: c.t.Size(), chunk: recvChunk}
+	sendLen, recvLen := out.len(), into.len()
+	ss := c.segCount(sendLen)
+	rs := c.segCount(recvLen)
 	sent := 0
 	sendSeg := func() error {
-		a, b := chunkBounds(shi-slo, ss, sent)
+		a, b := chunkBounds(sendLen, ss, sent)
 		seg := c.getBuf(b - a)
-		copy(seg, buf[slo+a:slo+b])
+		out.walk(seg, func(part, seg []float32) { copy(seg, part) })
 		sent++
 		return c.sendRaw(op, right, tag, seg)
 	}
@@ -639,11 +682,11 @@ func (c *Communicator) ringExchange(op string, tag, right, left int, buf []float
 		if !ok {
 			return fmt.Errorf("collective: %s: unexpected payload %T", op, payload)
 		}
-		a, b := chunkBounds(rhi-rlo, rs, k)
+		a, b := chunkBounds(recvLen, rs, k)
 		if len(in) != b-a {
 			return fmt.Errorf("collective: %s: segment size %d != %d", op, len(in), b-a)
 		}
-		combine(buf[rlo+a:rlo+b], in)
+		into.walk(in, combine)
 		c.putBuf(in)
 	}
 	for sent < ss {
@@ -654,59 +697,54 @@ func (c *Communicator) ringExchange(op string, tag, right, left int, buf []float
 	return nil
 }
 
-// ringReduceScatter is phase 1 of ring AllReduce under an explicit tag:
-// after it returns, chunk `rank` of buf holds the op-reduction across all
-// ranks. Returns the [lo, hi) bounds of the rank's reduced chunk.
-func (c *Communicator) ringReduceScatter(op string, tag int, buf []float32, rop ReduceOp) (lo, hi int, err error) {
+// ringPhase runs the N-1 hops of one ring phase over every block of bufs
+// under an explicit tag. Each block keeps its own N-way chunk layout, so an
+// element is combined in the same rank order whether its block travels alone
+// or with others. At hop s the rank sends chunk (rank-s-1+shift) mod N and
+// receives the one before it: shift 0 is reduce-scatter, after which chunk
+// `rank` of every block holds the reduction across all ranks; shift 1 is the
+// allgather that follows it.
+func (c *Communicator) ringPhase(op string, tag int, phase string, bufs [][]float32, shift int, combine func(dst, src []float32)) error {
 	n, r := c.t.Size(), c.t.Rank()
-	lo, hi = chunkBounds(len(buf), n, r)
-	if n == 1 {
-		return lo, hi, nil
-	}
 	right := (r + 1) % n
 	left := (r - 1 + n) % n
 	for s := 0; s < n-1; s++ {
-		sendChunk := ((r-s-1)%n + 2*n) % n
-		recvChunk := ((r-s-2)%n + 2*n) % n
-		slo, shi := chunkBounds(len(buf), n, sendChunk)
-		rlo, rhi := chunkBounds(len(buf), n, recvChunk)
-		if err := c.ringExchange(op, tag, right, left, buf, slo, shi, rlo, rhi, rop.apply); err != nil {
-			return 0, 0, fmt.Errorf("reduce-scatter step %d: %w", s, err)
-		}
-	}
-	return lo, hi, nil
-}
-
-// ringAllReduce is the full two-phase ring under an explicit tag.
-func (c *Communicator) ringAllReduce(op string, tag int, buf []float32, rop ReduceOp) error {
-	n, r := c.t.Size(), c.t.Rank()
-	if n == 1 {
-		return nil
-	}
-	if _, _, err := c.ringReduceScatter(op, tag, buf, rop); err != nil {
-		return err
-	}
-	right := (r + 1) % n
-	left := (r - 1 + n) % n
-	for s := 0; s < n-1; s++ {
-		sendChunk := ((r-s)%n + n) % n
-		recvChunk := ((r-s-1)%n + n) % n
-		slo, shi := chunkBounds(len(buf), n, sendChunk)
-		rlo, rhi := chunkBounds(len(buf), n, recvChunk)
-		err := c.ringExchange(op, tag, right, left, buf, slo, shi, rlo, rhi,
-			func(dst, src []float32) { copy(dst, src) })
-		if err != nil {
-			return fmt.Errorf("allgather step %d: %w", s, err)
+		sendChunk := ((r-s-1+shift)%n + n) % n
+		recvChunk := (sendChunk - 1 + n) % n
+		if err := c.ringExchange(op, tag, right, left, bufs, sendChunk, recvChunk, combine); err != nil {
+			return fmt.Errorf("%s step %d: %w", phase, s, err)
 		}
 	}
 	return nil
+}
+
+// ringAllReduce is the full two-phase ring under an explicit tag, over every
+// block of bufs in one pass: 2(N-1) hops however many blocks there are.
+func (c *Communicator) ringAllReduce(op string, tag int, rop ReduceOp, bufs [][]float32) error {
+	if err := c.ringPhase(op, tag, "reduce-scatter", bufs, 0, rop.apply); err != nil {
+		return err
+	}
+	return c.ringPhase(op, tag, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
 }
 
 // AllReduce sums buf element-wise across all ranks in place with the
 // bandwidth-optimal ring algorithm, chunk-pipelined per the Communicator's
 // ChunkBytes and drawing scratch buffers from the pool.
 func (c *Communicator) AllReduce(op string, step int, buf []float32) error {
-	return c.AllReduceWith(op, step, buf, Sum)
+	return c.AllReduceBlocks(op, step, buf)
+}
+
+// AllReduceBlocks sums every block of bufs element-wise across all ranks in
+// place, in one ring pass: each hop carries every block's chunk back to back
+// in one message stream, so k blocks cost the 2(N-1) hops of one. The result
+// is bit-identical to AllReduce on each block separately. All ranks must pass
+// blocks of the same lengths in the same order.
+func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error {
+	tag, err := c.Tag(op, step)
+	if err != nil {
+		return err
+	}
+	return c.ringAllReduce(op, tag, Sum, bufs)
 }
 
 // AllReduceWith is AllReduce generalized over the reduction operator.
@@ -715,7 +753,7 @@ func (c *Communicator) AllReduceWith(op string, step int, buf []float32, rop Red
 	if err != nil {
 		return err
 	}
-	return c.ringAllReduce(op, tag, buf, rop)
+	return c.ringAllReduce(op, tag, rop, [][]float32{buf})
 }
 
 // ReduceScatter runs phase 1 of ring AllReduce: after it returns, chunk
@@ -726,7 +764,11 @@ func (c *Communicator) ReduceScatter(op string, step int, buf []float32) (lo, hi
 	if err != nil {
 		return 0, 0, err
 	}
-	return c.ringReduceScatter(op, tag, buf, Sum)
+	if err := c.ringPhase(op, tag, "reduce-scatter", [][]float32{buf}, 0, Sum.apply); err != nil {
+		return 0, 0, err
+	}
+	lo, hi = chunkBounds(len(buf), c.t.Size(), c.t.Rank())
+	return lo, hi, nil
 }
 
 // broadcastOn copies root's buf into every rank's buf under an explicit tag.

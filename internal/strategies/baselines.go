@@ -49,22 +49,10 @@ func (w *replicaWorker) FullEmbedding() (*tensor.Dense, error) {
 	return w.model.Emb.Table, nil
 }
 
-// allReduceTrunk sums the trunk gradients across ranks in place and applies
-// them, the dense path every baseline except BytePS shares. Each block's
-// exchange-and-update is one span, so the per-block AllReduce cadence of
-// §4.2.1 is visible on the timeline.
+// allReduceTrunk is the dense path every baseline except BytePS shares,
+// blocking on the step goroutine.
 func (w *replicaWorker) allReduceTrunk(step int, grads *nn.TrunkGrads) error {
-	for _, g := range grads.Dense() {
-		sp := w.rec.Begin(trace.TrackCompute, SpanDense(g.Name), step)
-		if err := w.cm.AllReduce(OpDense(g.Name), step, g.Tensor.Data()); err != nil {
-			return fmt.Errorf("trunk %s: %w", g.Name, err)
-		}
-		if err := w.trunkOpts[g.Name].StepDense(g.Tensor); err != nil {
-			return fmt.Errorf("trunk %s update: %w", g.Name, err)
-		}
-		sp.End()
-	}
-	return nil
+	return exchangeTrunk(w.cm, w.rec, trace.TrackCompute, w.trunkOpts, step, grads)
 }
 
 // ---------------------------------------------------------------------------

@@ -22,18 +22,30 @@ import (
 //     rank's batch, then the first AlltoAll routes the partial lookups so
 //     each rank assembles the full-width pooled activations of its own
 //     batch — embedding forward via model parallelism.
-//  3. The dense trunk runs forward/backward locally; its gradients use ring
-//     AllReduce like any dense model (the hybrid of §4.1.3).
-//  4. The pooled-activation gradient becomes per-token sparse rows,
+//  3. The dense trunk runs forward/backward locally.
+//  4. The hybrid of §4.1.3, both halves in flight together (Figure 5). The
+//     dense half — one ring AllReduce pass over every trunk gradient block,
+//     then the trunk updates — runs on its own goroutine; the step goroutine
+//     meanwhile runs the embedding half, (5)-(6). The dense goroutine is
+//     joined before Step returns, on every path.
+//  5. The pooled-activation gradient becomes per-token sparse rows,
 //     column-sliced per destination shard — the raw, uncoalesced gradient
 //     Algorithm 1 starts from.
-//  5. With Sched2D, each rank partitions its rows against the gathered next
-//     batch before communicating: the prior part travels through an
+//  6. With Sched2D, each rank gathers the next batch's ids, harvests the
+//     previous step's delayed exchange (see below), and partitions its rows
+//     against the gathered next batch: the prior part travels through an
 //     immediate AlltoAll and is applied at once (modified optimizer,
 //     final=false); the delayed part travels through a background AlltoAll
-//     that overlaps subsequent work and is harvested — applied with
-//     final=true — at the start of the next step (§4.2.2, §5.7). Without
-//     Sched2D a single whole-gradient AlltoAll feeds a whole update.
+//     that outlives the step (§4.2.2, §5.7). Without Sched2D a single
+//     whole-gradient AlltoAll feeds a whole update.
+//
+// Late harvest: step t-1's delayed exchange is joined and applied
+// (final=true) in step t's (6), not at the top of step t, so steps (1)-(5)
+// of step t cover it. That is safe because by Algorithm 1 the delayed rows of
+// t-1 are exactly the rows no rank's batch t contains — the lookup of (2)
+// never reads them — and the join still comes before the vertical split
+// rewrites the buffers the exchange reads and before step t's prior update,
+// so §5.7's logical Adam step advances in the same order.
 type embraceWorker struct {
 	cm  *collective.Communicator
 	cfg Config
@@ -45,14 +57,38 @@ type embraceWorker struct {
 	embOpt    optim.Optimizer
 	dimShard  int
 
-	// delayed is the in-flight background exchange of the previous step's
-	// delayed gradients (§4.2.2: "the communications of delayed gradients
-	// could be performed later"). It is harvested — exchanged gradient
-	// applied with the modified optimizer's final call — at the start of
-	// the next step, before any of its rows can be read again.
-	delayed chan delayedResult
+	// dense is step (4)'s ring pass and trunk update, in flight only inside
+	// Step. delayed is the background exchange of a step's delayed gradients
+	// (§4.2.2: "the communications of delayed gradients could be performed
+	// later"); it is harvested — its gradient applied with the modified
+	// optimizer's final call — by the next step or by FullEmbedding.
+	dense, delayed lane
 
 	hot hotScratch
+}
+
+// lane runs one background operation at a time on its own goroutine and
+// joins it; the join channel is allocated once and reused by every step.
+type lane struct {
+	done chan error // capacity 1: the goroutine never blocks delivering
+	busy bool
+}
+
+func newLane() lane { return lane{done: make(chan error, 1)} }
+
+// start runs op on a new goroutine. The lane must be idle.
+func (l *lane) start(op func() error) {
+	l.busy = true
+	go func() { l.done <- op() }()
+}
+
+// join waits for the operation in flight, if any, and returns its error.
+func (l *lane) join() error {
+	if !l.busy {
+		return nil
+	}
+	l.busy = false
+	return <-l.done
 }
 
 // hotScratch owns every reusable buffer of the steady-state step: the raw
@@ -64,7 +100,7 @@ type embraceWorker struct {
 //
 // The background delayed exchange overlaps the next step's foreground, so it
 // gets its own arena and coalesce scratch (bg*); harvestDelayed joins the
-// goroutine before any foreground buffer it read (the delayed split) is
+// goroutine before the one foreground buffer it reads (the delayed split) is
 // rewritten.
 type hotScratch struct {
 	rows        tensor.Sparse   // raw uncoalesced pooled gradient (PoolBackwardInto)
@@ -109,12 +145,6 @@ func (h *hotScratch) init(n int) {
 	}
 }
 
-// delayedResult carries the background AlltoAll's outcome.
-type delayedResult struct {
-	grad *tensor.Sparse
-	err  error
-}
-
 func newEmbRaceWorker(cm *collective.Communicator, cfg Config, rec *trace.Recorder, embShard *tensor.Dense) *embraceWorker {
 	n := cm.Size()
 	dimShard := cfg.EmbDim / n
@@ -144,8 +174,14 @@ func newEmbRaceWorker(cm *collective.Communicator, cfg Config, rec *trace.Record
 		trunkOpts: trunkOptimizers(cfg, full.Trunk),
 		embOpt:    newOptimizer(cfg, shardTable),
 		dimShard:  dimShard,
+		dense:     newLane(),
+		delayed:   newLane(),
 	}
 	w.hot.init(n)
+	// Both lanes record from their own goroutines; their wire events must
+	// not interleave with the step loop's network spans.
+	rec.RouteOp(OpTrunk, trace.TrackBackground)
+	rec.RouteOp(OpEmbDelayed, trace.TrackBackground)
 	return w
 }
 
@@ -153,43 +189,53 @@ func (w *embraceWorker) Strategy() Name { return EmbRace }
 
 func (w *embraceWorker) Trunk() *nn.Trunk { return w.trunk }
 
-// harvestDelayed joins the previous step's background delayed exchange and
-// applies it as the final part of that step's split update. It must run
+// harvestDelayed joins the background delayed exchange in flight, if any,
+// and applies it as the final part of its step's split update. It must run
 // before the optimizer's next logical step begins. step labels the span of
 // the step doing the harvesting (pass -1 outside the step loop).
 func (w *embraceWorker) harvestDelayed(step int) error {
-	if w.delayed == nil {
+	if !w.delayed.busy {
 		return nil
 	}
 	sp := w.rec.Begin(trace.TrackCompute, SpanHarvestDelayed, step)
 	defer sp.End()
-	res := <-w.delayed
-	w.delayed = nil
-	if res.err != nil {
-		return fmt.Errorf("delayed exchange: %w", res.err)
+	if err := w.delayed.join(); err != nil {
+		return fmt.Errorf("delayed exchange: %w", err)
 	}
+	grad := &w.hot.bgCoal
 	if adam, ok := w.embOpt.(*optim.Adam); ok {
-		if err := adam.StepSparsePartial(res.grad, true); err != nil {
+		if err := adam.StepSparsePartial(grad, true); err != nil {
 			return fmt.Errorf("delayed update: %w", err)
 		}
 		return nil
 	}
-	if err := w.embOpt.StepSparse(res.grad); err != nil {
+	if err := w.embOpt.StepSparse(grad); err != nil {
 		return fmt.Errorf("delayed update: %w", err)
 	}
+	return nil
+}
+
+// exchangeDelayed is the delayed lane's operation: the AlltoAll of step's
+// delayed rows, coalesced into bgCoal for harvestDelayed. Its span lives on
+// the background track so it cannot interleave with the foreground lanes'
+// events — this is the overlap §4.2.2 promises, visible directly on the
+// timeline. It owns the bg* scratch exclusively: the goroutine is joined
+// (harvestDelayed) before the delayed split it reads or the coalesce target
+// it fills can be touched again.
+func (w *embraceWorker) exchangeDelayed(step int) error {
+	h := &w.hot
+	sp := w.rec.Begin(trace.TrackBackground, SpanDelayedExchange, step)
+	defer sp.End()
+	if err := w.cm.AlltoAllSparseCodec(OpEmbDelayed, step, h.delayedPtrs, &h.bgArena, w.cfg.Codec, collective.RowsDelayed); err != nil {
+		return err
+	}
+	h.bgArena.Merged().CoalesceInto(&h.bgCoal, &h.bgSort)
 	return nil
 }
 
 //embrace:hotpath
 func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error) {
 	n := w.cm.Size()
-	h := &w.hot
-
-	// (0) The previous step's delayed gradients have been traveling in the
-	// background; apply them before their rows can be read again.
-	if err := w.harvestDelayed(step); err != nil {
-		return nn.StepStats{}, err
-	}
 
 	// (1) Gather every rank's token windows.
 	allWindows, err := collective.AllGatherVia(w.cm, OpTokens, step, windows)
@@ -224,7 +270,7 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	}
 	sp.End()
 
-	// (3) Dense trunk forward/backward + ring AllReduce (hybrid comm).
+	// (3) Dense trunk forward/backward.
 	sp = w.rec.Begin(trace.TrackCompute, SpanFP, step)
 	loss, cache, err := w.trunk.Forward(pooled, targets)
 	if err != nil {
@@ -235,47 +281,61 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	sp = w.rec.Begin(trace.TrackCompute, SpanBP, step)
 	grads := w.trunk.Backward(cache)
 	sp.End()
-	for _, g := range grads.Dense() {
-		sp := w.rec.Begin(trace.TrackCompute, SpanDense(g.Name), step)
-		if err := w.cm.AllReduce(OpDense(g.Name), step, g.Tensor.Data()); err != nil {
-			return nn.StepStats{}, fmt.Errorf("trunk %s: %w", g.Name, err)
-		}
-		if err := w.trunkOpts[g.Name].StepDense(g.Tensor); err != nil {
-			return nn.StepStats{}, fmt.Errorf("trunk %s update: %w", g.Name, err)
-		}
-		sp.End()
-	}
 
-	// (4) Convert the pooled gradient into per-token sparse rows and
+	// (4) Hybrid communication: the dense ring pass and trunk update on the
+	// dense lane, the embedding-gradient path on this goroutine beside it.
+	// The two touch disjoint state (trunk blocks vs. grads.Pooled, the shard
+	// and the hot scratch). Nothing returns before the lane is joined.
+	w.dense.start(func() error { //embrace:allow hotalloc the concurrent hybrid of §4.1.3 is a real goroutine per step
+		return exchangeTrunk(w.cm, w.rec, trace.TrackBackground, w.trunkOpts, step, grads)
+	})
+	err = w.exchangeEmbGrad(step, windows, grads.Pooled, nextTokens)
+	if derr := w.dense.join(); err == nil {
+		err = derr
+	}
+	if err != nil {
+		return nn.StepStats{}, err
+	}
+	return stats, nil
+}
+
+// exchangeEmbGrad is the embedding half of the hybrid: steps (5)-(6), on the
+// step goroutine.
+//
+//embrace:hotpath
+func (w *embraceWorker) exchangeEmbGrad(step int, windows [][]int64, gradPooled *tensor.Dense, nextTokens []int64) error {
+	h := &w.hot
+
+	// (5) Convert the pooled gradient into per-token sparse rows and
 	// column-slice them per destination shard (the "Emb Grad" exchange of
 	// Figure 5). PoolBackward keeps one row per token occurrence, which is
 	// exactly the uncoalesced gradient Algorithm 1 starts from.
-	local := w.shardOf(windows, grads.Pooled) // my batch, sliced per shard
+	local := w.shardOf(windows, gradPooled) // my batch, sliced per shard
 
-	// (5a) Without vertical scheduling: one whole-gradient arena exchange,
+	// (6a) Without vertical scheduling: one whole-gradient arena exchange,
 	// then a whole update. The arena's merged view is exactly the
 	// sender-ordered concatenation the legacy SparseAllToAll + Concat path
 	// produced, and CoalesceInto sums it in the same order Coalesce would —
 	// the update is bit-identical, it just reuses last step's buffers.
 	if w.cfg.Sched != Sched2D {
-		sp = w.rec.Begin(trace.TrackCompute, SpanEmbExchange, step)
+		sp := w.rec.Begin(trace.TrackCompute, SpanEmbExchange, step)
 		if err := w.cm.AlltoAllSparseCodec(OpEmbGrad, step, local, &h.arena, w.cfg.Codec, collective.RowsWhole); err != nil {
-			return nn.StepStats{}, fmt.Errorf("embedding grad alltoall: %w", err)
+			return fmt.Errorf("embedding grad alltoall: %w", err)
 		}
 		raw := h.arena.Merged().CoalesceInto(&h.coal, &h.sort)
 		sp.End()
 		sp = w.rec.Begin(trace.TrackCompute, SpanEmbUpdate, step)
 		if err := w.embOpt.StepSparse(raw); err != nil {
-			return nn.StepStats{}, fmt.Errorf("embedding update: %w", err)
+			return fmt.Errorf("embedding update: %w", err)
 		}
 		sp.End()
-		return stats, nil
+		return nil
 	}
 
-	// (5b) Vertical Sparse Scheduling, split BEFORE communication: rows of
+	// (6b) Vertical Sparse Scheduling, split BEFORE communication: rows of
 	// the prefetched next batch (gathered across ranks) form the prior
-	// part, exchanged and applied immediately; the rest is exchanged by a
-	// background goroutine and harvested at the start of the next step.
+	// part, exchanged and applied immediately; the rest is exchanged on the
+	// delayed lane and harvested by the next step.
 	my := h.myNext[h.flip][:0]
 	my = append(my, nextTokens...)
 	tensor.SortInt64(my)
@@ -284,7 +344,7 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	h.flip ^= 1
 	allNext, err := collective.AllGatherVia(w.cm, OpNextBatch, step, my)
 	if err != nil {
-		return nn.StepStats{}, fmt.Errorf("next-batch gather: %w", err)
+		return fmt.Errorf("next-batch gather: %w", err)
 	}
 	h.nextAll = h.nextAll[:0]
 	for _, ns := range allNext {
@@ -292,47 +352,37 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	}
 	tensor.SortInt64(h.nextAll)
 
-	sp = w.rec.Begin(trace.TrackCompute, SpanVSplit, step)
-	for s := 0; s < n; s++ {
+	// The previous step's delayed gradients have been traveling since that
+	// step ended. This is the last point they can be joined: the split below
+	// rewrites the buffers their exchange reads, and the prior update opens
+	// the optimizer's next logical step.
+	if err := w.harvestDelayed(step); err != nil {
+		return err
+	}
+
+	sp := w.rec.Begin(trace.TrackCompute, SpanVSplit, step)
+	for s := range local {
 		local[s].PartitionSortedInto(h.nextAll, &h.prior[s], &h.delayed[s])
 	}
 	sp.End()
 	sp = w.rec.Begin(trace.TrackCompute, SpanPriorExchange, step)
 	if err := w.cm.AlltoAllSparseCodec(OpEmbGrad, step, h.priorPtrs, &h.arena, w.cfg.Codec, collective.RowsPrior); err != nil {
-		return nn.StepStats{}, fmt.Errorf("prior grad alltoall: %w", err)
+		return fmt.Errorf("prior grad alltoall: %w", err)
 	}
 	prior := h.arena.Merged().CoalesceInto(&h.coal, &h.sort)
 	sp.End()
 	sp = w.rec.Begin(trace.TrackCompute, SpanPriorUpdate, step)
 	if adam, ok := w.embOpt.(*optim.Adam); ok {
 		if err := adam.StepSparsePartial(prior, false); err != nil {
-			return nn.StepStats{}, fmt.Errorf("prior update: %w", err)
+			return fmt.Errorf("prior update: %w", err)
 		}
 	} else if err := w.embOpt.StepSparse(prior); err != nil {
-		return nn.StepStats{}, fmt.Errorf("prior update: %w", err)
+		return fmt.Errorf("prior update: %w", err)
 	}
 	sp.End()
 
-	// Background delayed exchange, overlapping whatever comes next. Its span
-	// lives on the background track so it cannot interleave with the
-	// foreground lanes' events — this is the overlap §4.2.2 promises, visible
-	// directly on the timeline. It owns the bg* scratch exclusively: the
-	// goroutine is joined (harvestDelayed) before the delayed split it reads
-	// or the coalesce target it fills can be touched again.
-	done := make(chan delayedResult, 1) //embrace:allow hotalloc one-shot join channel per in-flight exchange
-	w.delayed = done
-	go func() { //embrace:allow hotalloc the overlap of §4.2.2 is a real goroutine per step
-		bg := w.rec.Begin(trace.TrackBackground, SpanDelayedExchange, step)
-		if err := w.cm.AlltoAllSparseCodec(OpEmbDelayed, step, h.delayedPtrs, &h.bgArena, w.cfg.Codec, collective.RowsDelayed); err != nil {
-			bg.End()
-			done <- delayedResult{err: err}
-			return
-		}
-		grad := h.bgArena.Merged().CoalesceInto(&h.bgCoal, &h.bgSort)
-		bg.End()
-		done <- delayedResult{grad: grad}
-	}()
-	return stats, nil
+	w.delayed.start(func() error { return w.exchangeDelayed(step) }) //embrace:allow hotalloc the overlap of §4.2.2 is a real goroutine per step
+	return nil
 }
 
 // shardOf converts this rank's pooled-activation gradient into the N

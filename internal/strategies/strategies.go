@@ -203,9 +203,13 @@ const (
 	OpGatherEmb = "emb/gather-table"
 	// OpStats gathers per-rank step metrics at rank 0.
 	OpStats = "trainer/stats"
+	// OpTrunk is the dense-gradient AllReduce of the whole trunk: every
+	// block in one ring pass (exchangeTrunk).
+	OpTrunk = "dense/trunk"
 )
 
-// OpDense names the dense-gradient AllReduce of one trunk parameter.
+// OpDense names the dense-gradient AllReduce of one parameter, for trainers
+// that exchange parameters one at a time (the sequence trainer).
 func OpDense(param string) string { return "dense/" + param }
 
 // Span names: the phases every worker marks on its per-rank trace.Recorder
@@ -234,7 +238,7 @@ const (
 	SpanPriorExchange   = "xchg/prior"
 	SpanDelayedExchange = "xchg/delayed"
 	// SpanHarvestDelayed is the wait-and-apply of the previous step's
-	// delayed exchange at the top of a step.
+	// delayed exchange, just before a step's vertical split.
 	SpanHarvestDelayed = "sched/harvest-delayed"
 	// SpanVSplit is the prior/delayed partition of Algorithm 1.
 	SpanVSplit = "sched/vsplit"
@@ -245,10 +249,11 @@ const (
 	// PS strategies.
 	SpanPSPush = "ps/push"
 	SpanPSPull = "ps/pull"
+	// SpanTrunk is the trunk's dense AllReduce-and-update (exchangeTrunk).
+	// EmbRace runs it on its own goroutine, so there it lands on
+	// trace.TrackBackground.
+	SpanTrunk = "xchg/dense:trunk"
 )
-
-// SpanDense names the blocking AllReduce-and-update of one trunk parameter.
-func SpanDense(param string) string { return "xchg/dense:" + param }
 
 // WorkerOption configures a strategy worker beyond its Config.
 type WorkerOption func(*workerExtras)
@@ -296,6 +301,25 @@ func trunkOptimizers(cfg Config, t *nn.Trunk) map[string]optim.Optimizer {
 		out[p.Name] = newOptimizer(cfg, p.Tensor)
 	}
 	return out
+}
+
+// exchangeTrunk sums every trunk gradient block across ranks in place, in one
+// ring pass, and applies the trunk updates: the dense half of §4.1.3's hybrid.
+// Every strategy that AllReduces its trunk goes through it, which is what
+// keeps them bit-identical to each other. track is the lane of the calling
+// goroutine.
+func exchangeTrunk(cm *collective.Communicator, rec *trace.Recorder, track trace.Track, opts map[string]optim.Optimizer, step int, grads *nn.TrunkGrads) error {
+	sp := rec.Begin(track, SpanTrunk, step)
+	defer sp.End()
+	if err := cm.AllReduceBlocks(OpTrunk, step, grads.W1.Data(), grads.B1.Data(), grads.W2.Data(), grads.B2.Data()); err != nil {
+		return fmt.Errorf("trunk: %w", err)
+	}
+	for _, g := range grads.Dense() {
+		if err := opts[g.Name].StepDense(g.Tensor); err != nil {
+			return fmt.Errorf("trunk %s update: %w", g.Name, err)
+		}
+	}
+	return nil
 }
 
 // NewShared creates the shared (server-side) state a strategy needs for a

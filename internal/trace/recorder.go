@@ -28,14 +28,14 @@ const (
 	// collectives the step loop issues (the Observer auto-spans).
 	TrackNetwork
 	// TrackBackground carries exchanges that overlap the step loop from
-	// their own goroutine — EmbRace's delayed-gradient AlltoAll (§4.2.2).
-	// A separate lane keeps ph:"X" spans non-overlapping per track, which
-	// Perfetto requires to render complete events correctly.
+	// their own goroutine — EmbRace's delayed-gradient AlltoAll (§4.2.2) and
+	// its dense ring pass (§4.1.3). A separate lane keeps them from
+	// interleaving with the step loop's network spans.
 	TrackBackground
 )
 
 // trackNames label the Chrome thread tracks, in Track order.
-var trackNames = [...]string{"compute", "network", "network (delayed)"}
+var trackNames = [...]string{"compute", "network", "network (background)"}
 
 // Span is one completed interval on a rank's track.
 type Span struct {
@@ -127,10 +127,10 @@ func (r *Recorder) Rank() int {
 }
 
 // RouteOp directs the Observer auto-spans of one logical operation to a
-// specific track. The trainer routes the delayed-gradient exchange to
-// TrackBackground so its spans — recorded from the background goroutine —
-// cannot interleave with the step loop's network spans. Must be called
-// before traffic flows; no-op on a nil recorder.
+// specific track. A strategy worker routes the ops it runs off the step
+// goroutine to TrackBackground so their spans cannot interleave with the
+// step loop's network spans. Must be called before traffic flows; no-op on
+// a nil recorder.
 func (r *Recorder) RouteOp(op string, track Track) {
 	if r == nil {
 		return
@@ -219,7 +219,7 @@ func (r *Recorder) Reset() {
 
 // PhaseSeconds sums span durations by span name — the per-phase summary
 // behind trainer.Result.PhaseSeconds. Observer auto-spans aggregate under
-// their op names ("emb/delayed", "dense/w1", ...), explicit phases under
+// their op names ("emb/delayed", "dense/trunk", ...), explicit phases under
 // theirs ("fp", "xchg/prior", "sched/harvest-delayed", ...).
 func (r *Recorder) PhaseSeconds() map[string]float64 {
 	if r == nil {

@@ -155,14 +155,19 @@ func FaultErrors(err error) []*FaultError {
 }
 
 // CrashPlan builds the seeded chaos plan of the elastic suites: rank
-// `victim` crashes on its first send of training step `step`'s token gather
-// (the opening wire operation of an EmbRace step), over the standard
-// maskable background noise drawn from seed. The crash rule leads the rule
+// `victim` crashes on its first send of training step `step`'s embedding-data
+// AlltoAll, over the standard maskable background noise drawn from seed. That
+// is the first wire operation after the step's opening token gather, and the
+// gather is a rendezvous: the victim has heard from every peer in `step`, so
+// every earlier step — its stats gather included — is complete on every rank
+// when the crash lands. (A crash on the token gather itself can land while
+// the victim's own chaos-delayed messages of the previous step are still in
+// flight, and take that step down with it.) The crash rule leads the rule
 // list so noise cannot swallow the targeted send; the tag predicate pins it
 // to epoch 0, so a readmitted victim cannot re-crash on a rebuilt world's
 // tags.
 func CrashPlan(seed int64, victim, step int) (comm.FaultPlan, error) {
-	tag, err := collective.TagOf(strategies.OpTokens, step)
+	tag, err := collective.TagOf(strategies.OpEmbData, step)
 	if err != nil {
 		return comm.FaultPlan{}, err
 	}

@@ -35,6 +35,15 @@ func spansOf(r *trace.Recorder, name string) []trace.Span {
 	return out
 }
 
+// byStep indexes one recorder's spans of the given name by training step.
+func byStep(r *trace.Recorder, name string) map[int]trace.Span {
+	out := map[int]trace.Span{}
+	for _, s := range spansOf(r, name) {
+		out[s.Step] = s
+	}
+	return out
+}
+
 func TestTraceDisabledLeavesResultBare(t *testing.T) {
 	job := testJob(strategies.EmbRace, 2)
 	res, err := Run(job)
@@ -77,9 +86,11 @@ func TestTraceRunRecordsEveryRank(t *testing.T) {
 
 // TestTraceChromeExportGolden checks the exported JSON end to end: it
 // parses, every complete event has positive duration, per-rank compute
-// spans nest inside their step span, and the prior exchange of step k
-// finishes before step k+1 harvests the delayed half — the ordering
-// Algorithm 1 requires.
+// spans — and the dense lane's span, joined before Step returns — nest
+// inside their step span, the prior exchange of step k finishes before step
+// k+1 harvests the delayed half (the ordering Algorithm 1 requires), and
+// that harvest sits where late harvest puts it: after the step's own FP/BP,
+// before its vertical split.
 func TestTraceChromeExportGolden(t *testing.T) {
 	job := tracedJob(2, 4)
 	res, err := Run(job)
@@ -115,12 +126,10 @@ func TestTraceChromeExportGolden(t *testing.T) {
 		// Every compute-track span of step k nests inside that step's
 		// "step" span: the step loop Begins before the worker and Ends
 		// after it, all on one goroutine and one clock.
-		stepSpan := map[int]trace.Span{}
-		for _, s := range spansOf(r, "step") {
-			stepSpan[s.Step] = s
-		}
+		stepSpan := byStep(r, "step")
 		for _, s := range r.Spans() {
-			if s.Track != trace.TrackCompute || s.Step < 0 || s.Name == "step" {
+			onStepLoop := s.Track == trace.TrackCompute && s.Name != "step"
+			if s.Step < 0 || !(onStepLoop || s.Name == strategies.SpanTrunk) {
 				continue
 			}
 			outer, ok := stepSpan[s.Step]
@@ -134,10 +143,8 @@ func TestTraceChromeExportGolden(t *testing.T) {
 		}
 		// Ordering: step k's prior exchange completes before step k+1
 		// harvests the delayed remainder.
-		prior := map[int]trace.Span{}
-		for _, s := range spansOf(r, strategies.SpanPriorExchange) {
-			prior[s.Step] = s
-		}
+		prior := byStep(r, strategies.SpanPriorExchange)
+		bp, split := byStep(r, strategies.SpanBP), byStep(r, strategies.SpanVSplit)
 		for _, h := range spansOf(r, strategies.SpanHarvestDelayed) {
 			if h.Step < 1 {
 				continue // the final FullEmbedding harvest runs outside the step loop
@@ -150,14 +157,51 @@ func TestTraceChromeExportGolden(t *testing.T) {
 				t.Fatalf("rank %d: prior exchange of step %d ends %v, after harvest of step %d starts %v",
 					rank, h.Step-1, p.End(), h.Step, h.Start)
 			}
+			// Late harvest: the step's FP and BP come first, its split after.
+			if bp[h.Step].End() > h.Start || h.End() > split[h.Step].Start {
+				t.Fatalf("rank %d step %d: harvest [%v,%v] not between bp end %v and vsplit start %v",
+					rank, h.Step, h.Start, h.End(), bp[h.Step].End(), split[h.Step].Start)
+			}
+		}
+		// The worker routes the wire events of both ops it runs off the step
+		// goroutine to the background lane; nobody else does.
+		routed := 0
+		for _, s := range r.Spans() {
+			if s.Name != strategies.OpTrunk && s.Name != strategies.OpEmbDelayed {
+				continue
+			}
+			if s.Track != trace.TrackBackground {
+				t.Fatalf("rank %d: wire event of %s on track %d", rank, s.Name, s.Track)
+			}
+			routed++
+		}
+		if routed == 0 {
+			t.Fatalf("rank %d: no wire events of the background ops recorded", rank)
+		}
+		// The dense lane starts once BP has produced the trunk gradients,
+		// on the background track.
+		dense := spansOf(r, strategies.SpanTrunk)
+		if len(dense) != job.Steps {
+			t.Fatalf("rank %d: %d dense spans, want %d", rank, len(dense), job.Steps)
+		}
+		for _, d := range dense {
+			if d.Track != trace.TrackBackground {
+				t.Fatalf("rank %d: dense exchange on track %d", rank, d.Track)
+			}
+			if bp[d.Step].End() > d.Start {
+				t.Fatalf("rank %d step %d: dense exchange starts %v, before bp ends %v", rank, d.Step, d.Start, bp[d.Step].End())
+			}
 		}
 	}
 }
 
 // TestTraceDelayedOverlapsNextStep is the acceptance criterion of §4.2.2
-// made a test: on some rank, the background delayed-gradient AlltoAll span
-// of step k overlaps a compute span of step k+1. The overlap depends on
-// goroutine scheduling, so a few attempts are allowed before failing.
+// and §4.1.3 made a test: on some rank, the background delayed-gradient
+// AlltoAll span of step k overlaps a compute span of step k+1 (late harvest
+// leaves it the whole of that step's lookup, FP and BP to hide behind), and
+// on some rank the dense lane's span overlaps the embedding-gradient spans
+// the step loop runs beside it. Both depend on goroutine scheduling, so a
+// few attempts are allowed before failing.
 func TestTraceDelayedOverlapsNextStep(t *testing.T) {
 	job := tracedJob(4, 8)
 	// A heavier model keeps the background exchange in flight long enough
@@ -167,7 +211,10 @@ func TestTraceDelayedOverlapsNextStep(t *testing.T) {
 	job.Model.EmbDim = 32
 	job.Model.Hidden = 16
 	job.Data.BatchSentences = 16
-	for attempt := 0; attempt < 3; attempt++ {
+	embPath := map[string]bool{strategies.SpanVSplit: true, strategies.SpanPriorExchange: true,
+		strategies.SpanPriorUpdate: true, strategies.SpanHarvestDelayed: true}
+	delayedHidden, denseBeside := false, false
+	for attempt := 0; attempt < 3 && !(delayedHidden && denseBeside); attempt++ {
 		res, err := Run(job)
 		if err != nil {
 			t.Fatal(err)
@@ -179,13 +226,25 @@ func TestTraceDelayedOverlapsNextStep(t *testing.T) {
 				}
 				for _, s := range r.Spans() {
 					if s.Track == trace.TrackCompute && s.Step == d.Step+1 && d.Overlaps(s) {
-						return // overlap observed: delayed comm hid behind next step's work
+						delayedHidden = true // delayed comm hid behind next step's work
+					}
+				}
+			}
+			for _, d := range spansOf(r, strategies.SpanTrunk) {
+				for _, s := range r.Spans() {
+					if s.Track == trace.TrackCompute && s.Step == d.Step && embPath[s.Name] && d.Overlaps(s) {
+						denseBeside = true // dense ring ran beside the embedding path
 					}
 				}
 			}
 		}
 	}
-	t.Fatal("no delayed-exchange span overlapped the following step's compute in 3 runs")
+	if !delayedHidden {
+		t.Fatal("no delayed-exchange span overlapped the following step's compute in 3 runs")
+	}
+	if !denseBeside {
+		t.Fatal("no dense-exchange span overlapped its own step's embedding-gradient path in 3 runs")
+	}
 }
 
 func TestTraceInjectedClock(t *testing.T) {

@@ -292,11 +292,9 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 	obs := collective.Observer(rec)
 	var tr *trace.Recorder
 	if job.Trace {
+		// The worker routes the ops it runs off the step goroutine to the
+		// background lane itself (strategies.NewWorker).
 		tr = trace.NewRecorder(raw.Rank(), trace.WithClock(job.TraceClock))
-		// The delayed exchange runs in a background goroutine; route its
-		// wire events to the background lane so the overlap with the next
-		// step's foreground spans is visible instead of interleaved.
-		tr.RouteOp(strategies.OpEmbDelayed, trace.TrackBackground)
 		obs = collective.MultiObserver(rec, tr)
 	}
 	cm := collective.NewCommunicator(raw,

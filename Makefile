@@ -6,7 +6,7 @@ BENCH ?= AllReduce64MB
 # chaos seed sweep offset; override with e.g. `make chaos CHAOS_SEED=20260806`.
 CHAOS_SEED ?= 1
 
-.PHONY: build test lint check race bench-comm bench-hot bench-compress bench-serve-scale chaos elastic overlap trace-demo serve-demo
+.PHONY: build test lint check race bench-comm bench-hot bench-compress bench-serve-scale chaos elastic overlap kernels trace-demo serve-demo
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ lint:
 ## check: lint the whole module and race-test everything (the Communicator's
 ## pooled buffers and pipelined ring segments are the code most exposed to
 ## data races, but the trainer and scheduler fan out goroutines too).
-check: lint overlap
+check: lint overlap kernels
 	$(GO) test -race ./...
 
 race: check
@@ -93,6 +93,16 @@ overlap:
 	EMBRACE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -timeout 10m -count=1 \
 		-run 'AllReduceBlocks|DelayedRowsDisjoint|LateHarvest|ChaosTrainingEquivalence|UnderChaos|MaskableChaos|CrossStrategyEquivalence|EmbRace2DEqualsWholeUpdate|TraceChromeExportGolden|TraceDelayedOverlaps' \
 		./internal/collective ./internal/strategies ./internal/trainer
+
+## kernels: what the register-blocked trunk kernels and the optimizer loops
+## rest on, under the race detector — each against its pre-change loop, kept
+## in the tests as the oracle, to the float32 bit (DESIGN.md § Trunk kernels)
+## — then the two trunk benchmarks at the train_dense shape, which also
+## report the live-unit share the zero-skips feed on.
+kernels:
+	$(GO) test -race -count=1 -run 'Kernel|Gradients|Infer|Adam|Adagrad|PoolBackward' \
+		./internal/nn ./internal/optim
+	$(GO) test -run '^$$' -bench 'TrunkForward|TrunkBackward' -benchtime 5x ./internal/nn
 
 ## trace-demo: trace a real 4-rank EmbRace training run and write trace.json
 ## (Chrome trace-event format; open in Perfetto or chrome://tracing). The

@@ -83,31 +83,51 @@ func PoolBackwardDims(vocab, dim int, tokens [][]int64, gradPooled *tensor.Dense
 
 // PoolBackwardInto is PoolBackwardDims writing into a reused destination:
 // dst's backing arrays grow to their high-water mark once and every later
-// call appends into them, so the steady-state gradient build allocates
+// call writes into them, so the steady-state gradient build allocates
 // nothing. Row order and arithmetic are identical to PoolBackwardDims.
 //
 //embrace:hotpath
 func PoolBackwardInto(vocab, dim int, tokens [][]int64, gradPooled *tensor.Dense, dst *tensor.Sparse) {
 	dst.Reset()
 	dst.NumRows, dst.Dim = vocab, dim
+	rows := 0
+	for _, window := range tokens {
+		rows += len(window)
+	}
+	sizeRows(dst, rows, dim)
+	r := 0
 	for i, window := range tokens {
 		if len(window) == 0 {
 			continue
 		}
 		inv := 1 / float32(len(window))
-		g := gradPooled.Row(i)
+		g := gradPooled.Row(i)[:dim]
 		for _, tok := range window {
 			if tok < 0 || tok >= int64(vocab) {
 				// Tokens are validated upstream by the data generator; an
 				// invalid index here is a programming error, not input error.
 				panic(fmt.Sprintf("nn: PoolBackward: token %d out of range [0,%d)", tok, vocab))
 			}
-			dst.Indices = append(dst.Indices, tok)
-			for d := 0; d < dim; d++ {
-				dst.Vals = append(dst.Vals, g[d]*inv)
+			dst.Indices[r] = tok
+			row := dst.Vals[r*dim : (r+1)*dim]
+			for d, gd := range g {
+				row[d] = gd * inv
 			}
+			r++
 		}
 	}
+}
+
+// sizeRows sets dst's length to rows rows of width dim, growing its backing
+// arrays when a call outgrows them — the cold growth path.
+func sizeRows(dst *tensor.Sparse, rows, dim int) {
+	if cap(dst.Indices) < rows {
+		dst.Indices = make([]int64, rows)
+	}
+	if cap(dst.Vals) < rows*dim {
+		dst.Vals = make([]float32, rows*dim)
+	}
+	dst.Indices, dst.Vals = dst.Indices[:rows], dst.Vals[:rows*dim]
 }
 
 // Trunk is the dense part of the model: pooled -> Linear -> ReLU -> Linear
@@ -201,11 +221,8 @@ func (t *Trunk) infer(pooled *tensor.Dense) (hidden, probs *tensor.Dense, err er
 		return nil, nil, fmt.Errorf("nn: pooled width %d != embDim %d", pooled.Dim(1), embDim)
 	}
 
-	// Both matmuls run row-major over contiguous weight rows instead of
-	// strided per-element At() calls. The restructure is bit-identical to
-	// the naive loops: element (i, j) still accumulates B1[j] then
-	// x[k]*W1[k][j] for k ascending (and likewise for W2 over j), so every
-	// float is added in exactly the original order.
+	// The first layer runs row-major over contiguous W1 rows: element (i, j)
+	// accumulates B1[j] then x[k]*W1[k][j] for k ascending.
 	hidden = tensor.NewDense(batch, hiddenDim)
 	b1 := t.B1.Data()
 	for i := 0; i < batch; i++ {
@@ -227,18 +244,19 @@ func (t *Trunk) infer(pooled *tensor.Dense) (hidden, probs *tensor.Dense, err er
 	}
 
 	probs = tensor.NewDense(batch, vocab)
+	t.head(hidden, probs)
+	return hidden, probs, nil
+}
+
+// head is the second layer: probs[i] = softmax(B2 + hidden[i]·W2). The
+// matmul is w2Forward (kernel.go), which adds each logit's products j
+// ascending, as the one-unit-per-pass loop it replaced did.
+func (t *Trunk) head(hidden, probs *tensor.Dense) {
 	b2 := t.B2.Data()
-	for i := 0; i < batch; i++ {
-		h := hidden.Row(i)
+	for i := 0; i < hidden.Dim(0); i++ {
 		logits := probs.Row(i)
 		copy(logits, b2)
-		for j := 0; j < hiddenDim; j++ {
-			hj := h[j]
-			w2row := t.W2.Row(j)
-			for v := 0; v < vocab; v++ {
-				logits[v] += hj * w2row[v]
-			}
-		}
+		w2Forward(logits, hidden.Row(i), t.W2)
 		// Numerically stable softmax.
 		maxL := logits[0]
 		for _, l := range logits[1:] {
@@ -257,7 +275,6 @@ func (t *Trunk) infer(pooled *tensor.Dense) (hidden, probs *tensor.Dense, err er
 			logits[v] *= inv
 		}
 	}
-	return hidden, probs, nil
 }
 
 // Infer returns the softmax probability distribution for each pooled row,
@@ -274,6 +291,12 @@ func (t *Trunk) Forward(pooled *tensor.Dense, targets []int64) (float64, *forwar
 	batch := pooled.Dim(0)
 	if batch != len(targets) {
 		return 0, nil, fmt.Errorf("nn: %d pooled rows vs %d targets", batch, len(targets))
+	}
+	vocab := t.W2.Dim(1)
+	for i, target := range targets {
+		if target < 0 || target >= int64(vocab) {
+			return 0, nil, fmt.Errorf("nn: target %d of row %d out of range [0,%d)", target, i, vocab)
+		}
 	}
 	hidden, probs, err := t.infer(pooled)
 	if err != nil {
@@ -310,28 +333,20 @@ func (t *Trunk) Backward(c *forwardCache) *TrunkGrads {
 	dHidden := make([]float32, hiddenDim)
 	dLogits := make([]float32, vocab)
 	for i := 0; i < batch; i++ {
-		// dLogits = (probs - onehot(target)) / batch
+		// dLogits = (probs - onehot(target)) / batch. finite records whether
+		// every element is: x-x is 0 for a finite x and NaN otherwise.
 		copy(dLogits, c.probs.Row(i))
 		dLogits[c.targets[i]] -= 1
-		for v := range dLogits {
-			dLogits[v] *= inv
-		}
-		h := c.hidden.Row(i)
-		// W2, B2 grads and dHidden.
-		for j := 0; j < hiddenDim; j++ {
-			var acc float32
-			w2row := g.W2.Row(j)
-			tw2 := t.W2.Row(j)
-			for v := 0; v < vocab; v++ {
-				w2row[v] += h[j] * dLogits[v]
-				acc += tw2[v] * dLogits[v]
-			}
-			if h[j] > 0 { // ReLU mask
-				dHidden[j] = acc
-			} else {
-				dHidden[j] = 0
+		finite := true
+		for v, d := range dLogits {
+			d *= inv
+			dLogits[v] = d
+			if d-d != 0 {
+				finite = false
 			}
 		}
+		// W2 grads and dHidden.
+		w2Backward(g.W2, dHidden, c.hidden.Row(i), t.W2, dLogits, finite)
 		b2 := g.B2.Data()
 		for v := 0; v < vocab; v++ {
 			b2[v] += dLogits[v]

@@ -72,6 +72,20 @@ func TestForwardValidation(t *testing.T) {
 	if _, _, err := m.Trunk.Forward(bad, []int64{1}); err == nil {
 		t.Fatal("expected width mismatch error")
 	}
+	// A target outside [0, vocab) is an error, not an index panic in Forward
+	// or, later, in Backward.
+	vocab := int64(m.Emb.Vocab())
+	for _, target := range []int64{-1, vocab} {
+		if _, _, err := m.Trunk.Forward(pooled, []int64{0, target}); err == nil {
+			t.Fatalf("expected out-of-range error for target %d", target)
+		}
+		if _, _, _, err := m.Step([][]int64{{1}, {2}}, []int64{0, target}); err == nil {
+			t.Fatalf("Model.Step must surface the out-of-range target %d", target)
+		}
+	}
+	if _, _, err := m.Trunk.Forward(pooled, []int64{0, vocab - 1}); err != nil {
+		t.Fatalf("last valid target rejected: %v", err)
+	}
 }
 
 // Finite-difference check of every trunk gradient and the embedding

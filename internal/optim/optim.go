@@ -100,19 +100,25 @@ func NewAdagrad(param *tensor.Dense, lr, eps float32) *Adagrad {
 	}
 }
 
-func (o *Adagrad) updateElem(i int, g float32) {
-	acc := o.accum.Data()
-	acc[i] += g * g
-	o.param.Data()[i] -= o.lr * g / (float32(math.Sqrt(float64(acc[i]))) + o.eps)
+// apply updates the len(g) parameters starting at off from their gradients
+// g. The state and parameter slices are hoisted and cut to g's length once,
+// so the loop body carries no bounds check and no pointer chase.
+func (o *Adagrad) apply(off int, g []float32) {
+	acc := o.accum.Data()[off:][:len(g)]
+	p := o.param.Data()[off:][:len(g)]
+	lr, eps := o.lr, o.eps
+	for i, gi := range g {
+		a := acc[i] + gi*gi
+		acc[i] = a
+		p[i] -= lr * gi / (float32(math.Sqrt(float64(a))) + eps)
+	}
 }
 
 func (o *Adagrad) StepDense(grad *tensor.Dense) error {
 	if err := checkDense(o.param, grad); err != nil {
 		return err
 	}
-	for i, g := range grad.Data() {
-		o.updateElem(i, g)
-	}
+	o.apply(0, grad.Data())
 	return nil
 }
 
@@ -122,11 +128,7 @@ func (o *Adagrad) StepSparse(grad *tensor.Sparse) error {
 	}
 	c := grad.Coalesce()
 	for r, ix := range c.Indices {
-		base := int(ix) * c.Dim
-		row := c.Row(r)
-		for j, g := range row {
-			o.updateElem(base+j, g)
-		}
+		o.apply(int(ix)*c.Dim, c.Row(r))
 	}
 	return nil
 }
@@ -172,11 +174,21 @@ func NewAdamDefault(param *tensor.Dense, lr float32) *Adam {
 // Step returns the number of completed optimization steps.
 func (o *Adam) Step() int { return o.step }
 
-func (o *Adam) updateElem(i int, g float32, stepLR float32) {
-	md, vd := o.m.Data(), o.v.Data()
-	md[i] = o.beta1*md[i] + (1-o.beta1)*g
-	vd[i] = o.beta2*vd[i] + (1-o.beta2)*g*g
-	o.param.Data()[i] -= stepLR * md[i] / (float32(math.Sqrt(float64(vd[i]))) + o.eps)
+// apply updates the len(g) parameters starting at off from their gradients
+// g, with the bias-corrected learning rate of the current step. The three
+// state and parameter slices are hoisted and cut to g's length once, so the
+// loop body carries no bounds check and no pointer chase.
+func (o *Adam) apply(off int, g []float32, stepLR float32) {
+	m := o.m.Data()[off:][:len(g)]
+	v := o.v.Data()[off:][:len(g)]
+	p := o.param.Data()[off:][:len(g)]
+	beta1, beta2, eps := o.beta1, o.beta2, o.eps
+	for i, gi := range g {
+		mi := beta1*m[i] + (1-beta1)*gi
+		vi := beta2*v[i] + (1-beta2)*gi*gi
+		m[i], v[i] = mi, vi
+		p[i] -= stepLR * mi / (float32(math.Sqrt(float64(vi))) + eps)
+	}
 }
 
 // stepLR folds the bias corrections of step t into the learning rate.
@@ -191,10 +203,7 @@ func (o *Adam) StepDense(grad *tensor.Dense) error {
 		return err
 	}
 	o.step++
-	lr := o.stepLR(o.step)
-	for i, g := range grad.Data() {
-		o.updateElem(i, g, lr)
-	}
+	o.apply(0, grad.Data(), o.stepLR(o.step))
 	return nil
 }
 
@@ -215,11 +224,7 @@ func (o *Adam) StepSparsePartial(grad *tensor.Sparse, final bool) error {
 	lr := o.stepLR(step)
 	c := grad.Coalesce()
 	for r, ix := range c.Indices {
-		base := int(ix) * c.Dim
-		row := c.Row(r)
-		for j, g := range row {
-			o.updateElem(base+j, g, lr)
-		}
+		o.apply(int(ix)*c.Dim, c.Row(r), lr)
 	}
 	if final {
 		o.step = step

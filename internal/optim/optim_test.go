@@ -175,13 +175,7 @@ func TestModifiedAdamSplitEquivalence(t *testing.T) {
 		oSplit := NewAdamDefault(pSplit, 0.01)
 		for it := 0; it < 6; it++ {
 			g := randSparse(rng, rows, dim, 1+rng.Intn(20)).Coalesce()
-			var prior []int64
-			for _, ix := range g.Indices {
-				if rng.Intn(2) == 0 {
-					prior = append(prior, ix) // Indices sorted: prior stays sorted
-				}
-			}
-			gp, gd := g.Partition(prior)
+			gp, gd := splitRows(rng, g)
 			if err := oWhole.StepSparse(g); err != nil {
 				return false
 			}
@@ -246,5 +240,173 @@ func TestAdamShapeValidation(t *testing.T) {
 	badSparse, _ := tensor.NewSparse(4, 3, []int64{0}, []float32{1, 2, 3})
 	if err := o.StepSparse(badSparse); err == nil {
 		t.Fatal("expected sparse shape error")
+	}
+}
+
+// refAdam and refAdagrad are the optimizers' element-at-a-time updates as
+// they stood before the slice loops — state re-derived and indexed per float
+// — kept as the oracle the loops must match to the float32 bit.
+type refAdam struct {
+	p, m, v               []float32
+	lr, beta1, beta2, eps float32
+	step                  int
+}
+
+func newRefAdam(param *tensor.Dense, lr float32) *refAdam {
+	n := param.Len()
+	return &refAdam{p: param.Data(), m: make([]float32, n), v: make([]float32, n),
+		lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
+}
+
+func (o *refAdam) updateElem(i int, g float32, stepLR float32) {
+	o.m[i] = o.beta1*o.m[i] + (1-o.beta1)*g
+	o.v[i] = o.beta2*o.v[i] + (1-o.beta2)*g*g
+	o.p[i] -= stepLR * o.m[i] / (float32(math.Sqrt(float64(o.v[i]))) + o.eps)
+}
+
+func (o *refAdam) stepLR(step int) float32 {
+	bc1 := 1 - math.Pow(float64(o.beta1), float64(step))
+	bc2 := 1 - math.Pow(float64(o.beta2), float64(step))
+	return o.lr * float32(math.Sqrt(bc2)/bc1)
+}
+
+func (o *refAdam) stepDense(grad *tensor.Dense) {
+	o.step++
+	lr := o.stepLR(o.step)
+	for i, g := range grad.Data() {
+		o.updateElem(i, g, lr)
+	}
+}
+
+func (o *refAdam) stepSparsePartial(c *tensor.Sparse, final bool) {
+	step := o.step + 1
+	lr := o.stepLR(step)
+	for r, ix := range c.Indices {
+		base := int(ix) * c.Dim
+		for j, g := range c.Row(r) {
+			o.updateElem(base+j, g, lr)
+		}
+	}
+	if final {
+		o.step = step
+	}
+}
+
+type refAdagrad struct {
+	p, acc  []float32
+	lr, eps float32
+}
+
+func (o *refAdagrad) updateElem(i int, g float32) {
+	o.acc[i] += g * g
+	o.p[i] -= o.lr * g / (float32(math.Sqrt(float64(o.acc[i]))) + o.eps)
+}
+
+func sameFloat32Bits(t *testing.T, what string, step int, want, got []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("%s, step %d, element %d: loop %v vs per-element reference %v", what, step, i, got[i], want[i])
+		}
+	}
+}
+
+// splitRows partitions a coalesced gradient into random prior and delayed
+// parts, as Vertical Sparse Scheduling does.
+func splitRows(rng *rand.Rand, g *tensor.Sparse) (prior, delayed *tensor.Sparse) {
+	var keep []int64
+	for _, ix := range g.Indices {
+		if rng.Intn(2) == 0 {
+			keep = append(keep, ix) // Indices sorted: keep stays sorted
+		}
+	}
+	return g.Partition(keep)
+}
+
+func TestAdamLoopsMatchPerElementReference(t *testing.T) {
+	const rows, dim, steps = 40, 7, 50
+	rng := rand.New(rand.NewSource(17))
+
+	t.Run("dense", func(t *testing.T) {
+		param := tensor.RandDense(rng, 1, rows, dim)
+		ref := newRefAdam(param.Clone(), 0.01)
+		opt := NewAdamDefault(param, 0.01)
+		for s := 0; s < steps; s++ {
+			g := tensor.RandDense(rng, 1, rows, dim)
+			ref.stepDense(g)
+			if err := opt.StepDense(g); err != nil {
+				t.Fatal(err)
+			}
+			sameFloat32Bits(t, "param", s, ref.p, param.Data())
+			sameFloat32Bits(t, "m", s, ref.m, opt.m.Data())
+			sameFloat32Bits(t, "v", s, ref.v, opt.v.Data())
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		param := tensor.RandDense(rng, 1, rows, dim)
+		ref := newRefAdam(param.Clone(), 0.01)
+		opt := NewAdamDefault(param, 0.01)
+		for s := 0; s < steps; s++ {
+			g := randSparse(rng, rows, dim, 1+rng.Intn(30)) // uncoalesced: StepSparse coalesces
+			ref.stepSparsePartial(g.Coalesce(), true)
+			if err := opt.StepSparse(g); err != nil {
+				t.Fatal(err)
+			}
+			sameFloat32Bits(t, "param", s, ref.p, param.Data())
+		}
+	})
+	t.Run("split", func(t *testing.T) {
+		param := tensor.RandDense(rng, 1, rows, dim)
+		ref := newRefAdam(param.Clone(), 0.01)
+		opt := NewAdamDefault(param, 0.01)
+		for s := 0; s < steps; s++ {
+			prior, delayed := splitRows(rng, randSparse(rng, rows, dim, 1+rng.Intn(30)).Coalesce())
+			ref.stepSparsePartial(prior, false)
+			ref.stepSparsePartial(delayed, true)
+			if err := opt.StepSparsePartial(prior, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := opt.StepSparsePartial(delayed, true); err != nil {
+				t.Fatal(err)
+			}
+			sameFloat32Bits(t, "param", s, ref.p, param.Data())
+			if opt.Step() != ref.step {
+				t.Fatalf("step %d: counter %d vs reference %d", s, opt.Step(), ref.step)
+			}
+		}
+	})
+}
+
+func TestAdagradLoopsMatchPerElementReference(t *testing.T) {
+	const rows, dim, steps = 40, 7, 50
+	rng := rand.New(rand.NewSource(19))
+	param := tensor.RandDense(rng, 1, rows, dim)
+	ref := &refAdagrad{p: param.Clone().Data(), acc: make([]float32, rows*dim), lr: 0.1, eps: 1e-10}
+	opt := NewAdagrad(param, 0.1, 1e-10)
+	for s := 0; s < steps; s++ {
+		// Alternate a dense step and the two halves of a split sparse one.
+		if s%2 == 0 {
+			g := tensor.RandDense(rng, 1, rows, dim)
+			for i, gi := range g.Data() {
+				ref.updateElem(i, gi)
+			}
+			if err := opt.StepDense(g); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			prior, delayed := splitRows(rng, randSparse(rng, rows, dim, 1+rng.Intn(30)).Coalesce())
+			for _, part := range []*tensor.Sparse{prior, delayed} {
+				for r, ix := range part.Indices {
+					for j, gi := range part.Row(r) {
+						ref.updateElem(int(ix)*dim+j, gi)
+					}
+				}
+				if err := opt.StepSparse(part); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sameFloat32Bits(t, "param", s, ref.p, param.Data())
+		sameFloat32Bits(t, "accum", s, ref.acc, opt.accum.Data())
 	}
 }

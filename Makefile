@@ -1,12 +1,9 @@
 GO ?= go
 
-# bench-comm benchmark filter; override with e.g. `make bench-comm BENCH=AllToAll`.
-BENCH ?= AllReduce64MB
-
 # chaos seed sweep offset; override with e.g. `make chaos CHAOS_SEED=20260806`.
 CHAOS_SEED ?= 1
 
-.PHONY: build test lint check race bench-comm bench-hot bench-compress bench-serve-scale chaos elastic overlap kernels trace-demo serve-demo
+.PHONY: build test lint check race chaos elastic overlap kernels trace-demo serve-demo
 
 build:
 	$(GO) build ./...
@@ -29,35 +26,6 @@ check: lint overlap kernels
 	$(GO) test -race ./...
 
 race: check
-
-bench-comm:
-	$(GO) test -run XXX -bench $(BENCH) -benchtime 5x .
-
-## bench-hot: the steady-state hot-path step bench — an 8-rank world runs
-## real lockstep training steps per strategy with allocation accounting, and
-## the parsed numbers (ns/op, B/op, allocs/op) land in BENCH_hotpath.json
-## for diffing across PRs. EXPERIMENTS.md § "Hot-path rebuild" tracks them.
-bench-hot:
-	$(GO) test -run '^$$' -bench HotPathStep -benchtime 30x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
-
-## bench-compress: the wire-compression bench — the 8-rank Zipf hot-path
-## workload re-runs with the embedding AlltoAll in each wire mode (raw,
-## lossless delta-varint, dual-level lossy quantization) and reports bytes on
-## the wire next to step time and final loss. BENCH_compress.json records the
-## parsed table; EXPERIMENTS.md § "Sparse wire compression" tracks it.
-bench-compress:
-	$(GO) test -run '^$$' -bench CompressExchange -benchtime 30x -benchmem . \
-		| $(GO) run ./cmd/benchjson -out BENCH_compress.json
-
-## bench-serve-scale: the multi-driver serving scale bench — a 4-rank
-## cluster over real TCP serves a weak-scaled closed-loop Zipf workload with
-## 1, 2, and 4 ingress drivers; qps / p50 / p99 / hot-set hit rate per
-## driver count land in BENCH_serve_scale.json for diffing across PRs.
-## EXPERIMENTS.md § "Multi-driver serving" tracks the scaling curve.
-bench-serve-scale:
-	$(GO) test -run '^$$' -bench ServeScale -benchtime 5x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_serve_scale.json
 
 ## chaos: the deterministic fault-injection suite (DESIGN.md §8) under the
 ## race detector — every collective and an end-to-end training job must be

@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer describes one static check.
@@ -146,4 +147,48 @@ func ReceiverType(fn *types.Func) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
+}
+
+// collectiveArgs gives the positions of the op and step arguments of a
+// blocking collective.
+type collectiveArgs struct{ op, step int }
+
+// collectiveMethods and collectiveFuncs are the one table of
+// internal/collective's blocking collectives that commdiverge and locksend
+// both read: the Communicator methods, and the generic package functions
+// that take the Communicator first. The point-to-point Send/Recv are not
+// collectives and are absent.
+var (
+	collectiveMethods = map[string]collectiveArgs{
+		"AllReduce":           {0, 1},
+		"AllReduceWith":       {0, 1},
+		"AllReduceBlocks":     {0, 1},
+		"ReduceScatter":       {0, 1},
+		"Broadcast":           {0, 1},
+		"Barrier":             {0, 1},
+		"SparseAllGather":     {0, 1},
+		"AlltoAllSparse":      {0, 1},
+		"AlltoAllSparseCodec": {0, 1},
+	}
+	collectiveFuncs = map[string]collectiveArgs{
+		"AllGatherVia": {1, 2},
+		"AllToAllVia":  {1, 2},
+		"GatherVia":    {1, 2},
+	}
+)
+
+// Collective reports whether fn is a blocking collective of
+// internal/collective and, if so, the positions of its op and step
+// arguments.
+func Collective(fn *types.Func) (op, step int, ok bool) {
+	if !strings.HasSuffix(PkgPathOf(fn), "internal/collective") {
+		return 0, 0, false
+	}
+	var args collectiveArgs
+	if recv := ReceiverType(fn); recv == nil {
+		args, ok = collectiveFuncs[fn.Name()]
+	} else if recv.Obj().Name() == "Communicator" {
+		args, ok = collectiveMethods[fn.Name()]
+	}
+	return args.op, args.step, ok
 }

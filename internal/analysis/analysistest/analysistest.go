@@ -7,7 +7,7 @@
 // at testdata/src/embrace/internal/comm, never to the real repo, so analyzer
 // tests stay hermetic. Expectations annotate the offending line:
 //
-//	collective.RingAllReduce(t, 1, buf) // want `legacy tag-based`
+//	t.Send(1, 42, buf) // want `hand-numbered tag literal`
 //
 // Each `// want` comment holds one or more quoted or backquoted regular
 // expressions, every one of which must match a diagnostic reported on that

@@ -46,32 +46,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:    run,
 }
 
-// argIdx gives the positions of the op and step arguments of a collective.
-type argIdx struct{ op, step int }
-
-// collectiveMethods are Communicator methods that rendezvous all ranks.
-// sendRaw/recvRaw/Send/Recv are deliberately absent.
-var collectiveMethods = map[string]argIdx{
-	"AllReduce":             {0, 1},
-	"AllReduceWith":         {0, 1},
-	"AllReduceBlocks":       {0, 1},
-	"ReduceScatter":         {0, 1},
-	"Broadcast":             {0, 1},
-	"Barrier":               {0, 1},
-	"SparseAllGather":       {0, 1},
-	"SparseAllToAll":        {0, 1},
-	"AlltoAllSparse":        {0, 1},
-	"AlltoAllSparseCodec":   {0, 1},
-	"HierarchicalAllReduce": {0, 1},
-}
-
-// collectiveFuncs are package-level collective entry points.
-var collectiveFuncs = map[string]argIdx{
-	"AllGatherVia": {1, 2},
-	"AllToAllVia":  {1, 2},
-	"GatherVia":    {1, 2},
-}
-
 // state is the program-wide result of the Finish fixpoint, stored as one
 // fact so per-unit Run passes share it.
 type state struct {
@@ -342,29 +316,18 @@ func fieldKey(info *types.Info, sel *ast.SelectorExpr) string {
 
 // classify renders a call as a collective signature "Name(op, step)" with
 // constant arguments spelled out ("?" when not constant), or "" for
-// non-collective calls. Only the collective package's entry points count.
+// non-collective calls. Only the collective package's entry points count
+// (analysis.Collective); Send/Recv are exempt.
 func classify(info *types.Info, call *ast.CallExpr) string {
 	callee := analysis.CalleeFunc(info, call)
 	if callee == nil {
 		return ""
 	}
-	pkg := analysis.PkgPathOf(callee)
-	if pkg != "collective" && !strings.HasSuffix(pkg, "/collective") {
+	op, step, ok := analysis.Collective(callee)
+	if !ok {
 		return ""
 	}
-	var idx argIdx
-	if analysis.ReceiverType(callee) != nil {
-		var ok bool
-		if idx, ok = collectiveMethods[callee.Name()]; !ok {
-			return ""
-		}
-	} else {
-		var ok bool
-		if idx, ok = collectiveFuncs[callee.Name()]; !ok {
-			return ""
-		}
-	}
-	return fmt.Sprintf("%s(%s, %s)", callee.Name(), litString(info, call, idx.op), litString(info, call, idx.step))
+	return fmt.Sprintf("%s(%s, %s)", callee.Name(), litString(info, call, op), litString(info, call, step))
 }
 
 func litString(info *types.Info, call *ast.CallExpr, i int) string {

@@ -14,8 +14,9 @@
 // receivers are replayed in source order against the blocking calls between
 // them; a deferred unlock holds its lock to the end of the function. Calls
 // considered blocking: comm.Transport Send/Recv (on the interface or any
-// implementation), Communicator collectives, and the package-level *Via
-// collectives of internal/collective.
+// implementation), Communicator Send/Recv, and the collectives of the one
+// table in internal/analysis (Communicator methods and the package-level
+// *Via functions).
 package locksend
 
 import (
@@ -32,27 +33,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "locksend",
 	Doc:  "forbid blocking Transport/collective calls while holding a sync.Mutex or RWMutex acquired in the same function",
 	Run:  run,
-}
-
-// communicatorMethods are the blocking entry points of
-// collective.Communicator. Tag/Ticket/Rank/Size are pure bookkeeping.
-var communicatorMethods = map[string]bool{
-	"Send": true, "Recv": true,
-	"AllReduce": true, "AllReduceWith": true, "AllReduceBlocks": true, "ReduceScatter": true,
-	"Broadcast": true, "Barrier": true,
-	"SparseAllGather": true, "SparseAllToAll": true,
-	"HierarchicalAllReduce": true,
-}
-
-// collectiveFuncs are the blocking package-level collectives (current and
-// legacy spellings).
-var collectiveFuncs = map[string]bool{
-	"AllGatherVia": true, "AllToAllVia": true, "GatherVia": true,
-	"Barrier": true, "Broadcast": true, "ReduceScatter": true,
-	"RingAllReduce": true, "RingAllReduceOp": true,
-	"AllGather": true, "AllToAll": true, "Gather": true,
-	"SparseAllGather": true, "SparseAllToAll": true,
-	"HierarchicalAllReduce": true,
 }
 
 const (
@@ -202,35 +182,33 @@ func classifyLockOp(pass *analysis.Pass, call *ast.CallExpr) (key string, kind i
 	return types.ExprString(sel.X), kind, true
 }
 
-// classifyBlocking recognizes the communication calls that can stall a rank.
+// classifyBlocking recognizes the communication calls that can stall a rank:
+// the collectives of analysis.Collective, and Send/Recv on the Communicator,
+// the Transport interface, or anything implementing it.
 func classifyBlocking(pass *analysis.Pass, call *ast.CallExpr, transport *types.Interface) (string, bool) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return "", false
 	}
 	recv := analysis.ReceiverType(fn)
-	if recv == nil {
-		if strings.HasSuffix(analysis.PkgPathOf(fn), "internal/collective") && collectiveFuncs[fn.Name()] {
+	if _, _, ok := analysis.Collective(fn); ok {
+		if recv == nil {
 			return "collective." + fn.Name(), true
 		}
-		return "", false
-	}
-	pkg := recv.Obj().Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	if strings.HasSuffix(pkg.Path(), "internal/collective") && recv.Obj().Name() == "Communicator" && communicatorMethods[fn.Name()] {
 		return "Communicator." + fn.Name(), true
 	}
-	// Send/Recv on the Transport interface or anything implementing it
-	// (metrics.Transport, comm.TCPNode, test doubles).
-	if fn.Name() == "Send" || fn.Name() == "Recv" {
-		if strings.HasSuffix(pkg.Path(), "internal/comm") && recv.Obj().Name() == "Transport" {
-			return "Transport." + fn.Name(), true
-		}
-		if transport != nil && (types.Implements(recv, transport) || types.Implements(types.NewPointer(recv), transport)) {
-			return recv.Obj().Name() + "." + fn.Name(), true
-		}
+	if recv == nil || recv.Obj().Pkg() == nil || (fn.Name() != "Send" && fn.Name() != "Recv") {
+		return "", false
+	}
+	path := recv.Obj().Pkg().Path()
+	switch {
+	case strings.HasSuffix(path, "internal/collective") && recv.Obj().Name() == "Communicator":
+		return "Communicator." + fn.Name(), true
+	case strings.HasSuffix(path, "internal/comm") && recv.Obj().Name() == "Transport":
+		return "Transport." + fn.Name(), true
+	case transport != nil && (types.Implements(recv, transport) || types.Implements(types.NewPointer(recv), transport)):
+		// metrics.Transport, comm.TCPNode, test doubles.
+		return recv.Obj().Name() + "." + fn.Name(), true
 	}
 	return "", false
 }

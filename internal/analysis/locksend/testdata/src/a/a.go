@@ -35,6 +35,13 @@ func (s *server) readLockHeld() {
 	s.state.RUnlock()
 }
 
+// sparseHeld: the sparse AlltoAll is a collective like any other.
+func (s *server) sparseHeld(send [][]int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.c.AlltoAllSparseCodec("emb/grad", 0, send, nil, 0) // want `blocking Communicator\.AlltoAllSparseCodec while "s\.mu" is locked`
+}
+
 // releaseFirst is the approved pattern: copy what you need under the lock,
 // release, then communicate.
 func (s *server) releaseFirst() {

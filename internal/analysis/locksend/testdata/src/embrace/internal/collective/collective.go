@@ -19,6 +19,11 @@ func (c *Communicator) AllReduce(op string, step int, buf []float64) {}
 // Barrier blocks until every rank participates.
 func (c *Communicator) Barrier(op string, step int) {}
 
+// AlltoAllSparseCodec blocks until every peer's shard has arrived.
+func (c *Communicator) AlltoAllSparseCodec(op string, step int, send [][]int64, codec any, class int) error {
+	return nil
+}
+
 // Send blocks on transport delivery.
 func (c *Communicator) Send(op string, step, to int, payload []byte) {}
 

@@ -1,18 +1,14 @@
-// Package rawtag flags the legacy tag-based communication API outside the
-// packages that own it.
+// Package rawtag flags hand-numbered transport tags outside the packages
+// that own the tag machinery.
 //
 // PR 1 fixed a real bug of this class: two call sites reused a hand-picked
 // gather tag, so two logically distinct collectives shared a transport tag
 // space and crosstalked (the "magic gather tag"). The Communicator's
 // (op, step) addressing makes that collision structurally impossible, but
 // only if callers actually use it — this analyzer is the ratchet that keeps
-// hand-numbered tags from creeping back in. It reports:
-//
-//   - calls to the legacy tag-taking free functions of internal/collective
-//     (RingAllReduce, AllToAll, Gather, ...), whose tags are caller-picked
-//     integers with no collision protection;
-//   - comm.Transport.Send/Recv calls whose tag argument is an integer
-//     literal — a hand-numbered tag on the raw fabric.
+// hand-numbered tags from creeping back in. It reports comm.Transport
+// Send/Recv calls whose tag argument is an integer literal or constant — a
+// hand-numbered tag on the raw fabric.
 //
 // internal/collective and internal/comm are exempt: they implement the tag
 // machinery and must speak raw tags.
@@ -27,26 +23,10 @@ import (
 	"embrace/internal/analysis"
 )
 
-// legacyFuncs are the tag-taking package-level collectives; every one has a
-// Communicator (op, step) replacement.
-var legacyFuncs = map[string]string{
-	"Barrier":               "(*Communicator).Barrier",
-	"Broadcast":             "(*Communicator).Broadcast",
-	"ReduceScatter":         "(*Communicator).ReduceScatter",
-	"RingAllReduce":         "(*Communicator).AllReduce",
-	"RingAllReduceOp":       "(*Communicator).AllReduceWith",
-	"AllGather":             "AllGatherVia",
-	"AllToAll":              "AllToAllVia",
-	"Gather":                "GatherVia",
-	"SparseAllGather":       "(*Communicator).SparseAllGather",
-	"SparseAllToAll":        "(*Communicator).SparseAllToAll",
-	"HierarchicalAllReduce": "(*Communicator).HierarchicalAllReduce",
-}
-
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "rawtag",
-	Doc:  "forbid legacy integer-tag collectives and literal-tag Transport sends outside internal/collective and internal/comm",
+	Doc:  "forbid literal-tag Transport sends and receives outside internal/collective and internal/comm",
 	Run:  run,
 }
 
@@ -68,13 +48,6 @@ func run(pass *analysis.Pass) (any, error) {
 		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil {
 			return true
-		}
-		if strings.HasSuffix(analysis.PkgPathOf(fn), "internal/collective") && analysis.ReceiverType(fn) == nil {
-			if repl, ok := legacyFuncs[fn.Name()]; ok {
-				pass.Reportf(call.Pos(),
-					"legacy tag-based collective.%s: migrate to the Communicator (op, step) API (%s)", fn.Name(), repl)
-				return true
-			}
 		}
 		if recv := analysis.ReceiverType(fn); recv != nil &&
 			recv.Obj().Name() == "Transport" && recv.Obj().Pkg() != nil &&

@@ -7,15 +7,6 @@ import (
 )
 
 func flagged(t comm.Transport, buf []float32) error {
-	if err := collective.RingAllReduce(t, 1, buf); err != nil { // want `legacy tag-based collective\.RingAllReduce`
-		return err
-	}
-	if _, err := collective.AllToAll(t, 2, []int{1}); err != nil { // want `legacy tag-based collective\.AllToAll`
-		return err
-	}
-	if err := collective.HierarchicalAllReduce(t, 3, 4, buf); err != nil { // want `legacy tag-based collective\.HierarchicalAllReduce`
-		return err
-	}
 	if err := t.Send(1, 42, buf); err != nil { // want `raw Transport\.Send with a hand-numbered tag literal`
 		return err
 	}
@@ -41,5 +32,5 @@ func allowed(t comm.Transport, buf []float32) error {
 		return err
 	}
 	//embrace:allow rawtag exercising the suppression mechanism itself
-	return collective.RingAllReduce(t, 9, buf)
+	return t.Send(1, 9, buf)
 }

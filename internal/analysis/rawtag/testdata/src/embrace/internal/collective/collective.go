@@ -1,26 +1,10 @@
 // Package collective is a hermetic stub of the repo's collective package:
-// the legacy tag-based free functions (including ones the real package has
-// since deleted — the analyzer must keep recognizing their shape) plus the
-// Communicator replacement API.
+// the Communicator (op, step) API that replaced hand-numbered tags.
 package collective
 
 import "embrace/internal/comm"
 
-// RingAllReduce is a legacy tag-based collective.
-func RingAllReduce(t comm.Transport, tag int, buf []float32) error { return nil }
-
-// AllToAll is a legacy tag-based collective.
-func AllToAll[T any](t comm.Transport, tag int, send []T) ([]T, error) { return send, nil }
-
-// Gather is a legacy tag-based collective.
-func Gather[T any](t comm.Transport, tag, root int, local T) ([]T, error) { return nil, nil }
-
-// HierarchicalAllReduce is a legacy tag-based collective.
-func HierarchicalAllReduce(t comm.Transport, tag, workersPerNode int, buf []float32) error {
-	return nil
-}
-
-// Communicator is the replacement (op, step) API.
+// Communicator is the (op, step) API.
 type Communicator struct{ t comm.Transport }
 
 // NewCommunicator wraps t.
@@ -29,10 +13,10 @@ func NewCommunicator(t comm.Transport) *Communicator { return &Communicator{t: t
 // Tag maps (op, step) to a collision-free transport tag.
 func (c *Communicator) Tag(op string, step int) (int, error) { return 0, nil }
 
-// AllReduce is the Communicator replacement for RingAllReduce.
+// AllReduce sums buf across ranks.
 func (c *Communicator) AllReduce(op string, step int, buf []float32) error { return nil }
 
-// GatherVia is the Communicator replacement for Gather.
+// GatherVia collects one value per rank at root.
 func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T, error) {
 	return nil, nil
 }
@@ -40,8 +24,5 @@ func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T,
 // insideOwnPackage shows the exemption: the package owning the tag machinery
 // may use raw tags freely (no diagnostics expected here).
 func insideOwnPackage(t comm.Transport) error {
-	if err := RingAllReduce(t, 1, nil); err != nil {
-		return err
-	}
 	return t.Send(0, 7, nil)
 }

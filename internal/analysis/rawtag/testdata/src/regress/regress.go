@@ -5,19 +5,15 @@
 // `make check` time instead of in a flaky integration test.
 package regress
 
-import (
-	"embrace/internal/collective"
-	"embrace/internal/comm"
-)
+import "embrace/internal/comm"
 
 const magicGatherTag = 9999
 
 func collectFinalState(t comm.Transport, shard, stats []float32) error {
 	// Both gathers reuse magicGatherTag — rank 0 can receive a stats
 	// payload while assembling the embedding table.
-	if _, err := collective.Gather(t, magicGatherTag, 0, shard); err != nil { // want `legacy tag-based collective\.Gather`
+	if err := t.Send(0, magicGatherTag, shard); err != nil { // want `raw Transport\.Send with a hand-numbered tag literal`
 		return err
 	}
-	_, err := collective.Gather(t, magicGatherTag, 0, stats) // want `legacy tag-based collective\.Gather`
-	return err
+	return t.Send(0, magicGatherTag, stats) // want `raw Transport\.Send with a hand-numbered tag literal`
 }

@@ -36,10 +36,10 @@ func chaosSeeds(n int) []int64 {
 }
 
 // chaosSignature runs every collective op on tr — flat ring AllReduce,
-// chunk-pipelined ring AllReduce, Broadcast, AllGather, AllToAll and
-// hierarchical AllReduce, each over two steps — and returns the
-// concatenation of every result this rank observed. Two fabrics agree iff
-// their signatures are bit-identical on every rank.
+// chunk-pipelined ring AllReduce, Broadcast, AllGather, AllToAll and a
+// chunk-pipelined two-block AllReduceBlocks, each over two steps — and
+// returns the concatenation of every result this rank observed. Two fabrics
+// agree iff their signatures are bit-identical on every rank.
 func chaosSignature(tr comm.Transport) ([]float32, error) {
 	n, r := tr.Size(), tr.Rank()
 	plain := NewCommunicator(tr)
@@ -100,15 +100,11 @@ func chaosSignature(tr comm.Transport) ([]float32, error) {
 			sig = append(sig, p...)
 		}
 
-		wpn := 2
-		if n%2 != 0 {
-			wpn = 1
+		buf, short := mk(5, step), mk(6, step)[:3]
+		if err := chunked.AllReduceBlocks("chaos/blocks", step, buf, short); err != nil {
+			return nil, fmt.Errorf("allreduce blocks: %w", err)
 		}
-		buf = mk(5, step)
-		if err := plain.HierarchicalAllReduce("chaos/hier", step, wpn, buf); err != nil {
-			return nil, fmt.Errorf("hierarchical: %w", err)
-		}
-		sig = append(sig, buf...)
+		sig = append(append(sig, buf...), short...)
 	}
 	return sig, nil
 }

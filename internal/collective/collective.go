@@ -14,7 +14,8 @@
 // taking the Communicator first, because Go methods cannot be generic.
 //
 // The pre-Communicator free functions that took hand-picked integer tags are
-// gone; the rawtag analyzer (cmd/embracevet) keeps them from coming back.
+// gone; the rawtag analyzer (cmd/embracevet) keeps hand-numbered tags off the
+// raw transport.
 package collective
 
 import (

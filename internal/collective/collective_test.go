@@ -355,15 +355,17 @@ func TestSparseAllToAllRoutesShards(t *testing.T) {
 			}
 			shards[p] = s
 		}
-		got, err := NewCommunicator(tr).SparseAllToAll("test/sparse-a2a", 0, shards)
-		if err != nil {
+		var arena SparseShards
+		if err := NewCommunicator(tr).AlltoAllSparse("test/sparse-a2a", 0, shards, &arena); err != nil {
 			return err
 		}
-		for p, s := range got {
+		var s tensor.Sparse
+		for p := 0; p < n; p++ {
 			// shard from sender p must carry index p and value = my rank.
-			if s.Indices[0] != int64(p) || s.Vals[0] != float32(tr.Rank()) {
-				return fmt.Errorf("rank %d from %d: idx %d val %v",
-					tr.Rank(), p, s.Indices[0], s.Vals[0])
+			arena.ShardView(p, &s)
+			if len(s.Indices) != 1 || s.Indices[0] != int64(p) || s.Vals[0] != float32(tr.Rank()) {
+				return fmt.Errorf("rank %d from %d: idx %v val %v",
+					tr.Rank(), p, s.Indices, s.Vals)
 			}
 		}
 		return nil

@@ -572,8 +572,8 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 }
 
 // Send delivers payload to rank `to` under the tag of (op, step) — the
-// point-to-point escape hatch for protocols (like coord's negotiation) that
-// need raw messaging inside a Communicator-allocated tag range.
+// point-to-point escape hatch for protocols (like serving's control plane)
+// that need raw messaging inside a Communicator-allocated tag range.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
 	tag, err := c.Tag(op, step)
 	if err != nil {
@@ -992,11 +992,4 @@ func (c *Communicator) SparseAllGather(op string, step int, local *tensor.Sparse
 		return nil, err
 	}
 	return tensor.Concat(parts...)
-}
-
-// SparseAllToAll routes sparse shards: shard[p] of the local gradient goes
-// to rank p, and the received shards are returned indexed by sender. The
-// shard count must equal the world size.
-func (c *Communicator) SparseAllToAll(op string, step int, shards []*tensor.Sparse) ([]*tensor.Sparse, error) {
-	return AllToAllVia(c, op, step, shards)
 }

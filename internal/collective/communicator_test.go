@@ -273,9 +273,9 @@ func TestCommunicatorReduceScatterChunked(t *testing.T) {
 	}
 }
 
-// TestCommunicatorSparseAllToAllShardMismatch is the satellite error-path
-// test: a shard slice whose length differs from the world size must be
-// rejected before any message is sent.
+// TestCommunicatorSparseAllToAllShardMismatch is the sparse AlltoAll's
+// error-path test: a shard slice whose length differs from the world size
+// must be rejected before any message is sent.
 func TestCommunicatorSparseAllToAllShardMismatch(t *testing.T) {
 	const n = 3
 	err := comm.RunRanks(n, func(tr comm.Transport) error {
@@ -288,7 +288,8 @@ func TestCommunicatorSparseAllToAllShardMismatch(t *testing.T) {
 			}
 			shards[i] = s
 		}
-		_, err := c.SparseAllToAll("emb/grad", 0, shards)
+		var arena SparseShards
+		err := c.AlltoAllSparse("emb/grad", 0, shards, &arena)
 		if err == nil {
 			t.Error("mismatched shard count must fail")
 			return nil

@@ -2,29 +2,25 @@ package collective
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"embrace/internal/comm"
 	"embrace/internal/tensor"
 )
 
-// AlltoAllSparse is the zero-steady-state-allocation sparse exchange of the
-// hot-path rebuild. Instead of shipping *tensor.Sparse values and
-// concatenating the results (SparseAllToAll + tensor.Concat, which allocates
-// a fresh tensor per shard per step), each peer stream is sent as a
-// length-prefixed header followed by the raw index and value slices drawn
-// from the Communicator's buffer pools, and every received stream is copied
-// straight into a caller-owned SparseShards arena. The arena's backing
-// arrays grow to a high-water mark and are then reused forever.
+// The sparse AlltoAll of the embedding gradients (§4.1): each peer stream is
+// sent as a length-prefixed header followed by the shard — raw index and
+// value slices drawn from the Communicator's buffer pools, or one encoded
+// payload when a SparseCodec is given — and every received stream is copied
+// or decoded straight into a caller-owned SparseShards arena. The arena's
+// backing arrays grow to a high-water mark and are then reused forever, so
+// the exchange allocates nothing in steady state.
 //
 // Streams ride sendRaw/recvRaw, so they inherit the seq-framing, duplicate
 // suppression, reorder parking and transient-send retry of every other
 // collective — chaos self-healing holds unchanged, which the chaos
 // equivalence tests assert.
-//
-// The self shard never touches the wire, the observer, or the pooled wire
-// buffers: rank r's own rows are copied directly into the arena at sender
-// position r (self-send elision).
 
 // RowClass tells a SparseCodec which scheduling class the rows of a shard
 // belong to, so dual-level codecs can pick their error bound from the
@@ -48,8 +44,8 @@ const (
 // SparseCodec compresses one peer shard of a sparse exchange into a wire
 // payload and back. It is declared here, next to the exchange that uses it,
 // so internal/compress can provide implementations without an import cycle
-// (compress already imports collective for the dense allreduce path) — the
-// same structural-interface move that lets trace.Recorder satisfy Observer.
+// (compress imports collective for RowClass) — the same structural-interface
+// move that lets trace.Recorder satisfy Observer.
 //
 // Both methods are append-style and must not allocate in steady state: dst
 // and the decode targets come from pooled or arena-backed memory that grows
@@ -77,7 +73,7 @@ func init() {
 // sparseStreamHeader announces one AlltoAllSparse peer stream: how many rows
 // follow and how many values each row carries (senders may hold different
 // column widths, e.g. a remainder-bearing column partition). Zero rows means
-// the index/value messages are omitted entirely.
+// the shard messages are omitted entirely.
 type sparseStreamHeader struct {
 	Rows int32
 	Dim  int32
@@ -107,7 +103,7 @@ type SparseShards struct {
 }
 
 // Merged returns the concatenation of all received shards in sender order —
-// bit-identical to tensor.Concat over SparseAllToAll's results. Only
+// bit-identical to tensor.Concat over AllToAllVia's results. Only
 // meaningful when every sender shares the receiver's column width.
 //
 // aliases: the returned tensor is a view of the arena, valid until the next
@@ -192,121 +188,50 @@ func (a *SparseShards) appendDecoded(p int, rows int, dim int32, src []byte, cod
 func sparseRawBytes(rows, dim int) int { return rows * (8 + 4*dim) }
 
 // AlltoAllSparse routes shard send[p] to rank p and fills arena with the
-// received shards in sender order. Senders may carry different column widths
-// (each stream's header says its own); when every sender matches the
-// receiver's width the merged arena is bit-identical to
-// tensor.Concat(SparseAllToAll(...)). Per-sender views come from ShardView
-// either way.
+// received shards in sender order: AlltoAllSparseCodec with no codec, so every
+// non-empty peer stream ships as its raw index and value slices. Senders may
+// carry different column widths (each stream's header says its own); when
+// every sender matches the receiver's width the merged arena is bit-identical
+// to tensor.Concat over AllToAllVia's results. Per-sender views come from
+// ShardView either way.
 //
 //embrace:hotpath
 //embrace:arena reuse arena
 func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse, arena *SparseShards) error {
-	n, r := c.t.Size(), c.t.Rank()
-	if len(send) != n {
-		return fmt.Errorf("collective: alltoallsparse wants %d send parts, got %d", n, len(send))
-	}
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return err
-	}
-	numRows, dim := send[r].NumRows, send[r].Dim
-
-	// Send phase: every peer gets a header, then — when non-empty — the
-	// index and value streams in pooled wire buffers. Ownership of the
-	// buffers travels with the message; the receiver recycles them. The
-	// self shard is skipped entirely.
-	for p := 0; p < n; p++ {
-		if p == r {
-			continue
-		}
-		sh := send[p]
-		if err := c.sendRaw(op, p, tag, sparseStreamHeader{Rows: int32(len(sh.Indices)), Dim: int32(sh.Dim)}); err != nil {
-			return fmt.Errorf("alltoallsparse header to %d: %w", p, err)
-		}
-		if len(sh.Indices) == 0 {
-			continue
-		}
-		ibuf := c.getBufI64(len(sh.Indices))
-		copy(ibuf, sh.Indices)
-		if err := c.sendRaw(op, p, tag, ibuf); err != nil {
-			return fmt.Errorf("alltoallsparse indices to %d: %w", p, err)
-		}
-		vbuf := c.getBuf(len(sh.Vals))
-		copy(vbuf, sh.Vals)
-		if err := c.sendRaw(op, p, tag, vbuf); err != nil {
-			return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
-		}
-	}
-
-	// Receive phase, in sender order, so the arena is the sender-ordered
-	// concatenation. Rank r's own shard is copied in at its position
-	// without ever having been packed.
-	arena.reset(n, numRows, dim)
-	for p := 0; p < n; p++ {
-		if p == r {
-			arena.appendShard(p, int32(send[r].Dim), send[r].Indices, send[r].Vals)
-			continue
-		}
-		payload, err := c.recvRaw(op, p, tag)
-		if err != nil {
-			return fmt.Errorf("alltoallsparse header from %d: %w", p, err)
-		}
-		hdr, ok := payload.(sparseStreamHeader)
-		if !ok {
-			return fmt.Errorf("collective: alltoallsparse header type %T from rank %d", payload, p)
-		}
-		if hdr.Rows == 0 {
-			arena.appendShard(p, hdr.Dim, nil, nil)
-			continue
-		}
-		payload, err = c.recvRaw(op, p, tag)
-		if err != nil {
-			return fmt.Errorf("alltoallsparse indices from %d: %w", p, err)
-		}
-		idx, ok := payload.([]int64)
-		if !ok {
-			return fmt.Errorf("collective: alltoallsparse index type %T from rank %d", payload, p)
-		}
-		payload, err = c.recvRaw(op, p, tag)
-		if err != nil {
-			return fmt.Errorf("alltoallsparse values from %d: %w", p, err)
-		}
-		vals, ok := payload.([]float32)
-		if !ok {
-			return fmt.Errorf("collective: alltoallsparse value type %T from rank %d", payload, p)
-		}
-		if len(idx) != int(hdr.Rows) || len(vals) != int(hdr.Rows)*int(hdr.Dim) {
-			return fmt.Errorf("collective: alltoallsparse stream from rank %d: %d indices, %d values, header %d rows x dim %d",
-				p, len(idx), len(vals), hdr.Rows, hdr.Dim)
-		}
-		arena.appendShard(p, hdr.Dim, idx, vals)
-		c.putBufI64(idx)
-		c.putBuf(vals)
-	}
-	return nil
+	return c.AlltoAllSparseCodec(op, step, send, arena, nil, RowsWhole)
 }
 
-// AlltoAllSparseCodec is AlltoAllSparse with an opt-in wire codec: each
-// non-empty peer shard is encoded into one pooled []byte payload instead of
-// the raw index/value pair, and each received payload is decoded straight
-// into the arena. A nil codec delegates to the raw exchange, so call sites
-// can thread an optional codec without branching.
+// sparseHeaderError reports a peer stream header no shard can carry: a
+// negative row count or width, or more values than an int32 can count. The
+// header arrives from the wire, so it is checked before either payload kind
+// trusts it.
+type sparseHeaderError struct {
+	from      int
+	rows, dim int32
+}
+
+func (e sparseHeaderError) Error() string {
+	return fmt.Sprintf("collective: alltoallsparse header from rank %d: %d rows x dim %d", e.from, e.rows, e.dim)
+}
+
+// AlltoAllSparseCodec is the one sparse AlltoAll. Every peer gets a header
+// (row count and width), then — when non-empty — its shard: with a nil codec
+// the raw index and value slices in pooled wire buffers, otherwise one
+// encoded []byte payload from the byte pool. Ownership of the buffers travels
+// with the message; the receiver recycles them into its own pools. Each
+// received shard is copied (raw) or decoded (codec) straight into the arena.
 //
-// Everything else is unchanged from AlltoAllSparse: the self shard never
-// touches the wire (and is therefore never quantized by a lossy codec —
-// rank r's own rows stay exact), streams ride the same seq-framed
-// self-healing point-to-point, and senders may carry ragged column widths.
-// class tells dual-level codecs which error bound applies to every row of
-// this exchange. When the Communicator's observer implements CodecObserver,
-// each encoded and decoded shard is reported with its raw vs wire footprint
-// and codec latency.
+// The self shard never touches the wire, the observer, the codec or the
+// pooled wire buffers: rank r's own rows are copied directly into the arena
+// at sender position r (self-send elision), so a lossy codec never quantizes
+// them. class tells dual-level codecs which error bound applies to every row
+// of this exchange. When the Communicator's observer implements
+// CodecObserver, each encoded and decoded shard is reported with its raw vs
+// wire footprint and codec latency.
 //
 //embrace:hotpath
 //embrace:arena reuse arena
 func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.Sparse, arena *SparseShards, codec SparseCodec, class RowClass) error {
-	if codec == nil {
-		return c.AlltoAllSparse(op, step, send, arena)
-	}
 	n, r := c.t.Size(), c.t.Rank()
 	if len(send) != n {
 		return fmt.Errorf("collective: alltoallsparse wants %d send parts, got %d", n, len(send))
@@ -317,9 +242,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	}
 	numRows, dim := send[r].NumRows, send[r].Dim
 
-	// Send phase: header, then — when non-empty — one encoded payload drawn
-	// from the byte pool. Ownership travels with the message; the receiver
-	// recycles the buffer into its own pool.
+	// Send phase: header, then the shard unless it is empty.
 	for p := 0; p < n; p++ {
 		if p == r {
 			continue
@@ -329,6 +252,19 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			return fmt.Errorf("alltoallsparse header to %d: %w", p, err)
 		}
 		if len(sh.Indices) == 0 {
+			continue
+		}
+		if codec == nil {
+			ibuf := c.getBufI64(len(sh.Indices))
+			copy(ibuf, sh.Indices)
+			if err := c.sendRaw(op, p, tag, ibuf); err != nil {
+				return fmt.Errorf("alltoallsparse indices to %d: %w", p, err)
+			}
+			vbuf := c.getBuf(len(sh.Vals))
+			copy(vbuf, sh.Vals)
+			if err := c.sendRaw(op, p, tag, vbuf); err != nil {
+				return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
+			}
 			continue
 		}
 		var start time.Time
@@ -344,8 +280,9 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		}
 	}
 
-	// Receive phase, in sender order. Rank r's own shard is copied in raw at
-	// its position — self-send elision, never encoded.
+	// Receive phase, in sender order, so the arena is the sender-ordered
+	// concatenation. Rank r's own shard is copied in at its position without
+	// ever having been packed.
 	arena.reset(n, numRows, dim)
 	for p := 0; p < n; p++ {
 		if p == r {
@@ -360,8 +297,37 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if !ok {
 			return fmt.Errorf("collective: alltoallsparse header type %T from rank %d", payload, p)
 		}
+		if hdr.Rows < 0 || hdr.Dim < 0 || int64(hdr.Rows)*int64(hdr.Dim) > math.MaxInt32 {
+			return sparseHeaderError{from: p, rows: hdr.Rows, dim: hdr.Dim}
+		}
 		if hdr.Rows == 0 {
 			arena.appendShard(p, hdr.Dim, nil, nil)
+			continue
+		}
+		if codec == nil {
+			payload, err = c.recvRaw(op, p, tag)
+			if err != nil {
+				return fmt.Errorf("alltoallsparse indices from %d: %w", p, err)
+			}
+			idx, ok := payload.([]int64)
+			if !ok {
+				return fmt.Errorf("collective: alltoallsparse index type %T from rank %d", payload, p)
+			}
+			payload, err = c.recvRaw(op, p, tag)
+			if err != nil {
+				return fmt.Errorf("alltoallsparse values from %d: %w", p, err)
+			}
+			vals, ok := payload.([]float32)
+			if !ok {
+				return fmt.Errorf("collective: alltoallsparse value type %T from rank %d", payload, p)
+			}
+			if len(idx) != int(hdr.Rows) || len(vals) != int(hdr.Rows)*int(hdr.Dim) {
+				return fmt.Errorf("collective: alltoallsparse stream from rank %d: %d indices, %d values, header %d rows x dim %d",
+					p, len(idx), len(vals), hdr.Rows, hdr.Dim)
+			}
+			arena.appendShard(p, hdr.Dim, idx, vals)
+			c.putBufI64(idx)
+			c.putBuf(vals)
 			continue
 		}
 		payload, err = c.recvRaw(op, p, tag)

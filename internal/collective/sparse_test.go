@@ -58,15 +58,15 @@ func sparseBitsEqual(a, b *tensor.Sparse) bool {
 }
 
 // runAlltoAllSparseEquivalence drives both exchanges on every rank of an
-// n-rank world and asserts the arena path is bit-identical to the legacy
-// SparseAllToAll + Concat path, shard by shard and merged.
+// n-rank world and asserts the arena path is bit-identical to the generic
+// AllToAllVia + Concat path, shard by shard and merged.
 func runAlltoAllSparseEquivalence(t *testing.T, n int, seed int64, run func(int, func(comm.Transport) error) error) {
 	t.Helper()
 	err := run(n, func(tr comm.Transport) error {
 		cm := NewCommunicator(tr)
 		send := randShards(seed, tr.Rank(), n, 64, 3)
 		// Two exchanges under distinct ops so tags cannot collide.
-		want, err := cm.SparseAllToAll("sparse/legacy", 0, send)
+		want, err := AllToAllVia(cm, "sparse/legacy", 0, send)
 		if err != nil {
 			return err
 		}
@@ -79,7 +79,7 @@ func runAlltoAllSparseEquivalence(t *testing.T, n int, seed int64, run func(int,
 			return err
 		}
 		if !sparseBitsEqual(wantMerged, arena.Merged()) {
-			return fmt.Errorf("rank %d: merged arena differs from Concat(SparseAllToAll)", tr.Rank())
+			return fmt.Errorf("rank %d: merged arena differs from Concat(AllToAllVia)", tr.Rank())
 		}
 		var view tensor.Sparse
 		for p := 0; p < n; p++ {

@@ -1,8 +1,7 @@
-// Sparse wire codecs for the embedding AlltoAll (DESIGN.md §12). The
-// embedding-gradient exchange is the paper's dominant communication cost,
-// and its payloads are index–value streams, not dense vectors — so the
-// dense Compressor path above does not apply. Two codecs cover the two
-// regimes:
+// Package compress implements the sparse wire codecs of the embedding
+// AlltoAll (DESIGN.md §12). The embedding-gradient exchange is the paper's
+// dominant communication cost, and its payloads are index–value streams, not
+// dense vectors. Two codecs cover the two regimes:
 //
 //   - DeltaRaw: lossless. Row ids are sorted-ascending after Coalesce, so
 //     delta + zigzag varint encoding collapses the 8-byte indices to ~1
@@ -88,6 +87,9 @@ func (DeltaRaw) AppendShard(dst []byte, idx []int64, vals []float32, dim int, _ 
 //
 //embrace:hotpath
 func (DeltaRaw) DecodeShard(src []byte, rows, dim int, idx []int64, vals []float32) ([]int64, []float32, error) {
+	if rows < 0 || dim < 0 {
+		return idx, vals, sparseDecodeError("delta-raw: negative shard shape")
+	}
 	prev := int64(0)
 	for r := 0; r < rows; r++ {
 		u, n := binary.Uvarint(src)
@@ -206,6 +208,9 @@ func (q DualQuant) AppendShard(dst []byte, idx []int64, vals []float32, dim int,
 //
 //embrace:hotpath
 func (q DualQuant) DecodeShard(src []byte, rows, dim int, idx []int64, vals []float32) ([]int64, []float32, error) {
+	if rows < 0 || dim < 0 {
+		return idx, vals, sparseDecodeError("dualq: negative shard shape")
+	}
 	if rows == 0 {
 		if len(src) != 0 {
 			return idx, vals, sparseDecodeError("dualq: trailing bytes after empty shard")

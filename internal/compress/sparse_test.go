@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"embrace/internal/collective"
 	"embrace/internal/comm"
@@ -218,6 +219,10 @@ func TestNewDualQuantValidates(t *testing.T) {
 	}
 }
 
+// hostileDualQuantRow is a DualQuant payload of one raw-flagged row: the
+// float32 step 1.0, the row key zigzag(5)<<1|1, then four raw bytes.
+var hostileDualQuantRow = []byte{0, 0, 0x80, 0x3f, 21, 0, 0, 0, 0}
+
 // Decoding must never panic or over-read: every truncation of a valid
 // payload and a sweep of random byte corruptions either errors or returns a
 // well-formed shard of exactly the advertised shape.
@@ -240,6 +245,15 @@ func TestSparseDecodeCorruptionSafe(t *testing.T) {
 		}
 		for cut := 0; cut < len(wire); cut++ {
 			check(wire[:cut], fmt.Sprintf("truncated@%d", cut))
+		}
+		// A hostile shape must be rejected, not trusted: DualQuant once
+		// sliced src[dim*4:] with dim = -1 behind a raw-flagged row.
+		for _, shape := range [][2]int{{rows, -1}, {-1, dim}, {1, -1}} {
+			for _, src := range [][]byte{wire, hostileDualQuantRow} {
+				if _, _, err := codec.DecodeShard(src, shape[0], shape[1], nil, nil); err == nil {
+					t.Errorf("%s: rows %d x dim %d decoded without error", codec.Name(), shape[0], shape[1])
+				}
+			}
 		}
 		for trial := 0; trial < 200; trial++ {
 			mut := append([]byte(nil), wire...)
@@ -414,6 +428,71 @@ func TestAlltoAllSparseCodecUnderChaos(t *testing.T) {
 			}
 			runCodecExchangeEquivalence(t, n, seed+40, raggedDims(n), DeltaRaw{}, 0, run)
 			runCodecExchangeEquivalence(t, n, seed+40, uniformDims(n, 4), q, float64(q.EpsPrior)*(1+1e-6), run)
+		}
+	}
+}
+
+// headerCapture records the type of the sparse stream header an exchange
+// puts on the wire; collective keeps the type unexported, so the hostile
+// peer below builds its own headers by reflection.
+type headerCapture struct{ hdr reflect.Type }
+
+func (h *headerCapture) Sent(_ string, payload any, _ time.Duration) {
+	if t := reflect.TypeOf(payload); t.Kind() == reflect.Struct && t.Name() == "sparseStreamHeader" {
+		h.hdr = t
+	}
+}
+
+func (*headerCapture) Received(string, any, time.Duration) {}
+
+// A hostile peer cannot crash the exchange: rank 1 hand-sends rank 0 a
+// header with a negative width, a negative row count, or a value count past
+// int32, followed by a raw-flagged DualQuant row. Rank 0 must return an
+// error, not panic, on the raw path and under both codecs. The two ranks run
+// different code, so each gets its own goroutine rather than a rank branch.
+func TestAlltoAllSparseRejectsHostileHeader(t *testing.T) {
+	q := mustDualQuant(t, 1e-4, 1e-3)
+	for _, codec := range []SparseCodec{nil, DeltaRaw{}, q} {
+		for _, bad := range [][2]int64{{1, -1}, {-1, 2}, {1 << 20, 1 << 12}} {
+			w, err := comm.NewWorld(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := func(cm *collective.Communicator, arena *collective.SparseShards) error {
+				send := codecShards(3, cm.Rank(), 2, 16, uniformDims(2, 2))
+				return cm.AlltoAllSparseCodec("hostile/warm", 0, send, arena, codec, collective.RowsWhole)
+			}
+			hostile := make(chan error, 1)
+			go func() {
+				var hc headerCapture
+				cm := collective.NewCommunicator(w.Rank(1), collective.WithObserver(&hc))
+				var arena collective.SparseShards
+				if err := warm(cm, &arena); err != nil {
+					hostile <- err
+					return
+				}
+				hdr := reflect.New(hc.hdr).Elem()
+				hdr.FieldByName("Rows").SetInt(bad[0])
+				hdr.FieldByName("Dim").SetInt(bad[1])
+				if err := cm.Send("hostile", 0, 0, hdr.Interface()); err != nil {
+					hostile <- err
+					return
+				}
+				hostile <- cm.Send("hostile", 0, 0, hostileDualQuantRow)
+			}()
+			cm := collective.NewCommunicator(w.Rank(0))
+			var arena collective.SparseShards
+			if err := warm(cm, &arena); err != nil {
+				t.Fatal(err)
+			}
+			send := codecShards(3, 0, 2, 16, uniformDims(2, 2))
+			if err := cm.AlltoAllSparseCodec("hostile", 0, send, &arena, codec, collective.RowsWhole); err == nil {
+				t.Errorf("codec %v: header rows %d x dim %d accepted", codec, bad[0], bad[1])
+			}
+			if err := <-hostile; err != nil {
+				t.Errorf("codec %v: hostile peer: %v", codec, err)
+			}
+			w.Close()
 		}
 	}
 }

@@ -314,8 +314,8 @@ func (w *embraceWorker) exchangeEmbGrad(step int, windows [][]int64, gradPooled 
 
 	// (6a) Without vertical scheduling: one whole-gradient arena exchange,
 	// then a whole update. The arena's merged view is exactly the
-	// sender-ordered concatenation the legacy SparseAllToAll + Concat path
-	// produced, and CoalesceInto sums it in the same order Coalesce would —
+	// sender-ordered concatenation an AllToAllVia + Concat path would
+	// produce, and CoalesceInto sums it in the same order Coalesce would —
 	// the update is bit-identical, it just reuses last step's buffers.
 	if w.cfg.Sched != Sched2D {
 		sp := w.rec.Begin(trace.TrackCompute, SpanEmbExchange, step)

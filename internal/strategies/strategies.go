@@ -203,14 +203,10 @@ const (
 	OpGatherEmb = "emb/gather-table"
 	// OpStats gathers per-rank step metrics at rank 0.
 	OpStats = "trainer/stats"
-	// OpTrunk is the dense-gradient AllReduce of the whole trunk: every
-	// block in one ring pass (exchangeTrunk).
+	// OpTrunk is the dense-gradient AllReduce of the whole trunk (or the
+	// sequence trainer's GRU): every block in one ring pass.
 	OpTrunk = "dense/trunk"
 )
-
-// OpDense names the dense-gradient AllReduce of one parameter, for trainers
-// that exchange parameters one at a time (the sequence trainer).
-func OpDense(param string) string { return "dense/" + param }
 
 // Span names: the phases every worker marks on its per-rank trace.Recorder
 // (compute track unless noted). Stable strings, because PhaseSeconds

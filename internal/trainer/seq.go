@@ -167,10 +167,12 @@ func runSeqRank(job SeqJob, raw comm.Transport, res *Result, mu *sync.Mutex) err
 		return err
 	}
 	model := nn.NewSeqModel(job.Seed, vocab, job.EmbDim, job.Hidden)
+	params := model.Params()
 	opts := map[string]optim.Optimizer{}
-	for _, p := range model.Params() {
+	for _, p := range params {
 		opts[p.Name] = optim.NewAdamDefault(p.Tensor, job.LR)
 	}
+	blocks := make([][]float32, len(params))
 	embOpt := optim.NewAdamDefault(model.Emb.Table, job.LR)
 
 	for step := 0; step < job.Steps; step++ {
@@ -183,12 +185,15 @@ func runSeqRank(job SeqJob, raw comm.Transport, res *Result, mu *sync.Mutex) err
 			return fmt.Errorf("rank %d step %d: %w", cm.Rank(), step, err)
 		}
 
-		for _, p := range model.Params() {
-			g := dense[p.Name]
-			if err := cm.AllReduce(strategies.OpDense(p.Name), step, g.Data()); err != nil {
-				return fmt.Errorf("dense %s: %w", p.Name, err)
-			}
-			if err := opts[p.Name].StepDense(g); err != nil {
+		// One ring pass over every dense gradient, in parameter order.
+		for i, p := range params {
+			blocks[i] = dense[p.Name].Data()
+		}
+		if err := cm.AllReduceBlocks(strategies.OpTrunk, step, blocks...); err != nil {
+			return fmt.Errorf("dense allreduce: %w", err)
+		}
+		for _, p := range params {
+			if err := opts[p.Name].StepDense(dense[p.Name]); err != nil {
 				return fmt.Errorf("dense %s update: %w", p.Name, err)
 			}
 		}

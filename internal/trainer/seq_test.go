@@ -1,6 +1,10 @@
 package trainer
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"embrace/internal/data"
@@ -98,6 +102,40 @@ func TestRunSeqVerticalEqualsWhole(t *testing.T) {
 	}
 	if !res1.Embedding.AllClose(res2.Embedding, 0) {
 		t.Fatalf("split diverged by %v", res1.Embedding.MaxAbsDiff(res2.Embedding))
+	}
+}
+
+// RunSeq's trajectory is pinned to the bit: the per-step losses and an
+// FNV-64a hash of the final embedding's float32 bits, as measured when the
+// dense trunk still took one AllReduce per parameter. The single
+// AllReduceBlocks pass that replaced that loop sums each element in the same
+// rank order, so nothing may move. Whole and vertical modes share the values
+// (TestRunSeqVerticalEqualsWhole).
+func TestRunSeqPinnedTrajectory(t *testing.T) {
+	wantLosses := []uint64{0x401035bff5a95dc7, 0x401068aa3613c013, 0x40106d73e41229a1,
+		0x400ffbc9740ec18b, 0x400ffc6b1252c053, 0x401001ccad57fcc6}
+	const wantEmb = 0xcd73a0326d51157b
+	for _, vertical := range []bool{false, true} {
+		j := seqJob()
+		j.Vertical = vertical
+		res, err := RunSeq(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, len(res.Losses))
+		for i, l := range res.Losses {
+			got[i] = math.Float64bits(l)
+		}
+		if !slices.Equal(got, wantLosses) {
+			t.Errorf("vertical=%v: loss bits %#x, want %#x", vertical, got, wantLosses)
+		}
+		h := fnv.New64a()
+		for _, v := range res.Embedding.Data() {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+		}
+		if h.Sum64() != wantEmb {
+			t.Errorf("vertical=%v: embedding hash %#x, want %#x", vertical, h.Sum64(), uint64(wantEmb))
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ func main() {
 		log.Fatal("need -peers host:port,host:port,... (one per rank)")
 	}
 	log.SetPrefix(fmt.Sprintf("rank %d: ", *rank))
+	sm, err := strategies.ParseSched(*sched)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	node, err := comm.NewTCPNode(*rank, addrs)
 	if err != nil {
@@ -59,10 +63,6 @@ func main() {
 	defer node.Close()
 	log.Printf("mesh connected (%d ranks)", node.Size())
 
-	sm := strategies.SchedNone
-	if *sched == "2d" {
-		sm = strategies.Sched2D
-	}
 	opt := strategies.OptSGD
 	if *adam {
 		opt = strategies.OptAdam

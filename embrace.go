@@ -158,45 +158,15 @@ type SimResult struct {
 
 // Simulate runs the calibrated discrete-event performance model for the job.
 func Simulate(job SimJob) (SimResult, error) {
-	gpu, err := job.GPU.kind()
+	met, _, rawRows, err := job.run()
 	if err != nil {
 		return SimResult{}, err
 	}
-	strat, err := job.Strategy.perf()
-	if err != nil {
-		return SimResult{}, err
-	}
-	mode, err := job.Sched.perf()
-	if err != nil {
-		return SimResult{}, err
-	}
-	m, err := modelzoo.ByName(job.Model)
-	if err != nil {
-		return SimResult{}, err
-	}
-	st, err := m.MeasureGradStats(gpu, 10, 42)
-	if err != nil {
-		return SimResult{}, err
-	}
-	cl, err := modelzoo.NewCluster(gpu, job.GPUs)
-	if err != nil {
-		return SimResult{}, err
-	}
-	est, err := cl.Estimator()
-	if err != nil {
-		return SimResult{}, err
-	}
-	spec := m.PerfSpec(gpu, st, strat == perfsim.StratEmbRace)
-	met, _, err := perfsim.RunJob(spec, strat, mode, est, 6)
-	if err != nil {
-		return SimResult{}, err
-	}
-	tokens := st.RawRows * float64(job.GPUs)
 	return SimResult{
 		StepSeconds:    met.StepTime,
 		StallSeconds:   met.Stall,
 		ComputeSeconds: met.UsefulCompute,
-		TokensPerSec:   tokens / met.StepTime,
+		TokensPerSec:   rawRows * float64(job.GPUs) / met.StepTime,
 	}, nil
 }
 
@@ -204,41 +174,49 @@ func Simulate(job SimJob) (SimResult, error) {
 // resulting execution timeline as Chrome trace-event JSON (viewable in
 // chrome://tracing or Perfetto) — an interactive Figure 6.
 func SimulateTrace(job SimJob, w io.Writer) error {
-	gpu, err := job.GPU.kind()
-	if err != nil {
-		return err
-	}
-	strat, err := job.Strategy.perf()
-	if err != nil {
-		return err
-	}
-	mode, err := job.Sched.perf()
-	if err != nil {
-		return err
-	}
-	m, err := modelzoo.ByName(job.Model)
-	if err != nil {
-		return err
-	}
-	st, err := m.MeasureGradStats(gpu, 10, 42)
-	if err != nil {
-		return err
-	}
-	cl, err := modelzoo.NewCluster(gpu, job.GPUs)
-	if err != nil {
-		return err
-	}
-	est, err := cl.Estimator()
-	if err != nil {
-		return err
-	}
-	spec := m.PerfSpec(gpu, st, strat == perfsim.StratEmbRace)
-	_, tl, err := perfsim.RunJob(spec, strat, mode, est, 6)
+	_, tl, _, err := job.run()
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("%s / %s @ %dx %s", job.Model, job.Strategy, job.GPUs, job.GPU)
 	return trace.Export(w, title, tl)
+}
+
+// run resolves the job against the model zoo and cluster calibration and
+// simulates six steps. rawRows is the model's measured per-GPU raw
+// embedding rows (tokens) per step.
+func (job SimJob) run() (met perfsim.StepMetrics, tl *perfsim.Timeline, rawRows float64, err error) {
+	gpu, err := job.GPU.kind()
+	if err != nil {
+		return met, nil, 0, err
+	}
+	strat, err := job.Strategy.perf()
+	if err != nil {
+		return met, nil, 0, err
+	}
+	mode, err := job.Sched.perf()
+	if err != nil {
+		return met, nil, 0, err
+	}
+	m, err := modelzoo.ByName(job.Model)
+	if err != nil {
+		return met, nil, 0, err
+	}
+	st, err := m.MeasureGradStats(gpu, 10, 42)
+	if err != nil {
+		return met, nil, 0, err
+	}
+	cl, err := modelzoo.NewCluster(gpu, job.GPUs)
+	if err != nil {
+		return met, nil, 0, err
+	}
+	est, err := cl.Estimator()
+	if err != nil {
+		return met, nil, 0, err
+	}
+	spec := m.PerfSpec(gpu, st, strat == perfsim.StratEmbRace)
+	met, tl, err = perfsim.RunJob(spec, strat, mode, est, 6)
+	return met, tl, st.RawRows, err
 }
 
 // Models returns the names of the paper's four models.
@@ -462,9 +440,9 @@ func (c TrainConfig) job() (trainer.Job, error) {
 	default:
 		return trainer.Job{}, fmt.Errorf("embrace: unknown strategy %q", c.Strategy)
 	}
-	sched := strategies.SchedNone
-	if c.Sched == Sched2D {
-		sched = strategies.Sched2D
+	sched, err := strategies.ParseSched(string(c.Sched))
+	if err != nil {
+		return trainer.Job{}, err
 	}
 	opt := strategies.OptSGD
 	if c.Adam {
@@ -611,18 +589,7 @@ func TrainSeq(cfg SeqTrainConfig) (*TrainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &TrainResult{
-		Losses:        res.Losses,
-		Accuracies:    res.Accuracies,
-		TokensTrained: res.TokensTrained,
-		CommBytes:     res.Comm.PayloadBytes,
-		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
-	}
-	if n := len(res.Losses); n > 0 {
-		out.FinalPPL = perplexity(res.Losses[n-1])
-	}
-	return out, nil
+	return trainResult(res), nil
 }
 
 // Train runs real distributed training and returns the loss curve.
@@ -667,33 +634,10 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 			return nil, err
 		}
 	}
-	if cfg.CheckpointPath != "" {
-		ckpt := &checkpoint.Checkpoint{
-			Step:   job.SkipBatches + job.Steps,
-			Params: map[string]*tensor.Dense{"emb": res.Embedding},
-		}
-		for _, p := range res.Trunk.Params() {
-			ckpt.Params[p.Name] = p.Tensor
-		}
-		if err := checkpoint.SaveFile(cfg.CheckpointPath, ckpt); err != nil {
-			return nil, err
-		}
+	if err := saveCheckpoint(cfg.CheckpointPath, job, res); err != nil {
+		return nil, err
 	}
-	out := &TrainResult{
-		Losses:        res.Losses,
-		Accuracies:    res.Accuracies,
-		TokensTrained: res.TokensTrained,
-		CommBytes:     res.Comm.PayloadBytes,
-		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
-		FaultsMasked:  res.Comm.FaultsMasked,
-		FaultsFatal:   res.Comm.FaultsFatal,
-		PhaseSeconds:  res.PhaseSeconds,
-	}
-	if n := len(res.Losses); n > 0 {
-		out.FinalPPL = perplexity(res.Losses[n-1])
-	}
-	return out, nil
+	return trainResult(res), nil
 }
 
 // trainElastic runs the elastic branch of Train: supervised crash–shrink–
@@ -734,17 +678,8 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 	if res == nil {
 		return nil, runErr
 	}
-	out := &TrainResult{
-		Losses:        res.Losses,
-		Accuracies:    res.Accuracies,
-		TokensTrained: res.TokensTrained,
-		CommBytes:     res.Comm.PayloadBytes,
-		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
-		FaultsMasked:  res.Comm.FaultsMasked,
-		FaultsFatal:   res.Comm.FaultsFatal,
-		Recoveries:    res.Recoveries,
-	}
+	out := trainResult(&res.Result)
+	out.Recoveries = res.Recoveries
 	for _, ep := range res.Epochs {
 		out.Elastic = append(out.Elastic, ElasticEpoch{
 			Epoch:           ep.Epoch,
@@ -756,25 +691,48 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 			RecoverySeconds: ep.RecoverySeconds,
 		})
 	}
-	if n := len(res.Losses); n > 0 {
-		out.FinalPPL = perplexity(res.Losses[n-1])
-	}
 	if runErr != nil {
 		return out, runErr
 	}
-	if cfg.CheckpointPath != "" {
-		ckpt := &checkpoint.Checkpoint{
-			Step:   job.SkipBatches + job.Steps,
-			Params: map[string]*tensor.Dense{"emb": res.Embedding},
-		}
-		for _, p := range res.Trunk.Params() {
-			ckpt.Params[p.Name] = p.Tensor
-		}
-		if err := checkpoint.SaveFile(cfg.CheckpointPath, ckpt); err != nil {
-			return nil, err
-		}
+	if err := saveCheckpoint(cfg.CheckpointPath, job, &res.Result); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// trainResult converts a trainer result into the public form.
+func trainResult(res *trainer.Result) *TrainResult {
+	out := &TrainResult{
+		Losses:        res.Losses,
+		Accuracies:    res.Accuracies,
+		TokensTrained: res.TokensTrained,
+		CommBytes:     res.Comm.PayloadBytes,
+		CommMessages:  res.Comm.Messages,
+		CommPerOp:     perOpTraffic(res.CommPerOp),
+		FaultsMasked:  res.Comm.FaultsMasked,
+		FaultsFatal:   res.Comm.FaultsFatal,
+		PhaseSeconds:  res.PhaseSeconds,
+	}
+	if n := len(res.Losses); n > 0 {
+		out.FinalPPL = perplexity(res.Losses[n-1])
+	}
+	return out
+}
+
+// saveCheckpoint writes a finished run's final parameters (embedding and
+// trunk) and completed step count to path; an empty path writes nothing.
+func saveCheckpoint(path string, job trainer.Job, res *trainer.Result) error {
+	if path == "" {
+		return nil
+	}
+	ckpt := &checkpoint.Checkpoint{
+		Step:   job.SkipBatches + job.Steps,
+		Params: map[string]*tensor.Dense{"emb": res.Embedding},
+	}
+	for _, p := range res.Trunk.Params() {
+		ckpt.Params[p.Name] = p.Tensor
+	}
+	return checkpoint.SaveFile(path, ckpt)
 }
 
 func perplexity(loss float64) float64 { return math.Exp(loss) }

@@ -3,10 +3,12 @@ package embrace_test
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"embrace"
+	"embrace/internal/checkpoint"
 )
 
 func TestStrategiesAndModels(t *testing.T) {
@@ -124,6 +126,65 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := embrace.Train(embrace.TrainConfig{Workers: 3, Steps: 2, EmbDim: 8}); err == nil {
 		t.Fatal("expected divisibility error")
+	}
+	// Horizontal scheduling is a simulation level: real execution must
+	// refuse it, and any unknown level, rather than silently train without
+	// scheduling.
+	for _, level := range []embrace.SchedLevel{embrace.SchedHorizontal, "3d"} {
+		if _, err := embrace.Train(embrace.TrainConfig{Sched: level, Workers: 2, Steps: 2}); err == nil {
+			t.Fatalf("sched %q: expected rejection", level)
+		}
+	}
+}
+
+// The elastic facade end to end: an injected crash is absorbed (shrink,
+// then rejoin at full size) and the completed run still writes its final
+// parameters to CheckpointPath.
+func TestTrainElasticCrashWritesCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "elastic.ckpt")
+	res, err := embrace.Train(embrace.TrainConfig{
+		Strategy:               embrace.EmbRace,
+		Sched:                  embrace.Sched2D,
+		Workers:                4,
+		Steps:                  9,
+		Vocab:                  60,
+		EmbDim:                 12,
+		Hidden:                 8,
+		Seed:                   7,
+		Elastic:                true,
+		ElasticCheckpointEvery: 3,
+		ElasticRejoin:          true,
+		ElasticRejoinAfter:     2,
+		CrashRank:              3,
+		CrashStep:              4,
+		CheckpointPath:         path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 || len(res.Elastic) != 3 {
+		t.Fatalf("recoveries %d, epochs %+v; want 1 recovery over 3 epochs", res.Recoveries, res.Elastic)
+	}
+	for i, want := range []struct {
+		end     string
+		workers int
+	}{{"fault", 4}, {"rejoin", 3}, {"completed", 4}} {
+		if ep := res.Elastic[i]; ep.End != want.end || ep.Workers != want.workers {
+			t.Fatalf("epoch %d = %+v, want %s at %d workers", i, ep, want.end, want.workers)
+		}
+	}
+	if len(res.Losses) != 9 || res.Losses[8] == 0 {
+		t.Fatalf("losses %v: want all 9 steps", res.Losses)
+	}
+	ckpt, err := checkpoint.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt.Step != 9 {
+		t.Fatalf("checkpoint step %d, want 9", ckpt.Step)
+	}
+	if emb := ckpt.Params["emb"]; emb == nil || !slices.Equal(emb.Shape(), []int{60, 12}) {
+		t.Fatal("checkpoint embedding missing or not 60x12")
 	}
 }
 

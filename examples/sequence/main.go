@@ -1,25 +1,22 @@
 // Sequence: data-parallel training of the recurrent model (embedding → GRU
 // → softmax) with per-token sparse embedding gradients — the gradient
 // structure of the paper's translation models, where every token position
-// contributes a row and duplicates abound. The example runs a hand-rolled
-// AllGather data-parallel loop over real collectives and prints the
-// Algorithm-1 statistics of the actual gradients it ships.
+// contributes a row and duplicates abound. The example trains through the
+// public API (embrace.TrainSeq) with Algorithm 1's prior/delayed split and
+// prints the Algorithm-1 statistics of one batch's actual GRU gradient.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"embrace"
 
-	"embrace/internal/collective"
-	"embrace/internal/comm"
 	"embrace/internal/data"
 	"embrace/internal/nn"
-	"embrace/internal/optim"
 	"embrace/internal/sched"
 	"embrace/internal/tensor"
+	"embrace/internal/trainer"
 )
 
 func main() {
@@ -31,114 +28,59 @@ func main() {
 		embDim  = 12
 		hidden  = 16
 		window  = 6
+		batch   = 12
+		seed    = 11
 	)
 
-	losses := make([]float64, steps)
-	var statsMu sync.Mutex
-	var rawRows, coalescedRows, priorRows int
-
-	err := comm.RunRanks(workers, func(t comm.Transport) error {
-		cm := collective.NewCommunicator(t)
-		model := nn.NewSeqModel(11, vocab, embDim, hidden)
-		opts := map[string]optim.Optimizer{}
-		for _, p := range model.Params() {
-			opts[p.Name] = optim.NewAdamDefault(p.Tensor, 0.01)
-		}
-		embOpt := optim.NewAdamDefault(model.Emb.Table, 0.01)
-
-		gen, err := data.NewGenerator(data.Config{
-			VocabSize: vocab, BatchSentences: 12,
-			MaxSeqLen: window + 2, MinSeqLen: window + 1,
-			ZipfS: 1.6, ZipfV: 3,
-		}, 100+int64(t.Rank()))
-		if err != nil {
-			return err
-		}
-		loader := data.NewLoader(gen)
-
-		for step := 0; step < steps; step++ {
-			batch := loader.Next()
-			next := loader.Peek()
-			windows := make([][]int64, len(batch.Sentences))
-			targets := make([]int64, len(batch.Sentences))
-			for i, s := range batch.Sentences {
-				windows[i] = s[:window]
-				targets[i] = s[window]
-			}
-
-			stats, embGrad, dense, err := model.Step(windows, targets)
-			if err != nil {
-				return err
-			}
-
-			// Dense gradients: ring AllReduce, like any dense model.
-			for _, p := range model.Params() {
-				g := dense[p.Name]
-				if err := cm.AllReduce("dense/"+p.Name, step, g.Data()); err != nil {
-					return err
-				}
-				if err := opts[p.Name].StepDense(g); err != nil {
-					return err
-				}
-			}
-
-			// Embedding gradient: Algorithm 1 on the real per-token rows,
-			// then sparse AllGather of prior + delayed parts.
-			prior, delayed := sched.VerticalSplit(embGrad, embGrad.UniqueIndices(),
-				tensor.UniqueInt64(next.Tokens()))
-			if t.Rank() == 0 && step == steps-1 {
-				statsMu.Lock()
-				rawRows = embGrad.NNZ()
-				coalescedRows = prior.NNZ() + delayed.NNZ()
-				priorRows = prior.NNZ()
-				statsMu.Unlock()
-			}
-			mergedPrior, err := cm.SparseAllGather("emb/prior", step, prior)
-			if err != nil {
-				return err
-			}
-			if err := embOpt.StepSparsePartial(mergedPrior, false); err != nil {
-				return err
-			}
-			mergedDelayed, err := cm.SparseAllGather("emb/delayed", step, delayed)
-			if err != nil {
-				return err
-			}
-			if err := embOpt.StepSparsePartial(mergedDelayed, true); err != nil {
-				return err
-			}
-
-			all, err := collective.GatherVia(cm, "trainer/loss", step, 0, stats.Loss)
-			if err != nil {
-				return err
-			}
-			if t.Rank() == 0 {
-				var sum float64
-				for _, l := range all {
-					sum += l
-				}
-				statsMu.Lock()
-				losses[step] = sum / float64(len(all))
-				statsMu.Unlock()
-			}
-		}
-		return nil
+	res, err := embrace.TrainSeq(embrace.SeqTrainConfig{
+		Workers:        workers,
+		Steps:          steps,
+		Window:         window,
+		Vocab:          vocab,
+		EmbDim:         embDim,
+		Hidden:         hidden,
+		BatchSentences: batch,
+		Vertical:       true,
+		Seed:           seed,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	fmt.Println("GRU sequence model, 4 workers, per-token sparse gradients + Algorithm 1:")
-	for i := 0; i < steps; i += 6 {
-		fmt.Printf("  step %3d  loss %.4f\n", i+1, losses[i])
+	for i := 0; i < steps-1; i += 6 {
+		fmt.Printf("  step %3d  loss %.4f\n", i+1, res.Losses[i])
 	}
-	fmt.Printf("  step %3d  loss %.4f\n", steps, losses[steps-1])
-	fmt.Printf("\nlast-step gradient (rank 0): %d raw token rows -> %d coalesced (%d prior, %d delayed)\n",
-		rawRows, coalescedRows, priorRows, coalescedRows-priorRows)
+	fmt.Printf("  step %3d  loss %.4f\n", steps, res.Losses[steps-1])
 
-	// The same machinery on real text through the public API: a tokenizer
-	// is built from the sentences, each worker takes an interleaved shard,
-	// and vertical scheduling splits the real per-token gradients.
+	// Rank 0's first batch, reproduced outside the run: the same corpus
+	// (TrainSeq draws rank r's from Seed+1+r), the same initial model, one
+	// forward/backward pass. Training splits against the next batch gathered
+	// from every rank; the rank-local next batch shown here is what a single
+	// worker's Algorithm 1 sees.
+	gen, err := data.NewGenerator(data.Config{
+		VocabSize: vocab, BatchSentences: batch,
+		MaxSeqLen: window + 3, MinSeqLen: window + 1,
+		ZipfS: 1.6, ZipfV: 3,
+	}, seed+1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	loader := data.NewLoader(gen)
+	cur, next := loader.Next(), loader.Peek()
+	windows, targets := trainer.WindowsTargets(cur, window)
+	_, embGrad, _, err := nn.NewSeqModel(seed, vocab, embDim, hidden).Step(windows, targets)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sizes := sched.MeasureSplit(embGrad, embGrad.UniqueIndices(), tensor.UniqueInt64(next.Tokens()))
+	rowBytes := 8 + embDim*tensor.BytesPerElem // int64 id + one embedding row
+	fmt.Printf("\nfirst-step gradient (rank 0): %d raw token rows -> %d coalesced (%d prior, %d delayed)\n",
+		sizes.OriginalBytes/rowBytes, sizes.CoalescedBytes/rowBytes,
+		sizes.PriorBytes/rowBytes, sizes.DelayedBytes/rowBytes)
+
+	// The same machinery on real text: a tokenizer is built from the
+	// sentences, each worker takes an interleaved shard, and vertical
+	// scheduling splits the real per-token gradients.
 	text := []string{
 		"the old man went to the sea",
 		"the sea was calm and the wind was cold",
@@ -149,7 +91,7 @@ func main() {
 		"the cold wind cut through the old net",
 		"the sea gave the man a great fish",
 	}
-	res, err := embrace.TrainSeq(embrace.SeqTrainConfig{
+	res, err = embrace.TrainSeq(embrace.SeqTrainConfig{
 		Workers:        2,
 		Steps:          40,
 		Window:         5,

@@ -22,21 +22,3 @@ func ExampleVerticalSplit() {
 	// prior rows: [7] value: [2]
 	// delayed rows: [3 9]
 }
-
-// The priority queue drains embedding-prior traffic before dense blocks and
-// delayed traffic last — the §4.2 ordering.
-func ExamplePriorityQueue() {
-	q := sched.NewPriorityQueue()
-	q.Push(&sched.Op{Name: "dense-block-2", Priority: sched.PriorityDenseBase + 2})
-	q.Push(&sched.Op{Name: "emb-delayed", Priority: sched.PriorityEmbeddingDelayed})
-	q.Push(&sched.Op{Name: "emb-prior", Priority: sched.PriorityEmbeddingPrior})
-	q.Push(&sched.Op{Name: "dense-block-0", Priority: sched.PriorityDenseBase})
-	for q.Len() > 0 {
-		fmt.Println(q.Pop().Name)
-	}
-	// Output:
-	// emb-prior
-	// dense-block-0
-	// dense-block-2
-	// emb-delayed
-}

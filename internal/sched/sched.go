@@ -1,126 +1,13 @@
-// Package sched implements the communication scheduling machinery of §4.2:
-// the FIFO queue of default DL frameworks, the priority queue EmbRace
-// replaces it with, block-level priority assignment from the forward-pass
-// dependency order (Block-level Horizontal Scheduling), and Algorithm 1
-// (Vertical Sparse Scheduling), which splits a coalesced embedding gradient
-// into prior and delayed parts using the prefetched next batch.
+// Package sched holds the scheduling vocabulary of §4.2 that outlives any
+// one executor: the priority bands of Block-level Horizontal Scheduling,
+// which the performance simulator orders its communication ops by, and
+// Algorithm 1 (Vertical Sparse Scheduling), which splits a coalesced
+// embedding gradient into prior and delayed parts using the prefetched next
+// batch. Real execution schedules by lanes and joins in the strategies
+// package, not by a queue.
 package sched
 
-import (
-	"container/heap"
-	"sync"
-
-	"embrace/internal/tensor"
-)
-
-// Op is one communication operation awaiting execution. Lower Priority runs
-// sooner; ties break by enqueue order (Seq), which makes the FIFO queue a
-// special case of a priority queue where every priority is equal.
-type Op struct {
-	// Name identifies the operation for timelines and debugging, e.g.
-	// "allreduce:decoder-block-3" or "alltoall:enc-emb-prior".
-	Name string
-	// Priority orders execution; lower runs first.
-	Priority int
-	// Bytes is the payload size, used by the performance simulator.
-	Bytes float64
-	// Execute performs the operation in real-execution mode; nil for
-	// simulation-only ops.
-	Execute func() error
-
-	seq int
-}
-
-// Queue is the interface shared by the FIFO and priority disciplines.
-type Queue interface {
-	// Push adds an operation.
-	Push(*Op)
-	// Pop removes and returns the next operation to run, or nil if empty.
-	Pop() *Op
-	// Len returns the number of queued operations.
-	Len() int
-}
-
-// FIFO executes operations strictly in arrival order — the default
-// scheduling of popular DL frameworks (§2.3, Figure 6a).
-type FIFO struct {
-	ops []*Op
-}
-
-// NewFIFO returns an empty FIFO queue.
-func NewFIFO() *FIFO { return &FIFO{} }
-
-func (q *FIFO) Push(op *Op) { q.ops = append(q.ops, op) }
-
-func (q *FIFO) Pop() *Op {
-	if len(q.ops) == 0 {
-		return nil
-	}
-	op := q.ops[0]
-	// Nil the vacated slot: reslicing alone keeps the popped op — and the
-	// gradient tensors its Execute closure captures — reachable through the
-	// backing array for as long as the queue lives.
-	q.ops[0] = nil
-	q.ops = q.ops[1:]
-	if len(q.ops) == 0 {
-		q.ops = nil // release the fully drained backing array too
-	}
-	return op
-}
-
-func (q *FIFO) Len() int { return len(q.ops) }
-
-// PriorityQueue pops the lowest-priority-value operation first, breaking
-// ties by arrival order. It is the queue EmbRace's communication thread
-// drains (§5.1).
-type PriorityQueue struct {
-	h   opHeap
-	seq int
-}
-
-// NewPriorityQueue returns an empty priority queue.
-func NewPriorityQueue() *PriorityQueue { return &PriorityQueue{} }
-
-func (q *PriorityQueue) Push(op *Op) {
-	op.seq = q.seq
-	q.seq++
-	heap.Push(&q.h, op)
-}
-
-func (q *PriorityQueue) Pop() *Op {
-	if q.h.Len() == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Op)
-}
-
-func (q *PriorityQueue) Len() int { return q.h.Len() }
-
-type opHeap []*Op
-
-func (h opHeap) Len() int { return len(h) }
-func (h opHeap) Less(i, j int) bool {
-	if h[i].Priority != h[j].Priority {
-		return h[i].Priority < h[j].Priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h opHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *opHeap) Push(x any)   { *h = append(*h, x.(*Op)) }
-func (h *opHeap) Pop() any {
-	old := *h
-	n := len(old)
-	op := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return op
-}
-
-// Compile-time checks.
-var (
-	_ Queue = (*FIFO)(nil)
-	_ Queue = (*PriorityQueue)(nil)
-)
+import "embrace/internal/tensor"
 
 // ---------------------------------------------------------------------------
 // Block-level Horizontal Scheduling (§4.2.1)
@@ -141,18 +28,6 @@ const (
 	// which may finish any time before the next iteration's update.
 	PriorityEmbeddingDelayed = 1 << 20
 )
-
-// BlockPriorities assigns a priority to each of n dense blocks listed in
-// forward order: earlier-FP blocks get smaller values so their gradient
-// communication is overlapped first and their next FP can start earliest
-// (Figure 6b).
-func BlockPriorities(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = PriorityDenseBase + i
-	}
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // Vertical Sparse Scheduling (Algorithm 1)
@@ -190,94 +65,5 @@ func MeasureSplit(g *tensor.Sparse, curUnique, nextUnique []int64) SplitSizes {
 		CoalescedBytes: prior.SizeBytes() + delayed.SizeBytes(),
 		PriorBytes:     prior.SizeBytes(),
 		DelayedBytes:   delayed.SizeBytes(),
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Communication engine (the "communication thread" of §5.1)
-// ---------------------------------------------------------------------------
-
-// Engine drains a queue on a dedicated goroutine, executing operations in
-// queue order. The trainer's backward hooks enqueue operations as gradients
-// become ready (wait-free backpropagation); the engine decides the order the
-// network sees them in — FIFO for the baselines, priority for EmbRace.
-type Engine struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  Queue
-	closed bool
-	active int // ops currently executing
-	errs   []error
-	done   chan struct{}
-}
-
-// NewEngine starts an engine over q. Close it to stop the worker.
-func NewEngine(q Queue) *Engine {
-	e := &Engine{queue: q, done: make(chan struct{})}
-	e.cond = sync.NewCond(&e.mu)
-	go e.run()
-	return e
-}
-
-// Enqueue schedules op. It never blocks.
-func (e *Engine) Enqueue(op *Op) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.queue.Push(op)
-	e.cond.Broadcast()
-}
-
-// Wait blocks until every enqueued operation has finished executing and
-// returns any execution errors accumulated since the last Wait.
-func (e *Engine) Wait() []error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.queue.Len() > 0 || e.active > 0 {
-		e.cond.Wait()
-	}
-	errs := e.errs
-	e.errs = nil
-	return errs
-}
-
-// Close stops the engine after in-flight work completes. Safe to call once.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	<-e.done
-}
-
-func (e *Engine) run() {
-	defer close(e.done)
-	for {
-		e.mu.Lock()
-		for e.queue.Len() == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if e.queue.Len() == 0 && e.closed {
-			e.mu.Unlock()
-			return
-		}
-		op := e.queue.Pop()
-		e.active++
-		e.mu.Unlock()
-
-		var err error
-		if op.Execute != nil {
-			err = op.Execute()
-		}
-
-		e.mu.Lock()
-		e.active--
-		if err != nil {
-			e.errs = append(e.errs, err)
-		}
-		e.cond.Broadcast()
-		e.mu.Unlock()
 	}
 }

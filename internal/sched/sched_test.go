@@ -1,141 +1,12 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"embrace/internal/tensor"
 )
-
-func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO()
-	for i := 0; i < 5; i++ {
-		q.Push(&Op{Name: fmt.Sprint(i), Priority: 100 - i}) // priorities ignored
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 5; i++ {
-		op := q.Pop()
-		if op.Name != fmt.Sprint(i) {
-			t.Fatalf("pop %d = %s", i, op.Name)
-		}
-	}
-	if q.Pop() != nil {
-		t.Fatal("empty pop must be nil")
-	}
-}
-
-func TestFIFOPopReleasesSlot(t *testing.T) {
-	// Regression: Pop used to reslice without clearing the vacated slot, so
-	// the backing array kept every popped op — and the gradient tensors its
-	// Execute closure captures — alive until the queue itself was collected.
-	q := NewFIFO()
-	for i := 0; i < 4; i++ {
-		q.Push(&Op{Name: fmt.Sprint(i)})
-	}
-	backing := q.ops[:cap(q.ops)]
-	for i := 0; i < 3; i++ {
-		if op := q.Pop(); op == nil || op.Name != fmt.Sprint(i) {
-			t.Fatalf("pop %d = %v", i, op)
-		}
-		if backing[i] != nil {
-			t.Fatalf("pop %d left the op pinned in the backing array", i)
-		}
-	}
-	if q.Pop() == nil {
-		t.Fatal("pop 3")
-	}
-	if q.ops != nil {
-		t.Fatal("draining the queue must release the backing array")
-	}
-	// The queue stays usable after the nil reset.
-	q.Push(&Op{Name: "again"})
-	if op := q.Pop(); op == nil || op.Name != "again" {
-		t.Fatalf("post-drain pop = %v", op)
-	}
-}
-
-func TestPriorityQueueOrder(t *testing.T) {
-	q := NewPriorityQueue()
-	q.Push(&Op{Name: "dense-late", Priority: PriorityDenseBase + 5})
-	q.Push(&Op{Name: "delayed", Priority: PriorityEmbeddingDelayed})
-	q.Push(&Op{Name: "prior", Priority: PriorityEmbeddingPrior})
-	q.Push(&Op{Name: "dense-early", Priority: PriorityDenseBase})
-	want := []string{"prior", "dense-early", "dense-late", "delayed"}
-	for i, w := range want {
-		op := q.Pop()
-		if op == nil || op.Name != w {
-			t.Fatalf("pop %d = %v, want %s", i, op, w)
-		}
-	}
-	if q.Pop() != nil {
-		t.Fatal("empty pop must be nil")
-	}
-}
-
-func TestPriorityQueueFIFOWithinPriority(t *testing.T) {
-	q := NewPriorityQueue()
-	for i := 0; i < 10; i++ {
-		q.Push(&Op{Name: fmt.Sprint(i), Priority: 7})
-	}
-	for i := 0; i < 10; i++ {
-		if got := q.Pop().Name; got != fmt.Sprint(i) {
-			t.Fatalf("tie-break violated at %d: got %s", i, got)
-		}
-	}
-}
-
-// Property: the priority queue is a sorting machine — popping everything
-// yields ops sorted by (priority, arrival).
-func TestPriorityQueueSortsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := NewPriorityQueue()
-		n := 1 + rng.Intn(100)
-		for i := 0; i < n; i++ {
-			q.Push(&Op{Priority: rng.Intn(10), seq: 0})
-		}
-		prev := -1
-		prevSeq := -1
-		for {
-			op := q.Pop()
-			if op == nil {
-				break
-			}
-			if op.Priority < prev {
-				return false
-			}
-			if op.Priority == prev && op.seq < prevSeq {
-				return false
-			}
-			prev, prevSeq = op.Priority, op.seq
-		}
-		return q.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockPriorities(t *testing.T) {
-	p := BlockPriorities(4)
-	if len(p) != 4 {
-		t.Fatalf("len = %d", len(p))
-	}
-	for i := 1; i < len(p); i++ {
-		if p[i] <= p[i-1] {
-			t.Fatal("priorities must increase with forward order")
-		}
-	}
-	// The bands must nest: prior < dense < delayed.
-	if !(PriorityEmbeddingPrior < p[0] && p[3] < PriorityEmbeddingDelayed) {
-		t.Fatal("band ordering broken")
-	}
-}
 
 func TestVerticalSplitMatchesAlgorithm1(t *testing.T) {
 	// Current batch tokens {1,2,2,5}, next batch {2,5,7}.
@@ -230,90 +101,5 @@ func TestMeasureSplitSizes(t *testing.T) {
 	}
 	if sz.PriorBytes != rowBytes || sz.DelayedBytes != rowBytes {
 		t.Fatalf("prior/delayed = %d/%d", sz.PriorBytes, sz.DelayedBytes)
-	}
-}
-
-func TestEngineExecutesAll(t *testing.T) {
-	e := NewEngine(NewPriorityQueue())
-	defer e.Close()
-	var mu sync.Mutex
-	var got []string
-	for i := 0; i < 20; i++ {
-		name := fmt.Sprint(i)
-		e.Enqueue(&Op{Name: name, Priority: 1, Execute: func() error {
-			mu.Lock()
-			got = append(got, name)
-			mu.Unlock()
-			return nil
-		}})
-	}
-	if errs := e.Wait(); len(errs) != 0 {
-		t.Fatal(errs)
-	}
-	if len(got) != 20 {
-		t.Fatalf("executed %d of 20", len(got))
-	}
-}
-
-func TestEnginePriorityOrderWhenPreloaded(t *testing.T) {
-	// Enqueue everything before the first op can run by blocking the
-	// engine with a gate op; the rest must then run in priority order.
-	e := NewEngine(NewPriorityQueue())
-	defer e.Close()
-	gate := make(chan struct{})
-	e.Enqueue(&Op{Name: "gate", Priority: -1, Execute: func() error {
-		<-gate
-		return nil
-	}})
-	var mu sync.Mutex
-	var got []int
-	for _, p := range []int{5, 1, 3, 2, 4} {
-		p := p
-		e.Enqueue(&Op{Priority: p, Execute: func() error {
-			mu.Lock()
-			got = append(got, p)
-			mu.Unlock()
-			return nil
-		}})
-	}
-	close(gate)
-	if errs := e.Wait(); len(errs) != 0 {
-		t.Fatal(errs)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("priority order violated: %v", got)
-		}
-	}
-}
-
-func TestEngineCollectsErrors(t *testing.T) {
-	e := NewEngine(NewFIFO())
-	defer e.Close()
-	e.Enqueue(&Op{Execute: func() error { return fmt.Errorf("boom") }})
-	e.Enqueue(&Op{Execute: func() error { return nil }})
-	errs := e.Wait()
-	if len(errs) != 1 || errs[0].Error() != "boom" {
-		t.Fatalf("errs = %v", errs)
-	}
-	// Errors must be consumed by Wait.
-	if errs := e.Wait(); len(errs) != 0 {
-		t.Fatalf("second Wait returned %v", errs)
-	}
-}
-
-func TestEngineCloseIsIdempotentViaEnqueueAfterClose(t *testing.T) {
-	e := NewEngine(NewFIFO())
-	e.Close()
-	// Enqueue after close must be a no-op, not a panic.
-	e.Enqueue(&Op{Execute: func() error { return nil }})
-}
-
-func TestEngineNilExecuteOk(t *testing.T) {
-	e := NewEngine(NewFIFO())
-	defer e.Close()
-	e.Enqueue(&Op{Name: "sim-only"})
-	if errs := e.Wait(); len(errs) != 0 {
-		t.Fatal(errs)
 	}
 }

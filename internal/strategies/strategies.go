@@ -65,6 +65,20 @@ const (
 	Sched2D
 )
 
+// ParseSched resolves a scheduling-level name for real execution: "none"
+// (or empty) and "2d". Horizontal scheduling changes only timing, so it is
+// a simulation level, and is rejected here like any unknown name.
+func ParseSched(level string) (SchedMode, error) {
+	switch level {
+	case "none", "":
+		return SchedNone, nil
+	case "2d":
+		return Sched2D, nil
+	default:
+		return SchedNone, fmt.Errorf("strategies: unknown real-execution scheduling level %q (want none or 2d; horizontal is simulation-only)", level)
+	}
+}
+
 // OptimizerKind selects the parameter-update rule.
 type OptimizerKind string
 

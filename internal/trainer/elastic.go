@@ -13,7 +13,7 @@
 //	    │                        shard of the last in-memory snapshot
 //	    │                        (partition.ColumnWise.Remap + checkpoint.
 //	    │                        ColumnShard), epoch e+1 trains on W-k ranks
-//	  stop-to-rejoin ◀── stepped ctl handshake (rank 0 drives, serve-style)
+//	  stop-to-rejoin ◀── a step boundary every rank computes locally
 //	    │
 //	  epoch e+2: the recovered rank is readmitted (comm.Readmit clears its
 //	  down markers), Communicators rebuild behind a barrier in a fresh tag
@@ -28,16 +28,13 @@
 package trainer
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"embrace/internal/checkpoint"
 	"embrace/internal/collective"
 	"embrace/internal/comm"
-	"embrace/internal/data"
-	"embrace/internal/metrics"
+	"embrace/internal/nn"
 	"embrace/internal/partition"
 	"embrace/internal/strategies"
 	"embrace/internal/tensor"
@@ -56,7 +53,7 @@ type ElasticJob struct {
 	// DefaultMaxRecoveries.
 	MaxRecoveries int
 	// Rejoin readmits recovered ranks: after a shrink, the shrunk world
-	// stops at a ctl boundary (RejoinAfter steps in) and the next epoch
+	// stops at a step boundary (RejoinAfter steps in) and the next epoch
 	// runs at full size again, with the recovered rank restored from the
 	// stop snapshot like everyone else.
 	Rejoin bool
@@ -82,7 +79,7 @@ const (
 	// EpochFault: the epoch died on an attributed fault; the supervisor
 	// rolled back to the epoch's last snapshot and shrunk the world.
 	EpochFault = "fault"
-	// EpochRejoin: the epoch stopped at a ctl boundary so the next epoch
+	// EpochRejoin: the epoch stopped at a step boundary so the next epoch
 	// could readmit recovered ranks at full world size.
 	EpochRejoin = "rejoin"
 )
@@ -219,10 +216,7 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 		clock = trace.NewWallClock()
 	}
 
-	res := &ElasticResult{Result: Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
-	}}
+	res := &ElasticResult{Result: *newResult(job.Steps)}
 
 	// The epoch-0 chaos world outlives its epoch: a full-size rejoin epoch
 	// reuses it (readmitting the crashed rank) so stale in-flight frames of
@@ -239,9 +233,8 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 	done := 0 // global steps locked into the stitched trajectory
 	var base *checkpoint.Checkpoint
 	stopAfter := 0
-	var transitionAt time.Duration
-	var pendingMoves []partition.ShardMove
-	inTransition := false
+	var transitionAt time.Duration  // clock() when the previous epoch ended
+	var moves []partition.ShardMove // the remap entering the next epoch
 
 	for epoch := 0; ; epoch++ {
 		spec := epochSpec{
@@ -254,43 +247,49 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 			base:      base,
 			clock:     clock,
 		}
-		out := runEpoch(spec, &chaosW)
+		shared, err := strategies.NewShared(job.Strategy, job.Model, workers)
+		if err != nil {
+			return res, err
+		}
+		out := runEpoch(spec, spec.strategyRank(shared), &chaosW)
 
 		res.Comm = res.Comm.Add(out.res.Comm)
 		res.addCommPerOp(out.res.CommPerOp)
 		res.TokensTrained += out.res.TokensTrained
 
 		info := EpochInfo{Epoch: epoch, Workers: workers, StartStep: done}
-		if inTransition {
+		if epoch > 0 {
 			info.RecoverySeconds = (out.readyAt - transitionAt).Seconds()
-			info.Moves = pendingMoves
-			inTransition, pendingMoves = false, nil
+			info.Moves = moves
 		}
 
+		// The steps the epoch locks in: every one when it completed, else
+		// those up to its last snapshot, which the next epoch restores.
+		completed := out.err == nil && !out.stopped
+		keep := len(out.res.Losses)
+		if !completed {
+			keep = 0
+			if n := len(out.snaps); n > 0 {
+				keep, base = out.snaps[n-1].steps, out.snaps[n-1].ckpt
+			}
+		}
+		copy(res.Losses[done:], out.res.Losses[:keep])
+		copy(res.Accuracies[done:], out.res.Accuracies[:keep])
+		done += keep
+		info.EndStep = done
+
+		next := job.Workers
 		switch {
-		case out.err == nil && !out.stopped:
-			copy(res.Losses[done:], out.res.Losses)
-			copy(res.Accuracies[done:], out.res.Accuracies)
+		case completed:
 			res.Embedding = out.res.Embedding
 			res.Trunk = out.res.Trunk
-			info.EndStep = job.Steps
 			info.End = EpochCompleted
 			res.Epochs = append(res.Epochs, info)
 			return res, nil
 
-		case out.err == nil: // stopped at a ctl boundary to readmit
-			snap := out.snaps[len(out.snaps)-1]
-			copy(res.Losses[done:done+snap.steps], out.res.Losses[:snap.steps])
-			copy(res.Accuracies[done:done+snap.steps], out.res.Accuracies[:snap.steps])
-			done += snap.steps
-			base = snap.ckpt
-			info.EndStep = done
+		case out.err == nil: // stopped at a step boundary to readmit
 			info.End = EpochRejoin
 			res.Epochs = append(res.Epochs, info)
-			pendingMoves = remapFor(job.Job, workers, job.Workers)
-			transitionAt = clock()
-			inTransition = true
-			workers = job.Workers
 			stopAfter = 0
 
 		default: // fault
@@ -302,16 +301,6 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 				return res, out.err
 			}
 			res.Recoveries++
-			keep := 0
-			if len(out.snaps) > 0 {
-				snap := out.snaps[len(out.snaps)-1]
-				keep = snap.steps
-				base = snap.ckpt
-			}
-			copy(res.Losses[done:done+keep], out.res.Losses[:keep])
-			copy(res.Accuracies[done:done+keep], out.res.Accuracies[:keep])
-			done += keep
-			info.EndStep = done
 			info.End = EpochFault
 			info.Crashed = out.crashed
 			info.Fault = pickFault(faults, out.crashed)
@@ -319,30 +308,26 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 			if res.Recoveries > maxRec {
 				return res, fmt.Errorf("trainer: elastic recovery budget (%d) exhausted: %w", maxRec, out.err)
 			}
-			newWorkers := workers - len(out.crashed)
-			if len(out.crashed) == 0 {
-				// Fault without an identified crash (a timeout, a bare
-				// WrapChaos partition): retry at the same size — the world
-				// rebuild itself clears wedged transport state.
-				newWorkers = workers
-			}
-			if newWorkers < 1 {
+			// A fault without an identified crash (a timeout, a bare
+			// WrapChaos partition) retries at the same size — the world
+			// rebuild itself clears wedged transport state.
+			next = workers - len(out.crashed)
+			if next < 1 {
 				return res, fmt.Errorf("trainer: every rank crashed: %w", out.err)
 			}
-			if err := job.Model.Validate(newWorkers); err != nil {
-				return res, fmt.Errorf("trainer: cannot shrink world %d -> %d: %w", workers, newWorkers, err)
+			if err := job.Model.Validate(next); err != nil {
+				return res, fmt.Errorf("trainer: cannot shrink world %d -> %d: %w", workers, next, err)
 			}
-			pendingMoves = remapFor(job.Job, workers, newWorkers)
-			transitionAt = clock()
-			inTransition = true
-			if job.Rejoin && newWorkers < job.Workers {
+			if job.Rejoin && next < job.Workers {
 				stopAfter = job.RejoinAfter
 				if stopAfter <= 0 {
 					stopAfter = ckptEvery
 				}
 			}
-			workers = newWorkers
 		}
+		moves = remapFor(job.Job, workers, next)
+		transitionAt = clock()
+		workers = next
 	}
 }
 
@@ -369,313 +354,17 @@ func pickFault(faults []*FaultError, crashed []int) *FaultError {
 	return faults[0]
 }
 
-// ---------------------------------------------------------------------------
-// One world epoch.
-// ---------------------------------------------------------------------------
-
-// Ctl ops of the world-epoch protocol. The barrier is the pending-pointer
-// handoff moment (serve.Reload's shape): every rank has built its worker —
-// remapped shard restored — before any step traffic flows.
-const (
-	opElasticBarrier = "elastic/world"
-	opElasticCtl     = "elastic/ctl"
-)
-
-// Stepped ctl decisions rank 0 sends at every step boundary.
-const (
-	ctlContinue   = 0
-	ctlCheckpoint = 1
-	ctlStop       = 2
-)
-
-type epochSpec struct {
-	job       Job
-	epoch     int
-	workers   int
-	stepBase  int // global steps already locked in before this epoch
-	ckptEvery int
-	stopAfter int // >0: stop at the first boundary >= this many epoch steps
-	base      *checkpoint.Checkpoint
-	clock     trace.Clock
-}
-
 // snapshotRec is one in-memory checkpoint taken at an epoch step boundary.
 type snapshotRec struct {
 	steps int // epoch-local steps the snapshot covers
 	ckpt  *checkpoint.Checkpoint
 }
 
-type epochOutcome struct {
-	res     *Result
-	snaps   []snapshotRec
-	stopped bool
-	crashed []int
-	readyAt time.Duration // clock() when rank 0 cleared the world barrier
-	err     error
-}
-
-// runEpoch runs one world epoch: builds (or reuses) the fabric, spawns the
-// rank goroutines, and joins their errors. The chaos world is created once
-// at epoch 0 and reused for full-size epochs (rejoin readmits the crashed
-// ranks on it); shrunk epochs get a fresh clean world, since a world's size
-// is fixed at construction.
-func runEpoch(spec epochSpec, chaosW **comm.ChaosWorld) *epochOutcome {
-	n := spec.workers
-	steps := spec.job.Steps - spec.stepBase
-	out := &epochOutcome{res: &Result{
-		Losses:     make([]float64, steps),
-		Accuracies: make([]float64, steps),
-	}}
-	shared, err := strategies.NewShared(spec.job.Strategy, spec.job.Model, n)
-	if err != nil {
-		out.err = err
-		return out
-	}
-
-	transports := make([]comm.Transport, n)
-	crashedFn := func() []int { return nil }
-	switch {
-	case spec.job.Chaos != nil && spec.epoch == 0:
-		cw, err := comm.NewChaosWorld(n, *spec.job.Chaos)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		*chaosW = cw // supervisor owns its lifetime
-		for i := range transports {
-			transports[i] = cw.Rank(i)
-		}
-		crashedFn = cw.Crashed
-	case *chaosW != nil && n == (*chaosW).Size():
-		// Full-size epoch over the original chaos world: readmit every
-		// rank (survivors left during the cascade too), keep the plan's
-		// maskable noise flowing, and let the fresh epoch plane shield the
-		// rebuilt collectives from the dead epoch's stale frames.
-		cw := *chaosW
-		for i := 0; i < n; i++ {
-			cw.Readmit(i)
-		}
-		for i := range transports {
-			transports[i] = cw.Rank(i)
-		}
-		crashedFn = cw.Crashed
-	default:
-		w, err := comm.NewWorld(n)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		defer w.Close()
-		for i := range transports {
-			transports[i] = w.Rank(i)
-		}
-	}
-
-	var mu sync.Mutex
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = elasticRank(spec, transports[i], shared, out, &mu)
-		}(i)
-	}
-	wg.Wait()
-	out.err = errors.Join(errs...)
-	out.crashed = crashedFn()
-	return out
-}
-
-// elasticRank is runRank's elastic counterpart: timeout, loop, Leave on
-// failure so the cascade stays clean.
-func elasticRank(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
-	if spec.job.RecvTimeout > 0 {
-		if ts, ok := raw.(comm.TimeoutSetter); ok {
-			ts.SetRecvTimeout(spec.job.RecvTimeout)
-		}
-	}
-	err := elasticRankLoop(spec, raw, shared, out, mu)
-	if err != nil {
-		if l, ok := raw.(comm.Leaver); ok {
-			l.Leave(err)
-		}
-	}
-	return err
-}
-
-func elasticRankLoop(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
-	rec := metrics.NewOpRecorder()
-	cm := collective.NewCommunicator(raw,
-		collective.WithChunkBytes(chunkBytesOf(spec.job.ChunkBytes)),
-		collective.WithObserver(rec),
-		collective.WithEpoch(spec.epoch))
-	defer func() {
-		mu.Lock()
-		out.res.Comm = out.res.Comm.Add(rec.Total())
-		out.res.addCommPerOp(rec.PerOp())
-		mu.Unlock()
-	}()
-
-	// Per-rank restore. EmbRace ranks slice exactly their new columns out
-	// of the snapshot (checkpoint.ColumnShard follows the same ColumnWise
-	// tiling the remap plan describes); replicated-table strategies restore
-	// the full table. Trunk parameters warm-start everywhere.
-	cfg := spec.job.Model
-	var opts []strategies.WorkerOption
-	if spec.base != nil {
-		cfg.InitTrunk = trunkParamsOf(spec.base)
-		if spec.job.Strategy == strategies.EmbRace {
-			shard, err := spec.base.ColumnShard("emb", cm.Size(), cm.Rank())
-			if err != nil {
-				return fmt.Errorf("rank %d: restoring remapped shard: %w", cm.Rank(), err)
-			}
-			opts = append(opts, strategies.WithEmbShard(shard))
-		} else {
-			cfg.InitEmbedding = spec.base.Params["emb"]
-		}
-	}
-	w, err := strategies.NewWorker(spec.job.Strategy, cm, cfg, shared, opts...)
-	if err != nil {
-		return err
-	}
-
-	// The world barrier: no rank's step traffic flows until every rank has
-	// stood up its restored worker in the new epoch plane.
-	if err := cm.Barrier(opElasticBarrier, 0); err != nil {
-		return attribute(cm.Rank(), -1, "world barrier", err)
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		out.readyAt = spec.clock()
-		mu.Unlock()
-	}
-
-	gen, err := data.NewGenerator(spec.job.Data, spec.job.DataSeed+int64(cm.Rank()))
-	if err != nil {
-		return err
-	}
-	loader := data.NewLoader(gen)
-	for skip := 0; skip < spec.job.SkipBatches+spec.stepBase; skip++ {
-		loader.Next()
-	}
-
-	steps := spec.job.Steps - spec.stepBase
-	for s := 0; s < steps; s++ {
-		gStep := spec.stepBase + s // attribution in global step numbers
-		batch := loader.Next()
-		next := loader.Peek()
-		windows, targets := WindowsTargets(batch, spec.job.Window)
-		stats, err := w.Step(s, windows, targets, next.Tokens())
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "train step", err)
-		}
-		all, err := collective.GatherVia(cm, strategies.OpStats, s, 0, stats)
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "stats gather", err)
-		}
-		if cm.Rank() == 0 {
-			var sum float64
-			correct, count := 0, 0
-			for _, st := range all {
-				sum += st.Loss
-				correct += st.Correct
-				count += st.Count
-			}
-			mu.Lock()
-			out.res.Losses[s] = sum / float64(len(all))
-			if count > 0 {
-				out.res.Accuracies[s] = float64(correct) / float64(count)
-			}
-			mu.Unlock()
-		}
-		mu.Lock()
-		out.res.TokensTrained += batch.NonPad
-		mu.Unlock()
-
-		// The stepped ctl handshake: rank 0 decides the boundary's fate
-		// from shared counters and sends the verdict point-to-point;
-		// followers obey what they receive — the driver/follower shape of
-		// serve's reload protocol, one decision per step boundary.
-		done := s + 1
-		decision := ctlContinue
-		if cm.Rank() == 0 {
-			decision = boundaryDecision(done, steps, spec.ckptEvery, spec.stopAfter)
-			for p := 1; p < cm.Size(); p++ {
-				if err := cm.Send(opElasticCtl, s, p, decision); err != nil {
-					return attribute(cm.Rank(), gStep, "ctl handshake", err)
-				}
-			}
-		} else {
-			v, err := cm.Recv(opElasticCtl, s, 0)
-			if err != nil {
-				return attribute(cm.Rank(), gStep, "ctl handshake", err)
-			}
-			d, ok := v.(int)
-			if !ok {
-				return fmt.Errorf("rank %d: ctl payload %T, want int", cm.Rank(), v)
-			}
-			decision = d
-		}
-		if decision == ctlContinue {
-			continue
-		}
-		// Snapshot: FullEmbedding is collective (EmbRace gathers shards;
-		// it also harvests the in-flight delayed exchange first, which the
-		// next step would have applied before any other mutation anyway —
-		// the reason snapshot boundaries stay bit-exact under Sched2D).
-		emb, err := w.FullEmbedding()
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "checkpoint gather", err)
-		}
-		if cm.Rank() == 0 {
-			ckpt := snapshotCheckpoint(spec.job.SkipBatches+spec.stepBase+done, emb, w)
-			mu.Lock()
-			out.snaps = append(out.snaps, snapshotRec{steps: done, ckpt: ckpt})
-			if decision == ctlStop {
-				out.stopped = true
-			}
-			mu.Unlock()
-		}
-		if decision == ctlStop {
-			return nil
-		}
-	}
-
-	emb, err := w.FullEmbedding()
-	if err != nil {
-		return attribute(cm.Rank(), -1, "final embedding", err)
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		out.res.Embedding = emb
-		out.res.Trunk = w.Trunk()
-		mu.Unlock()
-	}
-	return nil
-}
-
-// boundaryDecision is rank 0's per-boundary verdict: stop (to readmit)
-// beats checkpoint, and the epoch's final boundary always continues — the
-// natural end of the loop gathers final state instead.
-func boundaryDecision(done, steps, every, stopAfter int) int {
-	if done >= steps {
-		return ctlContinue
-	}
-	if stopAfter > 0 && done >= stopAfter {
-		return ctlStop
-	}
-	if every > 0 && done%every == 0 {
-		return ctlCheckpoint
-	}
-	return ctlContinue
-}
-
 // snapshotCheckpoint seals one boundary's state. Everything is cloned: the
 // epoch keeps training on the live tensors the moment the boundary passes.
-func snapshotCheckpoint(step int, emb *tensor.Dense, w strategies.Worker) *checkpoint.Checkpoint {
+func snapshotCheckpoint(step int, emb *tensor.Dense, trunk *nn.Trunk) *checkpoint.Checkpoint {
 	params := map[string]*tensor.Dense{"emb": emb.Clone()}
-	for _, p := range w.Trunk().Params() {
+	for _, p := range trunk.Params() {
 		params[p.Name] = p.Tensor.Clone()
 	}
 	return &checkpoint.Checkpoint{Step: step, Params: params}

@@ -2,17 +2,16 @@ package trainer
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 
 	"embrace/internal/collective"
-	"embrace/internal/comm"
 	"embrace/internal/data"
-	"embrace/internal/metrics"
 	"embrace/internal/nn"
 	"embrace/internal/optim"
 	"embrace/internal/sched"
 	"embrace/internal/strategies"
 	"embrace/internal/tensor"
+	"embrace/internal/trace"
 )
 
 // SeqJob configures distributed training of the recurrent model
@@ -82,12 +81,6 @@ func (j SeqJob) Validate() error {
 	return j.Data.Validate()
 }
 
-// batchStream is the prefetching contract both loaders satisfy.
-type batchStream interface {
-	Next() *data.Batch
-	Peek() *data.Batch
-}
-
 // newSeqStream builds rank `rank`'s data stream for the job. In text mode
 // the model's vocabulary is the tokenizer's (returned for model sizing).
 func newSeqStream(j SeqJob, rank int) (batchStream, int, error) {
@@ -98,7 +91,7 @@ func newSeqStream(j SeqJob, rank int) (batchStream, int, error) {
 		}
 		return data.NewLoader(gen), j.Vocab, nil
 	}
-	tok, err := data.BuildTokenizer(joinSentences(j.Text), j.Vocab)
+	tok, err := data.BuildTokenizer(strings.Join(j.Text, " "), j.Vocab)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -113,160 +106,127 @@ func newSeqStream(j SeqJob, rank int) (batchStream, int, error) {
 	return loader, tok.VocabSize(), nil
 }
 
-func joinSentences(ss []string) string {
-	total := 0
-	for _, s := range ss {
-		total += len(s) + 1
-	}
-	out := make([]byte, 0, total)
-	for _, s := range ss {
-		out = append(out, s...)
-		out = append(out, ' ')
-	}
-	return string(out)
-}
-
-// RunSeq trains the recurrent model across the world and returns the
-// aggregated result.
+// RunSeq trains the recurrent model across the world through the same rank
+// loop as Run. Like Run, a failed job returns the partial Result alongside
+// the joined per-rank errors, communication faults attributed as FaultError;
+// a rank that fails, in setup too, leaves the world so its peers fail fast
+// instead of waiting on it.
 func RunSeq(job SeqJob) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
-	}
-	var mu sync.Mutex
-	runRanks := comm.RunRanks
-	if job.OverTCP {
-		runRanks = comm.RunRanksTCP
-	}
-	err := runRanks(job.Workers, func(raw comm.Transport) error {
-		return runSeqRank(job, raw, res, &mu)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	spec := epochSpec{workers: job.Workers, job: Job{
+		Workers:    job.Workers,
+		Steps:      job.Steps,
+		Window:     job.Window,
+		OverTCP:    job.OverTCP,
+		ChunkBytes: job.ChunkBytes,
+	}}
+	out := runEpoch(spec, job.setupRank, nil)
+	return out.res, out.err
 }
 
-func runSeqRank(job SeqJob, raw comm.Transport, res *Result, mu *sync.Mutex) error {
-	rec := metrics.NewOpRecorder()
-	cm := collective.NewCommunicator(raw,
-		collective.WithChunkBytes(chunkBytesOf(job.ChunkBytes)),
-		collective.WithObserver(rec))
-	defer func() {
-		mu.Lock()
-		res.Comm = res.Comm.Add(rec.Total())
-		res.addCommPerOp(rec.PerOp())
-		mu.Unlock()
-	}()
-
-	loader, vocab, err := newSeqStream(job, cm.Rank())
+// setupRank builds one rank's recurrent model, its Adam optimizers and its
+// data stream.
+func (j SeqJob) setupRank(cm *collective.Communicator, _ *trace.Recorder) (stepper, batchStream, error) {
+	stream, vocab, err := newSeqStream(j, cm.Rank())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	model := nn.NewSeqModel(job.Seed, vocab, job.EmbDim, job.Hidden)
+	model := nn.NewSeqModel(j.Seed, vocab, j.EmbDim, j.Hidden)
 	params := model.Params()
-	opts := map[string]optim.Optimizer{}
+	w := &seqWorker{
+		cm:       cm,
+		model:    model,
+		params:   params,
+		opts:     make(map[string]optim.Optimizer, len(params)),
+		blocks:   make([][]float32, len(params)),
+		embOpt:   optim.NewAdamDefault(model.Emb.Table, j.LR),
+		vertical: j.Vertical,
+	}
 	for _, p := range params {
-		opts[p.Name] = optim.NewAdamDefault(p.Tensor, job.LR)
+		w.opts[p.Name] = optim.NewAdamDefault(p.Tensor, j.LR)
 	}
-	blocks := make([][]float32, len(params))
-	embOpt := optim.NewAdamDefault(model.Emb.Table, job.LR)
-
-	for step := 0; step < job.Steps; step++ {
-		batch := loader.Next()
-		next := loader.Peek()
-		windows, targets := WindowsTargets(batch, job.Window)
-
-		stats, embGrad, dense, err := model.Step(windows, targets)
-		if err != nil {
-			return fmt.Errorf("rank %d step %d: %w", cm.Rank(), step, err)
-		}
-
-		// One ring pass over every dense gradient, in parameter order.
-		for i, p := range params {
-			blocks[i] = dense[p.Name].Data()
-		}
-		if err := cm.AllReduceBlocks(strategies.OpTrunk, step, blocks...); err != nil {
-			return fmt.Errorf("dense allreduce: %w", err)
-		}
-		for _, p := range params {
-			if err := opts[p.Name].StepDense(dense[p.Name]); err != nil {
-				return fmt.Errorf("dense %s update: %w", p.Name, err)
-			}
-		}
-
-		if !job.Vertical {
-			// Coalesce locally before shipping (as PyTorch does): fewer
-			// wire bytes, and the same per-rank summation grouping the
-			// vertical path uses, so both paths stay bit-identical.
-			merged, err := cm.SparseAllGather(strategies.OpEmbGrad, step, embGrad.Coalesce())
-			if err != nil {
-				return fmt.Errorf("embedding allgather: %w", err)
-			}
-			if err := embOpt.StepSparse(merged); err != nil {
-				return fmt.Errorf("embedding update: %w", err)
-			}
-		} else {
-			// Algorithm 1 uses the GATHERED next batch: a row is "prior"
-			// only with the same verdict on every rank, keeping the
-			// merged prior and delayed parts disjoint (the modified-Adam
-			// exactness condition).
-			allNext, err := collective.AllGatherVia(cm, strategies.OpNextBatch, step, tensor.UniqueInt64(next.Tokens()))
-			if err != nil {
-				return fmt.Errorf("next-batch gather: %w", err)
-			}
-			var nextAll []int64
-			for _, ns := range allNext {
-				nextAll = append(nextAll, ns...)
-			}
-			prior, delayed := sched.VerticalSplit(embGrad, embGrad.UniqueIndices(),
-				tensor.UniqueInt64(nextAll))
-			mergedPrior, err := cm.SparseAllGather(strategies.OpEmbPrior, step, prior)
-			if err != nil {
-				return fmt.Errorf("prior allgather: %w", err)
-			}
-			if err := embOpt.StepSparsePartial(mergedPrior, false); err != nil {
-				return fmt.Errorf("prior update: %w", err)
-			}
-			mergedDelayed, err := cm.SparseAllGather(strategies.OpEmbDelayed, step, delayed)
-			if err != nil {
-				return fmt.Errorf("delayed allgather: %w", err)
-			}
-			if err := embOpt.StepSparsePartial(mergedDelayed, true); err != nil {
-				return fmt.Errorf("delayed update: %w", err)
-			}
-		}
-
-		all, err := collective.GatherVia(cm, strategies.OpStats, step, 0, stats)
-		if err != nil {
-			return fmt.Errorf("stats gather: %w", err)
-		}
-		if cm.Rank() == 0 {
-			var sum float64
-			correct, count := 0, 0
-			for _, s := range all {
-				sum += s.Loss
-				correct += s.Correct
-				count += s.Count
-			}
-			mu.Lock()
-			res.Losses[step] = sum / float64(len(all))
-			if count > 0 {
-				res.Accuracies[step] = float64(correct) / float64(count)
-			}
-			mu.Unlock()
-		}
-		mu.Lock()
-		res.TokensTrained += batch.NonPad
-		mu.Unlock()
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		res.Embedding = model.Emb.Table
-		mu.Unlock()
-	}
-	return nil
+	return w, stream, nil
 }
+
+// seqWorker is one rank of the recurrent model: dense gradients ride one
+// ring pass, the per-token sparse embedding gradient a sparse AllGather,
+// optionally split by Algorithm 1 under the modified Adam.
+type seqWorker struct {
+	cm       *collective.Communicator
+	model    *nn.SeqModel
+	params   []nn.NamedParam
+	opts     map[string]optim.Optimizer
+	blocks   [][]float32
+	embOpt   *optim.Adam
+	vertical bool
+}
+
+// Step runs FP and BP, exchanges both gradient kinds and applies them.
+func (w *seqWorker) Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error) {
+	stats, embGrad, dense, err := w.model.Step(windows, targets)
+	if err != nil {
+		return stats, err
+	}
+
+	// One ring pass over every dense gradient, in parameter order.
+	for i, p := range w.params {
+		w.blocks[i] = dense[p.Name].Data()
+	}
+	if err := w.cm.AllReduceBlocks(strategies.OpTrunk, step, w.blocks...); err != nil {
+		return stats, fmt.Errorf("dense allreduce: %w", err)
+	}
+	for _, p := range w.params {
+		if err := w.opts[p.Name].StepDense(dense[p.Name]); err != nil {
+			return stats, fmt.Errorf("dense %s update: %w", p.Name, err)
+		}
+	}
+
+	if !w.vertical {
+		// Coalesce locally before shipping (as PyTorch does): fewer wire
+		// bytes, and the same per-rank summation grouping the vertical path
+		// uses, so both paths stay bit-identical.
+		merged, err := w.cm.SparseAllGather(strategies.OpEmbGrad, step, embGrad.Coalesce())
+		if err != nil {
+			return stats, fmt.Errorf("embedding allgather: %w", err)
+		}
+		if err := w.embOpt.StepSparse(merged); err != nil {
+			return stats, fmt.Errorf("embedding update: %w", err)
+		}
+		return stats, nil
+	}
+	// Algorithm 1 uses the GATHERED next batch: a row is "prior" only with
+	// the same verdict on every rank, keeping the merged prior and delayed
+	// parts disjoint (the modified-Adam exactness condition).
+	allNext, err := collective.AllGatherVia(w.cm, strategies.OpNextBatch, step, tensor.UniqueInt64(nextTokens))
+	if err != nil {
+		return stats, fmt.Errorf("next-batch gather: %w", err)
+	}
+	var nextAll []int64
+	for _, ns := range allNext {
+		nextAll = append(nextAll, ns...)
+	}
+	prior, delayed := sched.VerticalSplit(embGrad, embGrad.UniqueIndices(), tensor.UniqueInt64(nextAll))
+	mergedPrior, err := w.cm.SparseAllGather(strategies.OpEmbPrior, step, prior)
+	if err != nil {
+		return stats, fmt.Errorf("prior allgather: %w", err)
+	}
+	if err := w.embOpt.StepSparsePartial(mergedPrior, false); err != nil {
+		return stats, fmt.Errorf("prior update: %w", err)
+	}
+	mergedDelayed, err := w.cm.SparseAllGather(strategies.OpEmbDelayed, step, delayed)
+	if err != nil {
+		return stats, fmt.Errorf("delayed allgather: %w", err)
+	}
+	if err := w.embOpt.StepSparsePartial(mergedDelayed, true); err != nil {
+		return stats, fmt.Errorf("delayed update: %w", err)
+	}
+	return stats, nil
+}
+
+// FullEmbedding returns the rank's replicated embedding table.
+func (w *seqWorker) FullEmbedding() (*tensor.Dense, error) { return w.model.Emb.Table, nil }
+
+// Trunk returns nil: the recurrent model has no MLP trunk.
+func (w *seqWorker) Trunk() *nn.Trunk { return nil }

@@ -2,10 +2,12 @@ package trainer
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"embrace/internal/data"
 )
@@ -244,5 +246,38 @@ func TestRunSeqTextValidation(t *testing.T) {
 	j2 := SeqJob{Workers: 8, Steps: 1, Window: 5, Vocab: 64, EmbDim: 4, Hidden: 4, LR: 0.01, Text: realText[:4], TextBatch: 3}
 	if _, err := RunSeq(j2); err == nil {
 		t.Fatal("expected shard-size error")
+	}
+}
+
+// A rank that fails setup must not strand its peers: 7 sentences over 2
+// workers leave rank 1 three, one short of a batch of 4, while rank 0 has
+// its four and enters the first step's dense AllReduce. Rank 1 leaves the
+// world on its setup error, so rank 0 fails fast instead of waiting on it.
+func TestRunSeqPartialSetupFailureReturns(t *testing.T) {
+	j := SeqJob{Workers: 2, Steps: 2, Window: 5, Vocab: 64, EmbDim: 4, Hidden: 4, LR: 0.01,
+		Text: realText[:7], TextBatch: 4}
+	type out struct {
+		res *Result
+		err error
+	}
+	ch := make(chan out, 1)
+	go func() {
+		res, err := RunSeq(j)
+		ch <- out{res, err}
+	}()
+	select {
+	case o := <-ch:
+		if o.err == nil {
+			t.Fatal("expected rank 1's setup error")
+		}
+		if o.res == nil {
+			t.Fatal("partial result discarded")
+		}
+		var fe *FaultError
+		if !errors.As(o.err, &fe) || fe.Rank != 0 || fe.Step != 0 {
+			t.Fatalf("rank 0's fault not attributed: %v", o.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunSeq hung on a partial setup failure")
 	}
 }

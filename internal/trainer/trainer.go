@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"embrace/internal/checkpoint"
 	"embrace/internal/collective"
 	"embrace/internal/comm"
 	"embrace/internal/data"
@@ -186,45 +187,6 @@ func init() {
 	comm.RegisterWireType(nn.StepStats{})
 }
 
-// Run executes the job and returns its result. When the job fails mid-run
-// (an attributed FaultError, reachable via errors.As on the joined per-rank
-// errors), the Result is still returned — it carries every loss, accuracy
-// and communication counter recorded before the fault.
-func Run(job Job) (*Result, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	shared, err := strategies.NewShared(job.Strategy, job.Model, job.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
-	}
-	var mu sync.Mutex
-
-	runRanks := comm.RunRanks
-	if job.OverTCP {
-		runRanks = comm.RunRanksTCP
-	}
-	if job.Chaos != nil {
-		plan := *job.Chaos
-		runRanks = func(n int, fn func(t comm.Transport) error) error {
-			return comm.RunRanksChaos(n, plan, fn)
-		}
-	}
-	runErr := runRanks(job.Workers, func(raw comm.Transport) error {
-		return runRank(job, raw, shared, res, &mu)
-	})
-	// On failure the partial Result is returned WITH the error: the losses,
-	// accuracies and comm counters folded in before the fault are real
-	// progress a caller (the elastic supervisor above all) salvages, not
-	// state to discard. Entries past the fault step keep their zero values.
-	return res, runErr
-}
-
 // FaultError attributes an unmaskable communication fault to where it
 // surfaced: which rank observed it, at which training step, in which phase of
 // the step. The underlying transport error (comm.ErrPeerDown, comm.ErrTimeout,
@@ -268,105 +230,23 @@ func attribute(rank, step int, phase string, err error) error {
 	return fmt.Errorf("rank %d step %d: %s: %w", rank, step, phase, err)
 }
 
-// runRank executes one rank's training loop, folding its results into res
-// under mu. A rank that fails announces its departure (comm.Leaver) so peers
-// blocked on it fail fast with an attributed error instead of hanging until
-// their own timeouts.
-func runRank(job Job, raw comm.Transport, shared *strategies.Shared, res *Result, mu *sync.Mutex) error {
-	if job.RecvTimeout > 0 {
-		if ts, ok := raw.(comm.TimeoutSetter); ok {
-			ts.SetRecvTimeout(job.RecvTimeout)
-		}
+// Run executes the job and returns its result: one epoch-0 world with no
+// snapshot cadence. When the job fails mid-run (an attributed FaultError,
+// reachable via errors.As on the joined per-rank errors), the Result is still
+// returned — it carries every loss, accuracy and communication counter
+// recorded before the fault, real progress a caller (the elastic supervisor
+// above all) salvages. Entries past the fault step keep their zero values.
+func Run(job Job) (*Result, error) {
+	if err := job.Validate(); err != nil {
+		return nil, err
 	}
-	err := runRankLoop(job, raw, shared, res, mu)
+	shared, err := strategies.NewShared(job.Strategy, job.Model, job.Workers)
 	if err != nil {
-		if l, ok := raw.(comm.Leaver); ok {
-			l.Leave(err)
-		}
+		return nil, err
 	}
-	return err
-}
-
-func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Result, mu *sync.Mutex) error {
-	rec := metrics.NewOpRecorder()
-	obs := collective.Observer(rec)
-	var tr *trace.Recorder
-	if job.Trace {
-		// The worker routes the ops it runs off the step goroutine to the
-		// background lane itself (strategies.NewWorker).
-		tr = trace.NewRecorder(raw.Rank(), trace.WithClock(job.TraceClock))
-		obs = collective.MultiObserver(rec, tr)
-	}
-	cm := collective.NewCommunicator(raw,
-		collective.WithChunkBytes(chunkBytesOf(job.ChunkBytes)),
-		collective.WithObserver(obs))
-	defer func() {
-		mu.Lock()
-		res.Comm = res.Comm.Add(rec.Total())
-		res.addCommPerOp(rec.PerOp())
-		if tr != nil {
-			res.addTrace(tr)
-		}
-		mu.Unlock()
-	}()
-	w, err := strategies.NewWorker(job.Strategy, cm, job.Model, shared, strategies.WithRecorder(tr))
-	if err != nil {
-		return err
-	}
-	gen, err := data.NewGenerator(job.Data, job.DataSeed+int64(cm.Rank()))
-	if err != nil {
-		return err
-	}
-	loader := data.NewLoader(gen)
-	for skip := 0; skip < job.SkipBatches; skip++ {
-		loader.Next()
-	}
-	for step := 0; step < job.Steps; step++ {
-		batch := loader.Next()
-		next := loader.Peek()
-		windows, targets := WindowsTargets(batch, job.Window)
-		sp := tr.Begin(trace.TrackCompute, "step", step)
-		stats, err := w.Step(step, windows, targets, next.Tokens())
-		sp.End()
-		if err != nil {
-			return attribute(cm.Rank(), step, "train step", err)
-		}
-		all, err := collective.GatherVia(cm, strategies.OpStats, step, 0, stats)
-		if err != nil {
-			return attribute(cm.Rank(), step, "stats gather", err)
-		}
-		if cm.Rank() == 0 {
-			var sum float64
-			correct, count := 0, 0
-			for _, s := range all {
-				sum += s.Loss
-				correct += s.Correct
-				count += s.Count
-			}
-			mu.Lock()
-			res.Losses[step] = sum / float64(len(all))
-			if count > 0 {
-				res.Accuracies[step] = float64(correct) / float64(count)
-			}
-			mu.Unlock()
-		}
-		mu.Lock()
-		res.TokensTrained += batch.NonPad
-		mu.Unlock()
-	}
-	// Collect final state. FullEmbedding is collective for EmbRace, so
-	// every rank participates; rank 0 keeps the result.
-	emb, err := w.FullEmbedding()
-	if err != nil {
-		return attribute(cm.Rank(), -1, "final embedding", err)
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		res.Embedding = emb
-		res.Trunk = w.Trunk()
-		mu.Unlock()
-	}
-	return nil
+	spec := epochSpec{job: job, workers: job.Workers}
+	out := runEpoch(spec, spec.strategyRank(shared), nil)
+	return out.res, out.err
 }
 
 // RunWorker runs one rank of a multi-process job over a caller-provided
@@ -375,7 +255,8 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 // server state and are rejected; the collective strategies (Horovod
 // AllReduce/AllGather, EmbRace) are fully peer-to-peer and supported. The
 // returned Result carries this rank's view: only rank 0 aggregates losses
-// and final parameters.
+// and final parameters. Like Run, a fault returns the partial Result
+// alongside the error.
 func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -387,12 +268,327 @@ func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	case strategies.Parallax, strategies.BytePS:
 		return nil, fmt.Errorf("trainer: %s needs process-shared parameter servers; use Run for single-process jobs", job.Strategy)
 	}
-	res := &Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
+	spec := epochSpec{job: job, workers: job.Workers}
+	out := &epochOutcome{res: newResult(job.Steps)}
+	err := runRank(spec, t, spec.strategyRank(nil), out)
+	return out.res, err
+}
+
+// ---------------------------------------------------------------------------
+// The rank loop: one per-rank training loop for every job.
+// ---------------------------------------------------------------------------
+
+// stepper is the rank-local model + strategy the loop drives.
+// strategies.Worker satisfies it; seqWorker is the recurrent model's.
+type stepper interface {
+	Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error)
+	FullEmbedding() (*tensor.Dense, error)
+	Trunk() *nn.Trunk
+}
+
+// batchStream is the prefetching contract both loaders satisfy.
+type batchStream interface {
+	Next() *data.Batch
+	Peek() *data.Batch
+}
+
+// setupFunc builds one rank's worker and data stream over its Communicator;
+// tr is the rank's span recorder, nil when tracing is off.
+type setupFunc func(cm *collective.Communicator, tr *trace.Recorder) (stepper, batchStream, error)
+
+// opWorldBarrier is the barrier a rebuilt world passes before step traffic
+// flows (serve.Reload's pending-pointer handoff shape): every rank has built
+// its worker — remapped shard restored — in the new epoch plane.
+const opWorldBarrier = "elastic/world"
+
+// epochSpec places one world epoch in its run.
+type epochSpec struct {
+	job       Job // the run's settings; a seq job fills only the loop's
+	epoch     int
+	workers   int
+	stepBase  int                    // global steps locked in before this epoch
+	ckptEvery int                    // >0: snapshot every ckptEvery epoch steps
+	stopAfter int                    // >0: stop at the first boundary >= this many epoch steps
+	base      *checkpoint.Checkpoint // snapshot the epoch's workers restore
+	clock     trace.Clock            // times the world barrier of epochs > 0
+}
+
+// epochOutcome is what an epoch's ranks fold in, under mu.
+type epochOutcome struct {
+	mu      sync.Mutex
+	res     *Result
+	snaps   []snapshotRec
+	stopped bool
+	crashed []int
+	readyAt time.Duration // clock() when rank 0 cleared the world barrier
+	err     error
+}
+
+// newResult allocates the per-step series of a steps-long run.
+func newResult(steps int) *Result {
+	return &Result{Losses: make([]float64, steps), Accuracies: make([]float64, steps)}
+}
+
+// addStats folds one step's gathered per-rank stats into r: the mean loss
+// and the pooled top-1 accuracy.
+func (r *Result) addStats(step int, all []nn.StepStats) {
+	var sum float64
+	correct, count := 0, 0
+	for _, s := range all {
+		sum += s.Loss
+		correct += s.Correct
+		count += s.Count
 	}
-	var mu sync.Mutex
-	// Like Run, a fault returns the partial Result alongside the error.
-	err := runRank(job, t, &strategies.Shared{}, res, &mu)
-	return res, err
+	r.Losses[step] = sum / float64(len(all))
+	if count > 0 {
+		r.Accuracies[step] = float64(correct) / float64(count)
+	}
+}
+
+// world is one epoch's fabric.
+type world struct {
+	rank    func(int) comm.Transport
+	crashed func() []int // the ranks chaos has crashed
+	close   func()
+}
+
+// newWorld is where every run picks its fabric: loopback TCP, a chaos world
+// or in-process mailboxes. The chaos world is built at epoch 0. When keep is
+// non-nil it hands that world to the caller, which closes it, and a later
+// full-size epoch reuses it: every rank is readmitted (survivors left during
+// the cascade too), the plan's maskable noise keeps flowing, and the fresh
+// epoch plane shields the rebuilt collectives from the dead epoch's stale
+// frames. A shrunk epoch gets a fresh clean world, since a world's size is
+// fixed at construction.
+func newWorld(job Job, n, epoch int, keep **comm.ChaosWorld) (*world, error) {
+	noCrashes := func() []int { return nil }
+	switch {
+	case job.OverTCP:
+		w, err := comm.NewTCPWorld(n)
+		if err != nil {
+			return nil, err
+		}
+		return &world{w.Rank, noCrashes, w.Close}, nil
+	case job.Chaos != nil && epoch == 0:
+		cw, err := comm.NewChaosWorld(n, *job.Chaos)
+		if err != nil {
+			return nil, err
+		}
+		if keep == nil {
+			return &world{cw.Rank, cw.Crashed, cw.Close}, nil
+		}
+		*keep = cw
+		return &world{cw.Rank, cw.Crashed, func() {}}, nil
+	case keep != nil && *keep != nil && (*keep).Size() == n:
+		cw := *keep
+		for i := 0; i < n; i++ {
+			cw.Readmit(i)
+		}
+		return &world{cw.Rank, cw.Crashed, func() {}}, nil
+	default:
+		w, err := comm.NewWorld(n)
+		if err != nil {
+			return nil, err
+		}
+		return &world{w.Rank, noCrashes, w.Close}, nil
+	}
+}
+
+// runEpoch runs one world epoch: it builds the fabric, runs every rank's
+// loop on its own goroutine, and joins their errors.
+func runEpoch(spec epochSpec, setup setupFunc, keep **comm.ChaosWorld) *epochOutcome {
+	out := &epochOutcome{res: newResult(spec.job.Steps - spec.stepBase)}
+	w, err := newWorld(spec.job, spec.workers, spec.epoch, keep)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	defer w.close()
+	errs := make([]error, spec.workers)
+	var wg sync.WaitGroup
+	for i := range spec.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = runRank(spec, w.rank(i), setup, out)
+		}()
+	}
+	wg.Wait()
+	out.err = errors.Join(errs...)
+	out.crashed = w.crashed()
+	return out
+}
+
+// strategyRank sets up one rank of a pooled-model epoch: its strategy worker,
+// restored from spec.base when the epoch resumes a snapshot, and its data
+// stream, fast-forwarded past every batch already trained. EmbRace ranks
+// slice exactly their new columns out of the snapshot (checkpoint.ColumnShard
+// follows the same ColumnWise tiling the remap plan describes); the
+// replicated-table strategies restore the full table. Trunk parameters
+// warm-start everywhere.
+func (s epochSpec) strategyRank(shared *strategies.Shared) setupFunc {
+	return func(cm *collective.Communicator, tr *trace.Recorder) (stepper, batchStream, error) {
+		cfg := s.job.Model
+		opts := []strategies.WorkerOption{strategies.WithRecorder(tr)}
+		if s.base != nil {
+			cfg.InitTrunk = trunkParamsOf(s.base)
+			if s.job.Strategy == strategies.EmbRace {
+				shard, err := s.base.ColumnShard("emb", cm.Size(), cm.Rank())
+				if err != nil {
+					return nil, nil, fmt.Errorf("rank %d: restoring remapped shard: %w", cm.Rank(), err)
+				}
+				opts = append(opts, strategies.WithEmbShard(shard))
+			} else {
+				cfg.InitEmbedding = s.base.Params["emb"]
+			}
+		}
+		w, err := strategies.NewWorker(s.job.Strategy, cm, cfg, shared, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		gen, err := data.NewGenerator(s.job.Data, s.job.DataSeed+int64(cm.Rank()))
+		if err != nil {
+			return nil, nil, err
+		}
+		loader := data.NewLoader(gen)
+		for range s.job.SkipBatches + s.stepBase {
+			loader.Next()
+		}
+		return w, loader, nil
+	}
+}
+
+// runRank runs one rank of an epoch with its receives bounded by the job's
+// RecvTimeout. A rank that fails announces its departure (comm.Leaver) so
+// peers blocked on it fail fast with an attributed error instead of hanging
+// until their own timeouts.
+func runRank(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOutcome) error {
+	if ts, ok := raw.(comm.TimeoutSetter); ok && spec.job.RecvTimeout > 0 {
+		ts.SetRecvTimeout(spec.job.RecvTimeout)
+	}
+	err := rankLoop(spec, raw, setup, out)
+	if l, ok := raw.(comm.Leaver); ok && err != nil {
+		l.Leave(err)
+	}
+	return err
+}
+
+// rankLoop is the paper's worker iteration (§5.1), the one loop every job
+// runs: draw a batch, let the worker run FP, BP, exchange and update, gather
+// the step's stats to rank 0. At a snapshot boundary the ranks gather the
+// full embedding and rank 0 seals it with the trunk into a checkpoint; a stop
+// boundary ends the epoch there. After the last step rank 0 keeps the final
+// parameters.
+func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOutcome) error {
+	job := spec.job
+	rec := metrics.NewOpRecorder()
+	obs := collective.Observer(rec)
+	var tr *trace.Recorder
+	if job.Trace {
+		// The worker routes the ops it runs off the step goroutine to the
+		// background lane itself (strategies.NewWorker).
+		tr = trace.NewRecorder(raw.Rank(), trace.WithClock(job.TraceClock))
+		obs = collective.MultiObserver(rec, tr)
+	}
+	cm := collective.NewCommunicator(raw,
+		collective.WithChunkBytes(chunkBytesOf(job.ChunkBytes)),
+		collective.WithObserver(obs),
+		collective.WithEpoch(spec.epoch))
+	defer func() {
+		out.mu.Lock()
+		out.res.Comm = out.res.Comm.Add(rec.Total())
+		out.res.addCommPerOp(rec.PerOp())
+		if tr != nil {
+			out.res.addTrace(tr)
+		}
+		out.mu.Unlock()
+	}()
+	w, stream, err := setup(cm, tr)
+	if err != nil {
+		return err
+	}
+	rank := cm.Rank()
+	if spec.epoch > 0 {
+		if err := cm.Barrier(opWorldBarrier, 0); err != nil {
+			return attribute(rank, -1, "world barrier", err)
+		}
+		if rank == 0 {
+			out.mu.Lock()
+			out.readyAt = spec.clock()
+			out.mu.Unlock()
+		}
+	}
+
+	steps := job.Steps - spec.stepBase
+	for s := 0; s < steps; s++ {
+		gStep := spec.stepBase + s // attribution in global step numbers
+		batch := stream.Next()
+		next := stream.Peek()
+		windows, targets := WindowsTargets(batch, job.Window)
+		sp := tr.Begin(trace.TrackCompute, "step", s)
+		stats, err := w.Step(s, windows, targets, next.Tokens())
+		sp.End()
+		if err != nil {
+			return attribute(rank, gStep, "train step", err)
+		}
+		all, err := collective.GatherVia(cm, strategies.OpStats, s, 0, stats)
+		if err != nil {
+			return attribute(rank, gStep, "stats gather", err)
+		}
+		out.mu.Lock()
+		if rank == 0 {
+			out.res.addStats(s, all)
+		}
+		out.res.TokensTrained += batch.NonPad
+		out.mu.Unlock()
+
+		snap, stop := boundary(s+1, steps, spec.ckptEvery, spec.stopAfter)
+		if !snap {
+			continue
+		}
+		// FullEmbedding is collective (EmbRace gathers shards; it also
+		// harvests the in-flight delayed exchange first, which the next step
+		// would have applied before any other mutation anyway — the reason
+		// snapshot boundaries stay bit-exact under Sched2D).
+		emb, err := w.FullEmbedding()
+		if err != nil {
+			return attribute(rank, gStep, "checkpoint gather", err)
+		}
+		if rank == 0 {
+			ckpt := snapshotCheckpoint(job.SkipBatches+gStep+1, emb, w.Trunk())
+			out.mu.Lock()
+			out.snaps = append(out.snaps, snapshotRec{steps: s + 1, ckpt: ckpt})
+			out.stopped = stop
+			out.mu.Unlock()
+		}
+		if stop {
+			return nil
+		}
+	}
+
+	emb, err := w.FullEmbedding()
+	if err != nil {
+		return attribute(rank, -1, "final embedding", err)
+	}
+	if rank == 0 {
+		out.mu.Lock()
+		out.res.Embedding = emb
+		out.res.Trunk = w.Trunk()
+		out.mu.Unlock()
+	}
+	return nil
+}
+
+// boundary is the loop's verdict after `done` of an epoch's `steps` steps:
+// snapshot every `every` steps; once `stopAfter` steps are in, snapshot and
+// stop so the next epoch can readmit recovered ranks. The final boundary
+// does neither — the end of the loop gathers final state instead. The
+// verdict reads only values every rank holds, so every rank reaches it
+// without a message.
+func boundary(done, steps, every, stopAfter int) (snap, stop bool) {
+	if done >= steps {
+		return false, false
+	}
+	stop = stopAfter > 0 && done >= stopAfter
+	return stop || (every > 0 && done%every == 0), stop
 }

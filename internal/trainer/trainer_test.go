@@ -340,3 +340,38 @@ func TestRunWorkerRejectsPSStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Run's wire traffic is pinned per op: a plain run builds one world and
+// sends nothing beyond the strategy's exchanges and the stats gather — no
+// world barrier, no message at step boundaries. The values were measured on
+// a 4-rank Sched2D EmbRace run of testJob.
+func TestRunWireTrafficPinned(t *testing.T) {
+	j := testJob(strategies.EmbRace, 4)
+	j.Model.Sched = strategies.Sched2D
+	res, err := Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]int64{ // op -> {Messages, PayloadBytes}
+		"dense/trunk":      {96, 32064},
+		"emb/data":         {48, 1920},
+		"emb/delayed":      {132, 1344},
+		"emb/gather-table": {12, 3840},
+		"emb/grad":         {144, 14016},
+		"emb/next-batch":   {48, 5976},
+		"emb/tokens":       {48, 7680},
+		"trainer/stats":    {12, 288},
+	}
+	if len(res.CommPerOp) != len(want) {
+		t.Errorf("%d ops recorded, want %d: %v", len(res.CommPerOp), len(want), res.CommPerOp)
+	}
+	for op, w := range want {
+		s := res.CommPerOp[op]
+		if got := [2]int64{s.Messages, s.PayloadBytes}; got != w {
+			t.Errorf("%s: {Messages, PayloadBytes} = %v, want %v", op, got, w)
+		}
+	}
+	if res.Comm.Messages != 540 || res.Comm.PayloadBytes != 67128 {
+		t.Errorf("total = %d messages / %d bytes, want 540 / 67128", res.Comm.Messages, res.Comm.PayloadBytes)
+	}
+}

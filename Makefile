@@ -72,12 +72,13 @@ kernels:
 		./internal/nn ./internal/optim
 	$(GO) test -run '^$$' -bench 'TrunkForward|TrunkBackward' -benchtime 5x ./internal/nn
 
-## trace-demo: trace a real 4-rank EmbRace training run and write trace.json
-## (Chrome trace-event format; open in Perfetto or chrome://tracing). The
-## delayed-gradient AlltoAll appears on its own background lane, overlapping
-## the next step's compute — §4.2.2 measured rather than simulated.
+## trace-demo: trace a real 4-rank EmbRace training run, print time by phase
+## and write trace.json (Chrome trace-event format; open in Perfetto or
+## chrome://tracing). The delayed-gradient AlltoAll appears on its own
+## background lane, overlapping the next step's compute — §4.2.2 measured
+## rather than simulated.
 trace-demo:
-	$(GO) run ./cmd/embrace-bench -traceout trace.json
+	$(GO) run ./cmd/embrace-train -steps 8 -seed 7 -trace trace.json
 
 ## serve-demo: train a checkpoint, boot a 4-rank sharded inference
 ## deployment from it, and run the cache-on vs cache-off Zipf comparison

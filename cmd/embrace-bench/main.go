@@ -6,8 +6,6 @@
 //	embrace-bench -exp fig7       # run one experiment
 //	embrace-bench -list           # list experiment ids
 //	embrace-bench -model GNMT-8 -gpu RTX2080 -gpus 16   # one simulation cell
-//	embrace-bench -chaos 42       # chaos resilience demo under this fault seed
-//	embrace-bench -traceout trace.json   # trace a real 4-rank EmbRace run
 package main
 
 import (
@@ -16,7 +14,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"embrace"
 )
@@ -34,20 +31,10 @@ func main() {
 		traceOut = flag.String("trace", "", "with -model: write a Chrome trace of the EmbRace timeline to this file")
 		asJSON   = flag.Bool("json", false, "with -exp: emit structured JSON instead of text")
 		outDir   = flag.String("out", "", "write every experiment's text and JSON artifacts into this directory")
-		chaos    = flag.Int64("chaos", 0, "run the chaos resilience demo under this fault seed (0 = off)")
-		realOut  = flag.String("traceout", "", "run a real 4-rank EmbRace training job and write its measured Chrome trace to this file")
 	)
 	flag.Parse()
 
 	switch {
-	case *realOut != "":
-		if err := runTraceDemo(*realOut); err != nil {
-			log.Fatal(err)
-		}
-	case *chaos != 0:
-		if err := runChaosDemo(*chaos); err != nil {
-			log.Fatal(err)
-		}
 	case *outDir != "":
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Fatal(err)
@@ -124,88 +111,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-// runTraceDemo trains a small 4-rank EmbRace 2D job with span recording on
-// and writes the measured timeline as Chrome trace JSON: one process per
-// rank, the delayed-gradient AlltoAll on its own background lane overlapping
-// the next step's compute — the paper's §4.2.2 overlap, measured rather than
-// simulated.
-func runTraceDemo(path string) error {
-	cfg := embrace.TrainConfig{
-		Strategy:  embrace.EmbRace,
-		Sched:     embrace.Sched2D,
-		Workers:   4,
-		Steps:     8,
-		Vocab:     2000,
-		EmbDim:    32,
-		Hidden:    32,
-		Adam:      true,
-		Seed:      7,
-		TracePath: path,
-	}
-	res, err := embrace.Train(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("traced %d-rank EmbRace run: %d steps, final ppl %.2f\n",
-		cfg.Workers, cfg.Steps, res.FinalPPL)
-	phases := make([]string, 0, len(res.PhaseSeconds))
-	for name := range res.PhaseSeconds {
-		phases = append(phases, name)
-	}
-	sort.Slice(phases, func(i, j int) bool {
-		return res.PhaseSeconds[phases[i]] > res.PhaseSeconds[phases[j]]
-	})
-	fmt.Println("time by phase (summed over ranks):")
-	for _, name := range phases {
-		fmt.Printf("  %-22s %8.3fms\n", name, res.PhaseSeconds[name]*1e3)
-	}
-	fmt.Printf("wrote %s (open in Perfetto or chrome://tracing)\n", path)
-	return nil
-}
-
-// runChaosDemo trains the same small EmbRace job twice — once clean, once
-// over a fault-injecting transport seeded by `seed` — and verifies the loss
-// curves match exactly: the self-healing collectives must mask every
-// injected fault.
-func runChaosDemo(seed int64) error {
-	cfg := embrace.TrainConfig{
-		Strategy: embrace.EmbRace,
-		Sched:    embrace.Sched2D,
-		Workers:  4,
-		Steps:    8,
-		Vocab:    500,
-		EmbDim:   16,
-		Hidden:   16,
-		Seed:     7,
-	}
-	clean, err := embrace.Train(cfg)
-	if err != nil {
-		return fmt.Errorf("fault-free run: %w", err)
-	}
-	cfg.ChaosSeed = seed
-	chaotic, err := embrace.Train(cfg)
-	if err != nil {
-		return fmt.Errorf("chaos run (seed %d): %w", seed, err)
-	}
-
-	fmt.Printf("chaos resilience demo: %d workers, %d steps, fault seed %d\n",
-		cfg.Workers, cfg.Steps, seed)
-	fmt.Printf("%-6s %-14s %-14s\n", "step", "clean loss", "chaos loss")
-	mismatch := 0
-	for i := range clean.Losses {
-		marker := ""
-		if clean.Losses[i] != chaotic.Losses[i] {
-			marker = "  <- DIVERGED"
-			mismatch++
-		}
-		fmt.Printf("%-6d %-14.8f %-14.8f%s\n", i, clean.Losses[i], chaotic.Losses[i], marker)
-	}
-	fmt.Printf("faults masked: %d (fatal: %d)\n", chaotic.FaultsMasked, chaotic.FaultsFatal)
-	if mismatch > 0 {
-		return fmt.Errorf("chaos run diverged from fault-free at %d of %d steps", mismatch, len(clean.Losses))
-	}
-	fmt.Println("verdict: bit-identical loss curve under injected faults")
-	return nil
 }

@@ -85,14 +85,15 @@ func main() {
 		off := cfg
 		off.CacheRows = 0
 		offRes := runOnce(*ckpt, off, spec, "")
-		fmt.Printf("\n%-10s %10s %12s %12s %12s %10s\n",
-			"cache", "qps", "p50", "p99", "max", "hit-rate")
-		fmt.Printf("%-10s %10.0f %12s %12s %12s %9.1f%%\n",
-			fmt.Sprintf("on(%d)", cfg.CacheRows), on.load.QPS, on.load.P50, on.load.P99, on.load.Max,
-			100*on.stats.CacheHitRate)
-		fmt.Printf("%-10s %10.0f %12s %12s %12s %9.1f%%\n",
-			"off", offRes.load.QPS, offRes.load.P50, offRes.load.P99, offRes.load.Max,
-			100*offRes.stats.CacheHitRate)
+		fmt.Printf("\n%-10s %10s %10s %10s %10s %10s\n",
+			"cache", "qps", "p50 ms", "p99 ms", "max ms", "hit-rate")
+		row := func(name string, r result) {
+			lat := r.load.Latency
+			fmt.Printf("%-10s %10.0f %10.3f %10.3f %10.3f %9.1f%%\n", name, r.load.QPS,
+				lat.P50*1e3, lat.P99*1e3, lat.Max*1e3, 100*r.stats.Cache.HitRate())
+		}
+		row(fmt.Sprintf("on(%d)", cfg.CacheRows), on)
+		row("off", offRes)
 		return
 	}
 
@@ -139,17 +140,17 @@ func runOnce(ckpt string, cfg embrace.ServeConfig, spec embrace.LoadSpec, reload
 
 	fmt.Printf("load: %s\n", res)
 	for _, dl := range res.PerDriver {
-		fmt.Printf("  driver %d: req=%d err=%d qps=%.0f p50=%s p99=%s\n",
-			dl.Driver, dl.Requests, dl.Errors, dl.QPS, dl.P50, dl.P99)
+		fmt.Printf("  driver %d: req=%d err=%d qps=%.0f lat{%s}\n",
+			dl.Driver, dl.Requests, dl.Errors, dl.QPS, dl.Latency)
 	}
 	fmt.Printf("serve: batches=%d exchanges=%d packed=%d coalesced=%d overloaded=%d expired=%d reloads=%d\n",
 		st.Batches, st.Exchanges, st.Packed, st.Coalesced, st.Overloaded, st.Expired, st.Reloads)
 	fmt.Printf("cache: hits=%d misses=%d evictions=%d hit-rate=%.1f%%\n",
-		st.CacheHits, st.CacheMisses, st.CacheEvictions, 100*st.CacheHitRate)
-	if st.HotResident > 0 || st.HotHits > 0 {
+		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, 100*st.Cache.HitRate())
+	if st.Hot.Resident > 0 || st.Hot.Hits > 0 {
 		fmt.Printf("hot-set: resident=%d hits=%d misses=%d hit-rate=%.1f%%\n",
-			st.HotResident, st.HotHits, st.HotMisses, 100*st.HotHitRate)
+			st.Hot.Resident, st.Hot.Hits, st.Hot.Misses, 100*st.Hot.HitRate())
 	}
-	fmt.Printf("latency: p50=%s p95=%s p99=%s\n", st.LatencyP50, st.LatencyP95, st.LatencyP99)
+	fmt.Printf("latency: %s\n", st.Latency)
 	return result{load: res, stats: st}
 }

@@ -5,6 +5,18 @@
 // Usage:
 //
 //	embrace-train -strategy embrace -sched 2d -workers 4 -steps 50 -adam
+//	embrace-train -steps 8 -seed 7 -trace trace.json   # per-phase table + Chrome trace
+//
+// With -peers every rank runs in its own OS process and the ranks mesh over
+// TCP; start one process per rank with the same peer list (any order):
+//
+//	P=127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
+//	embrace-train -rank 1 -peers $P & embrace-train -rank 2 -peers $P &
+//	embrace-train -rank 3 -peers $P & embrace-train -rank 0 -peers $P
+//
+// Rank 0 prints the report; the others print completion only. Only the
+// peer-to-peer strategies (horovod-allreduce, horovod-allgather, embrace) run
+// multi-process.
 package main
 
 import (
@@ -13,6 +25,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
+	"strings"
 
 	"embrace"
 )
@@ -49,10 +63,14 @@ func main() {
 		crashRank   = flag.Int("crash-rank", 0, "elastic: rank to crash deterministically")
 		crashStep   = flag.Int("crash-step", 0, "elastic: step at which crash-rank dies (0 = no injected crash)")
 		elasticOut  = flag.String("elastic-report", "", "write the elastic epoch/recovery-latency report as JSON to this file")
+
+		tracePath = flag.String("trace", "", "record per-rank spans, print time by phase and write a Chrome trace to this file")
+		rank      = flag.Int("rank", 0, "with -peers: this process's rank")
+		peers     = flag.String("peers", "", "comma-separated host:port list, one per rank in rank order: run one rank per process over TCP")
 	)
 	flag.Parse()
 
-	res, err := embrace.Train(embrace.TrainConfig{
+	cfg := embrace.TrainConfig{
 		Strategy:               embrace.Strategy(*strategy),
 		Sched:                  embrace.SchedLevel(*sched),
 		Workers:                *workers,
@@ -77,11 +95,26 @@ func main() {
 		ElasticRejoinAfter:     *rejoinAfter,
 		CrashRank:              *crashRank,
 		CrashStep:              *crashStep,
-	})
+		TracePath:              *tracePath,
+	}
+	var res *embrace.TrainResult
+	var err error
+	if *peers != "" {
+		addrs := strings.Split(*peers, ",")
+		cfg.Workers = len(addrs)
+		log.SetPrefix(fmt.Sprintf("embrace-train: rank %d: ", *rank))
+		res, err = embrace.TrainRank(cfg, *rank, addrs)
+		if err == nil && *rank != 0 {
+			log.Print("done")
+			return
+		}
+	} else {
+		res, err = embrace.Train(cfg)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("strategy=%s sched=%s workers=%d\n", *strategy, *sched, *workers)
+	fmt.Printf("strategy=%s sched=%s workers=%d\n", *strategy, *sched, cfg.Workers)
 	if *elastic {
 		fmt.Printf("elastic: %d recoveries across %d world epochs\n", res.Recoveries, len(res.Elastic))
 		for _, ep := range res.Elastic {
@@ -95,16 +128,11 @@ func main() {
 			fmt.Println()
 		}
 		if *elasticOut != "" {
-			report := struct {
-				Recoveries int                    `json:"recoveries"`
-				Epochs     []embrace.ElasticEpoch `json:"epochs"`
-				FinalPPL   float64                `json:"final_ppl"`
-			}{res.Recoveries, res.Elastic, res.FinalPPL}
-			buf, err := json.MarshalIndent(report, "", "  ")
+			buf, err := elasticReport(res)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := os.WriteFile(*elasticOut, append(buf, '\n'), 0o644); err != nil {
+			if err := os.WriteFile(*elasticOut, buf, 0o644); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("elastic report written to %s\n", *elasticOut)
@@ -121,11 +149,46 @@ func main() {
 	for _, t := range res.CommPerOp {
 		if t.RawBytes > 0 {
 			raw += t.RawBytes
-			wire += t.Bytes
+			wire += t.PayloadBytes
 		}
 	}
 	if raw > 0 {
 		fmt.Printf("compression (%s): %.2f MB raw -> %.2f MB wire (%.2fx)\n",
 			*comp, float64(raw)/1e6, float64(wire)/1e6, float64(raw)/float64(wire))
 	}
+	if *tracePath != "" {
+		phases := make([]string, 0, len(res.PhaseSeconds))
+		for name := range res.PhaseSeconds {
+			phases = append(phases, name)
+		}
+		sort.Slice(phases, func(i, j int) bool {
+			return res.PhaseSeconds[phases[i]] > res.PhaseSeconds[phases[j]]
+		})
+		fmt.Println("time by phase (summed over ranks):")
+		for _, name := range phases {
+			fmt.Printf("  %-22s %8.3fms\n", name, res.PhaseSeconds[name]*1e3)
+		}
+		fmt.Printf("wrote %s (open in Perfetto or chrome://tracing)\n", *tracePath)
+	}
+}
+
+// elasticReport renders the -elastic-report JSON: per epoch the fields the
+// table above prints, so the fault value and shard moves stay out of it.
+func elasticReport(res *embrace.TrainResult) ([]byte, error) {
+	type epoch struct {
+		Epoch, Workers, StartStep, EndStep int
+		End                                string
+		Crashed                            []int
+		RecoverySeconds                    float64
+	}
+	epochs := make([]epoch, len(res.Elastic))
+	for i, ep := range res.Elastic {
+		epochs[i] = epoch{ep.Epoch, ep.Workers, ep.StartStep, ep.EndStep, ep.End, ep.Crashed, ep.RecoverySeconds}
+	}
+	buf, err := json.MarshalIndent(struct {
+		Recoveries int     `json:"recoveries"`
+		Epochs     []epoch `json:"epochs"`
+		FinalPPL   float64 `json:"final_ppl"`
+	}{res.Recoveries, epochs, res.FinalPPL}, "", "  ")
+	return append(buf, '\n'), err
 }

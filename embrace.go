@@ -8,7 +8,8 @@
 //     embedding+MLP model with genuine collective data movement under any of
 //     the paper's five strategies — the four baselines or EmbRace's hybrid
 //     AlltoAll/AllReduce communication with 2D scheduling and the modified
-//     Adam optimizer.
+//     Adam optimizer. TrainRank runs the same job one rank per OS process
+//     over TCP.
 //
 //   - Performance simulation (Simulate): a calibrated discrete-event model
 //     of the paper's two GPU clusters that predicts step time and
@@ -45,15 +46,15 @@ import (
 )
 
 // Strategy names a distributed training strategy (§5.2.3).
-type Strategy string
+type Strategy = strategies.Name
 
 // The five strategies of the paper's evaluation.
 const (
-	BytePS           Strategy = "byteps"
-	HorovodAllReduce Strategy = "horovod-allreduce"
-	HorovodAllGather Strategy = "horovod-allgather"
-	Parallax         Strategy = "parallax"
-	EmbRace          Strategy = "embrace"
+	BytePS           = strategies.BytePS
+	HorovodAllReduce = strategies.HorovodAllReduce
+	HorovodAllGather = strategies.HorovodAllGather
+	Parallax         = strategies.Parallax
+	EmbRace          = strategies.EmbRace
 )
 
 // Strategies returns all strategies in the paper's comparison order.
@@ -95,21 +96,13 @@ func (g GPU) kind() (modelzoo.GPUKind, error) {
 	}
 }
 
-func (s Strategy) perf() (perfsim.Strategy, error) {
-	switch s {
-	case BytePS:
-		return perfsim.StratBytePS, nil
-	case HorovodAllReduce:
-		return perfsim.StratAllReduce, nil
-	case HorovodAllGather:
-		return perfsim.StratAllGather, nil
-	case Parallax:
-		return perfsim.StratParallax, nil
-	case EmbRace:
-		return perfsim.StratEmbRace, nil
-	default:
-		return 0, fmt.Errorf("embrace: unknown strategy %q", s)
-	}
+// perfStrategies maps each strategy to its simulator model.
+var perfStrategies = map[Strategy]perfsim.Strategy{
+	BytePS:           perfsim.StratBytePS,
+	HorovodAllReduce: perfsim.StratAllReduce,
+	HorovodAllGather: perfsim.StratAllGather,
+	Parallax:         perfsim.StratParallax,
+	EmbRace:          perfsim.StratEmbRace,
 }
 
 func (l SchedLevel) perf() (perfsim.SchedMode, error) {
@@ -190,9 +183,9 @@ func (job SimJob) run() (met perfsim.StepMetrics, tl *perfsim.Timeline, rawRows 
 	if err != nil {
 		return met, nil, 0, err
 	}
-	strat, err := job.Strategy.perf()
-	if err != nil {
-		return met, nil, 0, err
+	strat, ok := perfStrategies[job.Strategy]
+	if !ok {
+		return met, nil, 0, fmt.Errorf("embrace: unknown strategy %q", job.Strategy)
 	}
 	mode, err := job.Sched.perf()
 	if err != nil {
@@ -268,10 +261,6 @@ type TrainConfig struct {
 	// resumed run is bit-identical to an uninterrupted one; Adam resumes
 	// parameters but starts with fresh moments.
 	ResumeFrom string
-	// ChunkBytes sets the Communicator's pipelining segment size for dense
-	// ring collectives: zero picks the trainer default, negative disables
-	// chunking. Any value yields bit-identical training results.
-	ChunkBytes int
 	// ChaosSeed, when non-zero, trains over a deterministic fault-injecting
 	// transport (comm.MaskableChaosPlan: message delay, duplication,
 	// reordering and transient send failures, all drawn from this seed).
@@ -286,14 +275,14 @@ type TrainConfig struct {
 	TracePath string
 	// Compress selects the wire codec for EmbRace's embedding-gradient
 	// AlltoAll (DESIGN.md §12; baselines ignore it). "" ships raw
-	// index/value streams; "lossless" (alias "delta-raw") delta-varint
-	// encodes row ids and keeps training bit-identical; "lossy" (alias
-	// "dualq") adds dual-level error-bounded value quantization — prior
-	// rows get CompressEpsPrior, delayed rows CompressEpsDelayed.
+	// index/value streams; "lossless" delta-varint encodes row ids and keeps
+	// training bit-identical; "lossy" adds dual-level error-bounded value
+	// quantization — prior rows get CompressEpsPrior, delayed rows
+	// CompressEpsDelayed.
 	Compress string
 	// CompressEpsPrior and CompressEpsDelayed bound the per-element
 	// absolute error of the lossy codec's prior and delayed rows. Zero
-	// values pick 1e-4 and 1e-3. Ignored unless Compress is "lossy"/"dualq".
+	// values pick 1e-4 and 1e-3. Ignored unless Compress is "lossy".
 	CompressEpsPrior, CompressEpsDelayed float32
 	// Elastic runs the job under the self-healing supervisor (DESIGN.md
 	// §13): on an attributed rank crash the run rolls back to its last
@@ -361,43 +350,12 @@ type TrainResult struct {
 // ElasticEpoch summarizes one world epoch of an elastic run: which global
 // steps it contributed, at what world size, and how it ended ("completed",
 // "fault", or "rejoin" — stopped so recovered ranks could be readmitted).
-type ElasticEpoch struct {
-	Epoch     int
-	Workers   int
-	StartStep int
-	EndStep   int
-	End       string
-	// Crashed lists the ranks lost to a faulted epoch (old-world numbering).
-	Crashed []int
-	// RecoverySeconds is the fault-detected (or rejoin-stop) to
-	// resumed-traffic latency entering this epoch; zero for epoch 0.
-	RecoverySeconds float64
-}
+type ElasticEpoch = trainer.EpochInfo
 
-// OpTraffic is the measured traffic of one logical collective operation.
-type OpTraffic struct {
-	// Messages counts point-to-point sends across all ranks.
-	Messages int64
-	// Bytes is the payload volume across all ranks — for compressed sparse
-	// ops, the encoded bytes that actually hit the wire.
-	Bytes int64
-	// RawBytes is what the op's sparse streams would have occupied
-	// uncompressed; zero when the op ran without a wire codec. RawBytes /
-	// Bytes is the op's compression ratio.
-	RawBytes int64
-}
-
-// perOpTraffic converts the trainer's per-op stats into the public form.
-func perOpTraffic(per map[string]metrics.OpStats) map[string]OpTraffic {
-	if len(per) == 0 {
-		return nil
-	}
-	out := make(map[string]OpTraffic, len(per))
-	for op, s := range per {
-		out[op] = OpTraffic{Messages: s.Messages, Bytes: s.PayloadBytes, RawBytes: s.RawBytes}
-	}
-	return out
-}
+// OpTraffic is the measured traffic of one logical collective operation,
+// summed over ranks. With a wire codec, RawBytes/WireBytes is the op's
+// compression ratio.
+type OpTraffic = metrics.OpStats
 
 // sparseCodecFor resolves a codec mode name from TrainConfig/ServeConfig
 // into the collective-side codec. Empty mode means no compression.
@@ -405,9 +363,9 @@ func sparseCodecFor(mode string, epsPrior, epsDelayed float32) (collective.Spars
 	switch mode {
 	case "":
 		return nil, nil
-	case "lossless", "delta-raw":
+	case "lossless":
 		return compress.DeltaRaw{}, nil
-	case "lossy", "dualq":
+	case "lossy":
 		if epsPrior == 0 {
 			epsPrior = 1e-4
 		}
@@ -424,21 +382,12 @@ func sparseCodecFor(mode string, epsPrior, epsDelayed float32) (collective.Spars
 	}
 }
 
+// job is the one place a training job is built from a TrainConfig. An
+// unknown strategy is rejected where the trainer builds its workers.
 func (c TrainConfig) job() (trainer.Job, error) {
-	var name strategies.Name
-	switch c.Strategy {
-	case BytePS:
-		name = strategies.BytePS
-	case HorovodAllReduce:
-		name = strategies.HorovodAllReduce
-	case HorovodAllGather:
-		name = strategies.HorovodAllGather
-	case Parallax:
-		name = strategies.Parallax
-	case EmbRace, "":
-		name = strategies.EmbRace
-	default:
-		return trainer.Job{}, fmt.Errorf("embrace: unknown strategy %q", c.Strategy)
+	name := c.Strategy
+	if name == "" {
+		name = EmbRace
 	}
 	sched, err := strategies.ParseSched(string(c.Sched))
 	if err != nil {
@@ -496,9 +445,8 @@ func (c TrainConfig) job() (trainer.Job, error) {
 			ZipfS:          1.5,
 			ZipfV:          4,
 		},
-		DataSeed:   c.Seed + 1,
-		OverTCP:    c.OverTCP,
-		ChunkBytes: c.ChunkBytes,
+		DataSeed: c.Seed + 1,
+		OverTCP:  c.OverTCP,
 	}
 	if c.ChaosSeed != 0 {
 		plan := comm.MaskableChaosPlan(c.ChaosSeed)
@@ -531,9 +479,6 @@ type SeqTrainConfig struct {
 	Text []string
 	// OverTCP runs ranks over loopback TCP.
 	OverTCP bool
-	// ChunkBytes sets the Communicator's pipelining segment size (0 =
-	// trainer default, <0 = off); results are identical for any value.
-	ChunkBytes int
 }
 
 // TrainSeq runs real distributed training of the recurrent model.
@@ -583,8 +528,7 @@ func TrainSeq(cfg SeqTrainConfig) (*TrainResult, error) {
 			ZipfS:          1.6,
 			ZipfV:          3,
 		},
-		OverTCP:    cfg.OverTCP,
-		ChunkBytes: cfg.ChunkBytes,
+		OverTCP: cfg.OverTCP,
 	})
 	if err != nil {
 		return nil, err
@@ -640,6 +584,49 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	return trainResult(res), nil
 }
 
+// TrainRank runs rank `rank` of cfg's job as one OS process of a
+// multi-process run: it binds peers[rank], meshes over TCP with the other
+// ranks (each running TrainRank with the same cfg and peers) and trains. The
+// world size is len(peers); a non-zero cfg.Workers must match it. Only the
+// peer-to-peer strategies (horovod-allreduce, horovod-allgather, embrace) run
+// this way, and the single-process options are rejected. Rank 0's result
+// carries the losses, bit-identical to Train's; every rank's carries its own
+// traffic.
+func TrainRank(cfg TrainConfig, rank int, peers []string) (*TrainResult, error) {
+	if cfg.Elastic || cfg.ChaosSeed != 0 || cfg.OverTCP || cfg.TracePath != "" || cfg.CheckpointPath != "" || cfg.ResumeFrom != "" {
+		return nil, fmt.Errorf("embrace: TrainRank does not support Elastic, ChaosSeed, OverTCP, TracePath, CheckpointPath or ResumeFrom")
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = len(peers)
+	}
+	if cfg.Workers != len(peers) {
+		return nil, fmt.Errorf("embrace: %d workers but %d peers", cfg.Workers, len(peers))
+	}
+	job, err := cfg.job()
+	if err != nil {
+		return nil, err
+	}
+	// A bad config fails here, before the mesh blocks waiting on peers.
+	if err := job.Validate(); err != nil {
+		return nil, err
+	}
+	switch job.Strategy {
+	case HorovodAllReduce, HorovodAllGather, EmbRace:
+	default:
+		return nil, fmt.Errorf("embrace: TrainRank runs %s, %s or %s, not %q", HorovodAllReduce, HorovodAllGather, EmbRace, job.Strategy)
+	}
+	node, err := comm.NewTCPNode(rank, peers)
+	if err != nil {
+		return nil, err
+	}
+	defer node.Close()
+	res, err := trainer.RunWorker(job, node)
+	if err != nil {
+		return nil, err
+	}
+	return trainResult(res), nil
+}
+
 // trainElastic runs the elastic branch of Train: supervised crash–shrink–
 // rejoin execution with the epoch segmentation reported in the result. Like
 // trainer.RunElastic, a run that exhausts its recovery budget returns the
@@ -680,17 +667,7 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 	}
 	out := trainResult(&res.Result)
 	out.Recoveries = res.Recoveries
-	for _, ep := range res.Epochs {
-		out.Elastic = append(out.Elastic, ElasticEpoch{
-			Epoch:           ep.Epoch,
-			Workers:         ep.Workers,
-			StartStep:       ep.StartStep,
-			EndStep:         ep.EndStep,
-			End:             ep.End,
-			Crashed:         ep.Crashed,
-			RecoverySeconds: ep.RecoverySeconds,
-		})
-	}
+	out.Elastic = res.Epochs
 	if runErr != nil {
 		return out, runErr
 	}
@@ -708,7 +685,7 @@ func trainResult(res *trainer.Result) *TrainResult {
 		TokensTrained: res.TokensTrained,
 		CommBytes:     res.Comm.PayloadBytes,
 		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
+		CommPerOp:     res.CommPerOp,
 		FaultsMasked:  res.Comm.FaultsMasked,
 		FaultsFatal:   res.Comm.FaultsFatal,
 		PhaseSeconds:  res.PhaseSeconds,

@@ -2,9 +2,13 @@ package embrace_test
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"net"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"embrace"
@@ -185,6 +189,80 @@ func TestTrainElasticCrashWritesCheckpoint(t *testing.T) {
 	}
 	if emb := ckpt.Params["emb"]; emb == nil || !slices.Equal(emb.Shape(), []int{60, 12}) {
 		t.Fatal("checkpoint embedding missing or not 60x12")
+	}
+}
+
+// TrainRank is Train split across processes: two ranks meshed over loopback
+// TCP, run here as goroutines, train the same job, and rank 0 reports
+// Train's losses to the bit.
+func TestTrainRankMatchesTrain(t *testing.T) {
+	cfg := embrace.TrainConfig{
+		Strategy: embrace.EmbRace,
+		Sched:    embrace.Sched2D,
+		Workers:  2,
+		Steps:    5,
+		Vocab:    60,
+		EmbDim:   8,
+		Hidden:   8,
+		Adam:     true,
+		Seed:     11,
+	}
+	want, err := embrace.Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reserve two loopback ports, then free them for the ranks to bind.
+	peers := make([]string, 2)
+	for i := range peers {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = l.Addr().String()
+		l.Close()
+	}
+	results := make([]*embrace.TrainResult, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for rank := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[rank], errs[rank] = embrace.TrainRank(cfg, rank, peers)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	got := results[0].Losses
+	if len(got) != len(want.Losses) {
+		t.Fatalf("rank 0 reported %d losses, Train %d", len(got), len(want.Losses))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want.Losses[i]) {
+			t.Fatalf("step %d: TrainRank loss %v, Train %v", i, got[i], want.Losses[i])
+		}
+	}
+
+	// The single-process options and the parameter-server strategies are
+	// refused before the mesh waits on peers, not silently dropped.
+	for name, bad := range map[string]func(*embrace.TrainConfig){
+		"BytePS":         func(c *embrace.TrainConfig) { c.Strategy = embrace.BytePS },
+		"Parallax":       func(c *embrace.TrainConfig) { c.Strategy = embrace.Parallax },
+		"unknown":        func(c *embrace.TrainConfig) { c.Strategy = "nope" },
+		"Elastic":        func(c *embrace.TrainConfig) { c.Elastic = true },
+		"ChaosSeed":      func(c *embrace.TrainConfig) { c.ChaosSeed = 3 },
+		"OverTCP":        func(c *embrace.TrainConfig) { c.OverTCP = true },
+		"TracePath":      func(c *embrace.TrainConfig) { c.TracePath = "trace.json" },
+		"CheckpointPath": func(c *embrace.TrainConfig) { c.CheckpointPath = "run.ckpt" },
+		"ResumeFrom":     func(c *embrace.TrainConfig) { c.ResumeFrom = "run.ckpt" },
+	} {
+		c := cfg
+		bad(&c)
+		if _, err := embrace.TrainRank(c, 0, peers); err == nil {
+			t.Fatalf("TrainRank accepted %s", name)
+		}
 	}
 }
 

@@ -94,10 +94,10 @@ func main() {
 	<-done
 
 	st := srv.Stats()
-	fmt.Printf("\nburst: %d requests over %d drivers, %.0f QPS, p99 %s\n",
-		res.Requests, st.Drivers, res.QPS, res.P99)
+	fmt.Printf("\nburst: %d requests over %d drivers, %.0f QPS, p99 %.2fms\n",
+		res.Requests, st.Drivers, res.QPS, res.Latency.P99*1e3)
 	fmt.Printf("coalescing removed %d duplicate ids across %d batches (%d exchanges)\n",
 		st.Coalesced, st.Batches, st.Exchanges)
 	fmt.Printf("cache hit rate %.1f%% (%d hits, %d misses); hot set: %d resident, %.1f%% hit rate\n",
-		100*st.CacheHitRate, st.CacheHits, st.CacheMisses, st.HotResident, 100*st.HotHitRate)
+		100*st.Cache.HitRate(), st.Cache.Hits, st.Cache.Misses, st.Hot.Resident, 100*st.Hot.HitRate())
 }

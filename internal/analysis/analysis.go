@@ -161,10 +161,7 @@ type collectiveArgs struct{ op, step int }
 var (
 	collectiveMethods = map[string]collectiveArgs{
 		"AllReduce":           {0, 1},
-		"AllReduceWith":       {0, 1},
 		"AllReduceBlocks":     {0, 1},
-		"ReduceScatter":       {0, 1},
-		"Broadcast":           {0, 1},
 		"Barrier":             {0, 1},
 		"SparseAllGather":     {0, 1},
 		"AlltoAllSparse":      {0, 1},

@@ -16,8 +16,6 @@ func (c *Communicator) AllReduce(op string, step int, buf []float32) error { ret
 
 func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error { return nil }
 
-func (c *Communicator) Broadcast(op string, step, root int, buf []float32) error { return nil }
-
 func (c *Communicator) Barrier(op string, step int) error { return nil }
 
 func (c *Communicator) Send(op string, step, to int, payload any) error { return nil }

@@ -36,7 +36,7 @@ func chaosSeeds(n int) []int64 {
 }
 
 // chaosSignature runs every collective op on tr — flat ring AllReduce,
-// chunk-pipelined ring AllReduce, Broadcast, AllGather, AllToAll and a
+// chunk-pipelined ring AllReduce, Gather, AllGather, AllToAll and a
 // chunk-pipelined two-block AllReduceBlocks, each over two steps — and
 // returns the concatenation of every result this rank observed. Two fabrics
 // agree iff their signatures are bit-identical on every rank.
@@ -68,17 +68,13 @@ func chaosSignature(tr comm.Transport) ([]float32, error) {
 		}
 		sig = append(sig, buf...)
 
-		root := step % n
-		buf = mk(3, step)
-		if r != root {
-			for i := range buf {
-				buf[i] = 0
-			}
+		gathered, err := GatherVia(plain, "chaos/gather", step, step%n, mk(3, step))
+		if err != nil {
+			return nil, fmt.Errorf("gather: %w", err)
 		}
-		if err := plain.Broadcast("chaos/bcast", step, root, buf); err != nil {
-			return nil, fmt.Errorf("broadcast: %w", err)
+		for _, p := range gathered {
+			sig = append(sig, p...)
 		}
-		sig = append(sig, buf...)
 
 		parts, err := AllGatherVia(plain, "chaos/allgather", step, mk(4, step))
 		if err != nil {

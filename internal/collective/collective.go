@@ -1,7 +1,7 @@
 // Package collective implements the collective communication primitives the
-// paper's hybrid architecture is built from: ring AllReduce and ReduceScatter
-// for dense gradients, AllGather for sparse baselines, and AlltoAll for the
-// EmbRace embedding exchange (§2.2, §4.1).
+// paper's hybrid architecture is built from: ring AllReduce for dense
+// gradients, AllGather for sparse baselines, and AlltoAll for the EmbRace
+// embedding exchange (§2.2, §4.1).
 //
 // The API is the stateful Communicator, which owns tag allocation
 // (collision-free per logical op name and step), chunked pipelining of dense
@@ -43,36 +43,4 @@ func chunkBounds(n, parts, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// ReduceOp is an element-wise, associative, commutative reduction.
-type ReduceOp int
-
-// Supported reductions. Sum aggregates gradients; Max/Min aggregate metrics
-// (e.g. the slowest rank's step time or the worst loss).
-const (
-	Sum ReduceOp = iota
-	Max
-	Min
-)
-
-func (op ReduceOp) apply(dst []float32, src []float32) {
-	switch op {
-	case Max:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case Min:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		for i, v := range src {
-			dst[i] += v
-		}
-	}
 }

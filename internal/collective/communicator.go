@@ -178,9 +178,6 @@ func (c *Communicator) Rank() int { return c.t.Rank() }
 // Size returns the world size.
 func (c *Communicator) Size() int { return c.t.Size() }
 
-// Transport returns the underlying point-to-point fabric.
-func (c *Communicator) Transport() comm.Transport { return c.t }
-
 // opIndex resolves (registering on first use) the op's slot in the tag
 // space. The slot is a pure function of the name, so registration order —
 // and therefore goroutine interleaving — cannot desynchronize ranks.
@@ -718,15 +715,6 @@ func (c *Communicator) ringPhase(op string, tag int, phase string, bufs [][]floa
 	return nil
 }
 
-// ringAllReduce is the full two-phase ring under an explicit tag, over every
-// block of bufs in one pass: 2(N-1) hops however many blocks there are.
-func (c *Communicator) ringAllReduce(op string, tag int, rop ReduceOp, bufs [][]float32) error {
-	if err := c.ringPhase(op, tag, "reduce-scatter", bufs, 0, rop.apply); err != nil {
-		return err
-	}
-	return c.ringPhase(op, tag, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
-}
-
 // AllReduce sums buf element-wise across all ranks in place with the
 // bandwidth-optimal ring algorithm, chunk-pipelined per the Communicator's
 // ChunkBytes and drawing scratch buffers from the pool.
@@ -744,81 +732,25 @@ func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) e
 	if err != nil {
 		return err
 	}
-	return c.ringAllReduce(op, tag, Sum, bufs)
+	if err := c.ringPhase(op, tag, "reduce-scatter", bufs, 0, add); err != nil {
+		return err
+	}
+	return c.ringPhase(op, tag, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
 }
 
-// AllReduceWith is AllReduce generalized over the reduction operator.
-func (c *Communicator) AllReduceWith(op string, step int, buf []float32, rop ReduceOp) error {
+// add folds src into dst element-wise: the ring's reduction.
+func add(dst, src []float32) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// Barrier blocks until every rank has entered it.
+func (c *Communicator) Barrier(op string, step int) error {
 	tag, err := c.Tag(op, step)
 	if err != nil {
 		return err
 	}
-	return c.ringAllReduce(op, tag, rop, [][]float32{buf})
-}
-
-// ReduceScatter runs phase 1 of ring AllReduce: after it returns, chunk
-// `rank` of buf holds the element-wise sum across all ranks; other chunks
-// hold partial garbage. Returns the rank's reduced chunk bounds.
-func (c *Communicator) ReduceScatter(op string, step int, buf []float32) (lo, hi int, err error) {
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.ringPhase(op, tag, "reduce-scatter", [][]float32{buf}, 0, Sum.apply); err != nil {
-		return 0, 0, err
-	}
-	lo, hi = chunkBounds(len(buf), c.t.Size(), c.t.Rank())
-	return lo, hi, nil
-}
-
-// broadcastOn copies root's buf into every rank's buf under an explicit tag.
-// Unlike the legacy shared-payload broadcast, each receiver gets its own
-// pooled copy so buffers stay recyclable.
-func broadcastOn(c *Communicator, op string, tag, root int, buf []float32) error {
-	n := c.t.Size()
-	if n == 1 {
-		return nil
-	}
-	if c.t.Rank() == root {
-		for p := 0; p < n; p++ {
-			if p == root {
-				continue
-			}
-			out := c.getBuf(len(buf))
-			copy(out, buf)
-			if err := c.sendRaw(op, p, tag, out); err != nil {
-				return fmt.Errorf("broadcast send: %w", err)
-			}
-		}
-		return nil
-	}
-	payload, err := c.recvRaw(op, root, tag)
-	if err != nil {
-		return fmt.Errorf("broadcast recv: %w", err)
-	}
-	src, ok := payload.([]float32)
-	if !ok {
-		return fmt.Errorf("collective: broadcast payload %T", payload)
-	}
-	if len(src) != len(buf) {
-		return fmt.Errorf("collective: broadcast length %d != local %d", len(src), len(buf))
-	}
-	copy(buf, src)
-	c.putBuf(src)
-	return nil
-}
-
-// Broadcast copies root's buf into every rank's buf.
-func (c *Communicator) Broadcast(op string, step, root int, buf []float32) error {
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return err
-	}
-	return broadcastOn(c, op, tag, root, buf)
-}
-
-// barrierOn blocks until every rank has entered, under an explicit tag.
-func barrierOn(c *Communicator, op string, tag int) error {
 	n := c.t.Size()
 	if n == 1 {
 		return nil
@@ -845,22 +777,18 @@ func barrierOn(c *Communicator, op string, tag int) error {
 	return nil
 }
 
-// Barrier blocks until every rank has entered it.
-func (c *Communicator) Barrier(op string, step int) error {
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return err
-	}
-	return barrierOn(c, op, tag)
-}
-
 // ---------------------------------------------------------------------------
 // Generic exchanges. Methods cannot be generic in Go, so these are package
 // functions taking the Communicator first.
 // ---------------------------------------------------------------------------
 
-// allGatherOn is the flat all-to-all-pairs gather under an explicit tag.
-func allGatherOn[T any](c *Communicator, op string, tag int, local T) ([]T, error) {
+// AllGatherVia collects one value from every rank under (op, step) and
+// returns them indexed by rank.
+func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, error) {
+	tag, err := c.Tag(op, step)
+	if err != nil {
+		return nil, err
+	}
 	n, r := c.t.Size(), c.t.Rank()
 	out := make([]T, n)
 	out[r] = local
@@ -889,18 +817,13 @@ func allGatherOn[T any](c *Communicator, op string, tag int, local T) ([]T, erro
 	return out, nil
 }
 
-// AllGatherVia collects one value from every rank under (op, step) and
-// returns them indexed by rank.
-func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, error) {
+// AllToAllVia sends send[p] to rank p under (op, step) and returns the
+// received values indexed by sender.
+func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, error) {
 	tag, err := c.Tag(op, step)
 	if err != nil {
 		return nil, err
 	}
-	return allGatherOn(c, op, tag, local)
-}
-
-// allToAllOn routes send[p] to rank p under an explicit tag.
-func allToAllOn[T any](c *Communicator, op string, tag int, send []T) ([]T, error) {
 	n, r := c.t.Size(), c.t.Rank()
 	if len(send) != n {
 		return nil, fmt.Errorf("collective: alltoall wants %d send parts, got %d", n, len(send))
@@ -932,18 +855,13 @@ func allToAllOn[T any](c *Communicator, op string, tag int, send []T) ([]T, erro
 	return out, nil
 }
 
-// AllToAllVia sends send[p] to rank p under (op, step) and returns the
-// received values indexed by sender.
-func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, error) {
+// GatherVia collects one value from every rank at root under (op, step);
+// non-root ranks receive a nil slice.
+func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T, error) {
 	tag, err := c.Tag(op, step)
 	if err != nil {
 		return nil, err
 	}
-	return allToAllOn(c, op, tag, send)
-}
-
-// gatherOn collects one value per rank at root under an explicit tag.
-func gatherOn[T any](c *Communicator, op string, tag, root int, local T) ([]T, error) {
 	n, r := c.t.Size(), c.t.Rank()
 	if r != root {
 		if err := c.sendRaw(op, root, tag, local); err != nil {
@@ -968,16 +886,6 @@ func gatherOn[T any](c *Communicator, op string, tag, root int, local T) ([]T, e
 		out[p] = v
 	}
 	return out, nil
-}
-
-// GatherVia collects one value from every rank at root under (op, step);
-// non-root ranks receive a nil slice.
-func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T, error) {
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return nil, err
-	}
-	return gatherOn(c, op, tag, root, local)
 }
 
 // ---------------------------------------------------------------------------

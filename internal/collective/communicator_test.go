@@ -181,69 +181,6 @@ func TestChunkedAllReduceEqualsUnchunked(t *testing.T) {
 	}
 }
 
-func TestChunkedAllReduceWithMaxMin(t *testing.T) {
-	const n, m = 3, 37
-	for _, op := range []ReduceOp{Max, Min} {
-		bufs := make([][]float32, n)
-		want := make([]float32, m)
-		for r := 0; r < n; r++ {
-			rng := rand.New(rand.NewSource(int64(100*r) + int64(op)))
-			bufs[r] = make([]float32, m)
-			for i := range bufs[r] {
-				bufs[r][i] = rng.Float32()*10 - 5
-			}
-		}
-		copy(want, bufs[0])
-		for r := 1; r < n; r++ {
-			op.apply(want, bufs[r])
-		}
-		err := comm.RunRanks(n, func(tr comm.Transport) error {
-			c := NewCommunicator(tr, WithChunkBytes(2*tensor.BytesPerElem))
-			return c.AllReduceWith("metric", 0, bufs[tr.Rank()], op)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < n; r++ {
-			for i := range want {
-				if bufs[r][i] != want[i] {
-					t.Fatalf("op %d rank %d elem %d: got %g want %g", op, r, i, bufs[r][i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCommunicatorBroadcastAndBarrier(t *testing.T) {
-	const n, m = 4, 65
-	bufs := make([][]float32, n)
-	for r := 0; r < n; r++ {
-		bufs[r] = make([]float32, m)
-		if r == 2 {
-			for i := range bufs[r] {
-				bufs[r][i] = float32(i) + 0.5
-			}
-		}
-	}
-	err := comm.RunRanks(n, func(tr comm.Transport) error {
-		c := NewCommunicator(tr)
-		if err := c.Barrier("sync", 0); err != nil {
-			return err
-		}
-		return c.Broadcast("weights", 1, 2, bufs[tr.Rank()])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		for i := range bufs[r] {
-			if bufs[r][i] != float32(i)+0.5 {
-				t.Fatalf("rank %d elem %d: got %g", r, i, bufs[r][i])
-			}
-		}
-	}
-}
-
 func TestCommunicatorReduceScatterChunked(t *testing.T) {
 	const n, m = 4, 41
 	want := make([]float32, m)
@@ -257,7 +194,7 @@ func TestCommunicatorReduceScatterChunked(t *testing.T) {
 	}
 	err := comm.RunRanks(n, func(tr comm.Transport) error {
 		c := NewCommunicator(tr, WithChunkBytes(3*tensor.BytesPerElem))
-		lo, hi, err := c.ReduceScatter("rs", 0, bufs[tr.Rank()])
+		lo, hi, err := reduceScatter(c, "rs", bufs[tr.Rank()])
 		if err != nil {
 			return err
 		}

@@ -19,7 +19,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -624,15 +623,5 @@ func RunRanksChaos(n int, plan FaultPlan, fn func(t Transport) error) error {
 		return err
 	}
 	defer cw.Close()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(cw.Rank(i))
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return runEach(n, cw.Rank, fn)
 }

@@ -443,23 +443,28 @@ func (r *rank) Leave(reason error) {
 func (r *rank) Readmit(peer int) { r.mail.readmit(peer) }
 
 // RunRanks runs fn concurrently on every rank of a fresh world of size n and
-// waits for all to finish, returning the first error encountered (all other
-// results are discarded). It is the harness used by collectives tests and by
-// the real-execution trainer.
+// waits for all to finish, returning the joined per-rank errors. It is the
+// harness of the collectives tests and of the Figure-1 traffic measurement.
 func RunRanks(n int, fn func(t Transport) error) error {
 	w, err := NewWorld(n)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
+	return runEach(n, w.Rank, fn)
+}
+
+// runEach runs fn on ranks 0..n-1 of one world concurrently and joins their
+// errors: the fan-out of RunRanks, RunRanksChaos and RunRanksTCP.
+func runEach(n int, rank func(int) Transport, fn func(t Transport) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(w.Rank(i))
-		}(i)
+			errs[i] = fn(rank(i))
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)

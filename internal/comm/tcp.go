@@ -9,6 +9,8 @@
 // and dials every higher rank, so each unordered pair shares exactly one
 // TCP connection used in both directions. One reader goroutine per
 // connection demultiplexes frames into the shared (sender, tag) mailboxes.
+// TCPWorld runs every rank of the mesh inside one process; TCPNode is one
+// rank of a mesh whose ranks are separate OS processes.
 package comm
 
 import (
@@ -342,6 +344,26 @@ func (w *TCPWorld) SetRecvTimeout(d time.Duration) {
 	}
 }
 
+// close shuts the rank down: listener, peer connections, reader goroutines,
+// mailboxes. Blocked receivers return ErrClosed. A caller closing several
+// ranks of one process sets every rank's shutdown flag first, so no reader
+// mistakes a local close for a peer's death.
+func (r *tcpRank) close() {
+	r.shutdown.Store(true)
+	if r.listener != nil {
+		r.listener.Close()
+	}
+	r.mu.Lock()
+	for _, c := range r.conns {
+		if c != nil {
+			c.conn.Close()
+		}
+	}
+	r.mu.Unlock()
+	r.wg.Wait()
+	r.mail.closeAll()
+}
+
 // Close shuts down listeners, connections and mailboxes. Blocked receivers
 // return ErrClosed.
 func (w *TCPWorld) Close() {
@@ -354,51 +376,71 @@ func (w *TCPWorld) Close() {
 		}
 	}
 	for _, r := range w.ranks {
-		if r == nil {
-			continue
+		if r != nil {
+			r.close()
 		}
-		if r.listener != nil {
-			r.listener.Close()
-		}
-		r.mu.Lock()
-		for _, c := range r.conns {
-			if c != nil {
-				c.conn.Close()
-			}
-		}
-		r.mu.Unlock()
-	}
-	for _, r := range w.ranks {
-		if r == nil {
-			continue
-		}
-		r.wg.Wait()
-		r.mail.closeAll()
 	}
 }
 
 // RunRanksTCP runs fn concurrently on every rank of a fresh TCP world and
-// waits for all to finish — RunRanks over real sockets.
+// waits for all to finish, returning the joined per-rank errors — RunRanks
+// over real sockets.
 func RunRanksTCP(n int, fn func(t Transport) error) error {
 	w, err := NewTCPWorld(n)
 	if err != nil {
 		return err
 	}
 	defer w.Close()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(w.Rank(i))
-		}(i)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-	}
-	return nil
+	return runEach(n, w.Rank, fn)
 }
+
+// TCPNode is one process's rank endpoint in a multi-process TCP mesh, the
+// per-process variant of TCPWorld: each OS process owns one rank, binds its
+// own listen address and meshes with its peers (embrace.TrainRank drives
+// it). It implements Transport, TimeoutSetter, Leaver and Readmitter, and
+// must be Closed when the job ends.
+type TCPNode struct {
+	*tcpRank
+}
+
+// NewTCPNode creates rank `rank`'s endpoint of a len(addrs)-rank mesh,
+// binding addrs[rank] and connecting to every peer. All processes must be
+// started with the same address list; the call blocks until the mesh is
+// fully connected. Dials to peers not yet listening are retried every
+// dialBackoff, dialAttempts times (about 10 s), so the processes may start
+// in any order within that window.
+func NewTCPNode(rank int, addrs []string) (*TCPNode, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("comm: empty address list")
+	}
+	if rank < 0 || rank >= len(addrs) {
+		return nil, fmt.Errorf("comm: rank %d out of range for %d addrs", rank, len(addrs))
+	}
+	l, err := net.Listen("tcp", addrs[rank])
+	if err != nil {
+		return nil, fmt.Errorf("comm: rank %d listen on %s: %w", rank, addrs[rank], err)
+	}
+	return NewTCPNodeFromListener(rank, l, addrs)
+}
+
+// NewTCPNodeFromListener is NewTCPNode with a caller-provided listener,
+// useful when the caller binds port 0 first and distributes the resolved
+// addresses (the pattern the tests use).
+func NewTCPNodeFromListener(rank int, l net.Listener, addrs []string) (*TCPNode, error) {
+	r := &tcpRank{
+		id:       rank,
+		size:     len(addrs),
+		mail:     newMailboxSet(),
+		listener: l,
+		conns:    make([]*tcpConn, len(addrs)),
+	}
+	if err := r.connectMesh(addrs); err != nil {
+		l.Close()
+		return nil, err
+	}
+	r.startReaders()
+	return &TCPNode{r}, nil
+}
+
+// Close shuts the node down: listener, peer connections, mailboxes.
+func (n *TCPNode) Close() { n.close() }

@@ -142,16 +142,21 @@ func TestTCPFullMeshExchange(t *testing.T) {
 	}
 }
 
+// Every failing rank's error comes back, not only the first: RunRanksTCP
+// joins them like RunRanks and RunRanksChaos.
 func TestRunRanksTCPPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
+	boom1, boom2 := errors.New("boom from rank 1"), errors.New("boom from rank 2")
 	err := RunRanksTCP(3, func(tr Transport) error {
-		if tr.Rank() == 2 {
-			return sentinel
+		switch tr.Rank() {
+		case 1:
+			return boom1
+		case 2:
+			return boom2
 		}
 		return nil
 	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, boom1) || !errors.Is(err, boom2) {
+		t.Fatalf("err = %v, want both ranks' errors", err)
 	}
 }
 

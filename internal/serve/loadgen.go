@@ -32,8 +32,6 @@ type LoadConfig struct {
 	// ZipfS and ZipfV shape the id skew (defaults 1.3 and 2, matching the
 	// synthetic training corpus).
 	ZipfS, ZipfV float64
-	// Vocab bounds the drawn ids; 0 uses the serving vocabulary.
-	Vocab int
 	// Seed makes each client's id stream deterministic (client i uses
 	// Seed+i), so two runs against different configurations see identical
 	// request sequences.
@@ -42,7 +40,7 @@ type LoadConfig struct {
 	Timeout time.Duration
 }
 
-func (l LoadConfig) withDefaults(vocab int) LoadConfig {
+func (l LoadConfig) withDefaults() LoadConfig {
 	if l.Clients <= 0 {
 		l.Clients = 4
 	}
@@ -57,9 +55,6 @@ func (l LoadConfig) withDefaults(vocab int) LoadConfig {
 	}
 	if l.ZipfV < 1 {
 		l.ZipfV = 2
-	}
-	if l.Vocab <= 0 || l.Vocab > vocab {
-		l.Vocab = vocab
 	}
 	return l
 }
@@ -115,7 +110,7 @@ type driverTally struct {
 // to driver cl mod Drivers, and reports merged plus per-driver throughput
 // and latency. It is synchronous: it returns when every client has finished.
 func RunLoad(c *Cluster, cfg LoadConfig) LoadReport {
-	cfg = cfg.withDefaults(c.vocab)
+	cfg = cfg.withDefaults()
 	drivers := c.Drivers()
 	tallies := make([]*driverTally, drivers)
 	for d := range tallies {
@@ -131,7 +126,7 @@ func RunLoad(c *Cluster, cfg LoadConfig) LoadReport {
 			tally := tallies[cl%drivers]
 			router := c.RouterAt(cl % drivers)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(cl)))
-			zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Vocab-1))
+			zipf := rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(c.vocab-1))
 			ids := make([]int64, cfg.IDsPerRequest)
 			var nerr, nover, nexp int64
 			for i := 0; i < cfg.Requests; i++ {

@@ -449,9 +449,9 @@ func (c *Cluster) reply(n *node, live []*request, rows map[int64][]float32) {
 		return
 	}
 
-	tr := c.tracers[n.rank]
-	span := tr.Begin(trace.TrackCompute, "serve/fwd", -1)
-	defer span.End()
+	// The span closes before any predict reply goes out, so a caller that has
+	// its answer also sees the span.
+	span := c.tracers[n.rank].Begin(trace.TrackCompute, "serve/fwd", -1)
 
 	// Mean-pool each window with exactly nn.Embedding.PoolLookup's
 	// arithmetic: accumulate row*inv in window order.
@@ -473,6 +473,7 @@ func (c *Cluster) reply(n *node, live []*request, rows map[int64][]float32) {
 	trunk := n.rs.trunk
 	n.rs.mu.RUnlock()
 	probs, err := trunk.Infer(pooled)
+	span.End()
 	if err != nil {
 		for _, req := range predicts {
 			req.done <- response{err: err}

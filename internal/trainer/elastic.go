@@ -48,10 +48,6 @@ type ElasticJob struct {
 	// N-th step boundary gathers the full embedding and clones the trunk,
 	// bounding fault rollback to N-1 steps. Zero picks DefaultCheckpointEvery.
 	CheckpointEvery int
-	// MaxRecoveries bounds how many faults the supervisor absorbs before
-	// giving up and returning the partial result with the error. Zero picks
-	// DefaultMaxRecoveries.
-	MaxRecoveries int
 	// Rejoin readmits recovered ranks: after a shrink, the shrunk world
 	// stops at a step boundary (RejoinAfter steps in) and the next epoch
 	// runs at full size again, with the recovered rank restored from the
@@ -66,10 +62,13 @@ type ElasticJob struct {
 	Clock trace.Clock
 }
 
-// Defaults for elastic knobs left zero.
 const (
+	// DefaultCheckpointEvery is the snapshot cadence when CheckpointEvery
+	// is zero.
 	DefaultCheckpointEvery = 5
-	DefaultMaxRecoveries   = 2
+	// DefaultMaxRecoveries bounds how many faults the supervisor absorbs
+	// before giving up and returning the partial result with the error.
+	DefaultMaxRecoveries = 2
 )
 
 // Epoch outcomes recorded in EpochInfo.End.
@@ -207,10 +206,6 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 	if ckptEvery <= 0 {
 		ckptEvery = DefaultCheckpointEvery
 	}
-	maxRec := job.MaxRecoveries
-	if maxRec <= 0 {
-		maxRec = DefaultMaxRecoveries
-	}
 	clock := job.Clock
 	if clock == nil {
 		clock = trace.NewWallClock()
@@ -305,8 +300,8 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 			info.Crashed = out.crashed
 			info.Fault = pickFault(faults, out.crashed)
 			res.Epochs = append(res.Epochs, info)
-			if res.Recoveries > maxRec {
-				return res, fmt.Errorf("trainer: elastic recovery budget (%d) exhausted: %w", maxRec, out.err)
+			if res.Recoveries > DefaultMaxRecoveries {
+				return res, fmt.Errorf("trainer: elastic recovery budget (%d) exhausted: %w", DefaultMaxRecoveries, out.err)
 			}
 			// A fault without an identified crash (a timeout, a bare
 			// WrapChaos partition) retries at the same size — the world

@@ -47,9 +47,6 @@ type SeqJob struct {
 	TextBatch int
 	// OverTCP runs ranks over loopback TCP sockets.
 	OverTCP bool
-	// ChunkBytes is the Communicator pipelining segment size; same
-	// convention as Job.ChunkBytes (0 = DefaultChunkBytes, <0 = off).
-	ChunkBytes int
 }
 
 // Validate reports configuration errors.
@@ -116,11 +113,10 @@ func RunSeq(job SeqJob) (*Result, error) {
 		return nil, err
 	}
 	spec := epochSpec{workers: job.Workers, job: Job{
-		Workers:    job.Workers,
-		Steps:      job.Steps,
-		Window:     job.Window,
-		OverTCP:    job.OverTCP,
-		ChunkBytes: job.ChunkBytes,
+		Workers: job.Workers,
+		Steps:   job.Steps,
+		Window:  job.Window,
+		OverTCP: job.OverTCP,
 	}}
 	out := runEpoch(spec, job.setupRank, nil)
 	return out.res, out.err

@@ -51,13 +51,8 @@ type Job struct {
 	// checkpoint, so the resumed run sees the batches an uninterrupted run
 	// would.
 	SkipBatches int
-	// ChunkBytes is the Communicator's pipelining segment size for dense
-	// ring collectives. Zero selects DefaultChunkBytes; negative disables
-	// chunking (whole-chunk messages). Results are bit-identical for every
-	// value — chunking splits element ranges, not summation order.
-	ChunkBytes int
 	// Chaos, when non-nil, runs the job over a fault-injecting transport
-	// (comm.WrapChaos around the in-process fabric). Maskable plans leave
+	// (a comm.NewChaosWorld built by newWorld). Maskable plans leave
 	// results bit-identical to a fault-free run; unmaskable ones surface as
 	// FaultError. Incompatible with OverTCP.
 	Chaos *comm.FaultPlan
@@ -76,21 +71,12 @@ type Job struct {
 	TraceClock trace.Clock
 }
 
-// DefaultChunkBytes is the pipelining segment size training jobs use when
-// none is configured: small enough to overlap transfer with reduction on
-// multi-MB gradients, large enough to amortize per-message overhead.
+// DefaultChunkBytes is the pipelining segment size of every training job's
+// dense ring collectives: small enough to overlap transfer with reduction on
+// multi-MB gradients, large enough to amortize per-message overhead. Results
+// are bit-identical for any value — chunking splits element ranges, not
+// summation order.
 const DefaultChunkBytes = 256 << 10
-
-// chunkBytesOf resolves the ChunkBytes convention (0 = default, <0 = off).
-func chunkBytesOf(configured int) int {
-	if configured == 0 {
-		return DefaultChunkBytes
-	}
-	if configured < 0 {
-		return 0
-	}
-	return configured
-}
 
 // Validate reports configuration errors.
 func (j Job) Validate() error {
@@ -251,7 +237,7 @@ func Run(job Job) (*Result, error) {
 
 // RunWorker runs one rank of a multi-process job over a caller-provided
 // transport (typically a comm.TCPNode in its own OS process, started by
-// cmd/embrace-worker). Parameter-server strategies need process-shared
+// embrace.TrainRank). Parameter-server strategies need process-shared
 // server state and are rejected; the collective strategies (Horovod
 // AllReduce/AllGather, EmbRace) are fully peer-to-peer and supported. The
 // returned Result carries this rank's view: only rank 0 aggregates losses
@@ -491,7 +477,7 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 		obs = collective.MultiObserver(rec, tr)
 	}
 	cm := collective.NewCommunicator(raw,
-		collective.WithChunkBytes(chunkBytesOf(job.ChunkBytes)),
+		collective.WithChunkBytes(DefaultChunkBytes),
 		collective.WithObserver(obs),
 		collective.WithEpoch(spec.epoch))
 	defer func() {

@@ -646,18 +646,11 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 		if seed == 0 {
 			seed = 1
 		}
-		plan, err := trainer.CrashPlan(seed, cfg.CrashRank, cfg.CrashStep)
-		if err != nil {
-			return nil, err
-		}
+		plan := trainer.CrashPlan(seed, cfg.CrashRank, cfg.CrashStep)
 		if job.Strategy != strategies.EmbRace {
 			// The baselines have no embedding-data AlltoAll; pin the crash to
 			// their first wire op, the embedding-gradient collective.
-			tag, err := collective.TagOf(strategies.OpEmbGrad, cfg.CrashStep)
-			if err != nil {
-				return nil, err
-			}
-			plan.Rules[0].Match = func(pt comm.FaultPoint) bool { return pt.Tag == tag }
+			plan.Rules[0].Match = trainer.CrashAt(strategies.OpEmbGrad, cfg.CrashStep)
 		}
 		ej.Chaos = &plan
 	}

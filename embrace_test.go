@@ -124,6 +124,38 @@ func TestTrainAllStrategiesAgree(t *testing.T) {
 	}
 }
 
+// Masked faults are not traffic: a retried transient send or a dropped
+// duplicate leaves every op's message and byte counts at their fault-free
+// values.
+func TestChaosTrafficMatchesFaultFree(t *testing.T) {
+	cfg := embrace.TrainConfig{
+		Strategy: embrace.EmbRace, Sched: embrace.Sched2D,
+		Workers: 4, Steps: 6, Vocab: 60, EmbDim: 8, Hidden: 8, Adam: true, Seed: 5,
+	}
+	clean, err := embrace.Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ChaosSeed = 7
+	chaos, err := embrace.Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chaos.FaultsMasked == 0 {
+		t.Fatal("ChaosSeed 7 masked no faults")
+	}
+	if len(chaos.CommPerOp) != len(clean.CommPerOp) {
+		t.Fatalf("ops under chaos %v, fault-free %v", chaos.CommPerOp, clean.CommPerOp)
+	}
+	for op, want := range clean.CommPerOp {
+		got := chaos.CommPerOp[op]
+		if got.Messages != want.Messages || got.PayloadBytes != want.PayloadBytes {
+			t.Errorf("%s: %d messages, %d bytes under chaos; fault-free %d, %d",
+				op, got.Messages, got.PayloadBytes, want.Messages, want.PayloadBytes)
+		}
+	}
+}
+
 func TestTrainValidation(t *testing.T) {
 	if _, err := embrace.Train(embrace.TrainConfig{Strategy: "nope", Workers: 2, Steps: 2}); err == nil {
 		t.Fatal("expected unknown-strategy error")

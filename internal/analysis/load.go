@@ -207,7 +207,25 @@ func (l *Loader) LoadDir(dir, importPath string, includeTests bool) ([]*Package,
 		units = append(units, u)
 	}
 	if includeTests && len(bp.XTestGoFiles) > 0 {
-		u, err := l.check(importPath+"_test", dir, absolve(bp.Dir, bp.XTestGoFiles))
+		xl := l
+		if len(bp.TestGoFiles) > 0 {
+			// External tests compile against the package with its in-package
+			// test files (export_test.go hooks), and so does every repo
+			// package they import: check those afresh, sharing the stdlib.
+			xl = NewLoader(l.Roots)
+			xl.Fset = l.Fset
+			for p, dep := range l.deps {
+				if _, repo := l.rootDir(p); !repo {
+					xl.deps[p] = dep
+				}
+			}
+			u, err := xl.check(importPath, dir, main)
+			if err != nil {
+				return nil, err
+			}
+			xl.deps[importPath] = u.Types
+		}
+		u, err := xl.check(importPath+"_test", dir, absolve(bp.Dir, bp.XTestGoFiles))
 		if err != nil {
 			return nil, err
 		}

@@ -87,7 +87,7 @@ func (s *server) litOwnLock() func() {
 func (s *server) tagOnly() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.Tag("grads", 4)
+	return s.c.Tag("grads")
 }
 
 // justified keeps the suppression mechanism honest for this analyzer too.

@@ -11,7 +11,7 @@ type Communicator struct{ t comm.Transport }
 func NewCommunicator(t comm.Transport) *Communicator { return &Communicator{t: t} }
 
 // Tag is pure bookkeeping, never blocking.
-func (c *Communicator) Tag(op string, step int) int { return 0 }
+func (c *Communicator) Tag(op string) int { return 0 }
 
 // AllReduce blocks until every rank participates.
 func (c *Communicator) AllReduce(op string, step int, buf []float64) {}

@@ -61,7 +61,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			if tagArg != nil && (isIntLiteral(tagArg) || isConstInt(pass, tagArg)) {
 				pass.Reportf(call.Pos(),
-					"raw Transport.%s with a hand-numbered tag literal: allocate tags via Communicator.Tag (op, step)", fn.Name())
+					"raw Transport.%s with a hand-numbered tag literal: allocate tags via Communicator.Tag(op)", fn.Name())
 			}
 		}
 		return true

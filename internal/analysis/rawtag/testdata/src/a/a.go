@@ -24,7 +24,7 @@ func allowed(t comm.Transport, buf []float32) error {
 	}
 	// A computed tag is the Communicator handing out tag ranges, not a
 	// hand-numbered constant.
-	tag, err := c.Tag("raw/proto", 0)
+	tag, err := c.Tag("raw/proto")
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,8 @@ type Communicator struct{ t comm.Transport }
 // NewCommunicator wraps t.
 func NewCommunicator(t comm.Transport) *Communicator { return &Communicator{t: t} }
 
-// Tag maps (op, step) to a collision-free transport tag.
-func (c *Communicator) Tag(op string, step int) (int, error) { return 0, nil }
+// Tag maps op to a collision-free transport tag.
+func (c *Communicator) Tag(op string) (int, error) { return 0, nil }
 
 // AllReduce sums buf across ranks.
 func (c *Communicator) AllReduce(op string, step int, buf []float32) error { return nil }

@@ -3,19 +3,17 @@
 // gradients, AllGather for sparse baselines, and AlltoAll for the EmbRace
 // embedding exchange (§2.2, §4.1).
 //
-// The API is the stateful Communicator, which owns tag allocation
-// (collision-free per logical op name and step), chunked pipelining of dense
-// ring transfers, and pooled scratch buffers. Every collective is addressed
-// by (op, step): all ranks of a comm.Transport world issue the same logical
-// operation with the same name and step, and the call returns on each rank
-// once that rank's part is complete. Concurrent collectives on one
-// Communicator must use distinct op names or distinct steps. Generic
-// exchanges (AllGatherVia, AllToAllVia, GatherVia) are package functions
-// taking the Communicator first, because Go methods cannot be generic.
-//
-// The pre-Communicator free functions that took hand-picked integer tags are
-// gone; the rawtag analyzer (cmd/embracevet) keeps hand-numbered tags off the
-// raw transport.
+// The API is the stateful Communicator, which owns tag allocation (one
+// collision-free tag per logical op name), chunked pipelining of dense ring
+// transfers, and pooled scratch buffers. Every collective is issued as
+// (op, step): all ranks of a comm.Transport world issue the same logical
+// operations with the same names and steps in the same order, and the call
+// returns on each rank once that rank's part is complete. The step travels
+// in each frame and is checked on receipt. Concurrent collectives on one
+// Communicator must use distinct op names. Generic exchanges (AllGatherVia,
+// AllToAllVia, GatherVia) are package functions taking the Communicator
+// first, because Go methods cannot be generic. The rawtag analyzer
+// (cmd/embracevet) keeps hand-numbered tags off the raw transport.
 package collective
 
 import (

@@ -126,11 +126,11 @@ func TestRingAllReduceMatchesSequentialSum(t *testing.T) {
 // block: after it, chunk `rank` of buf holds the sum across all ranks. It
 // returns that chunk's bounds.
 func reduceScatter(c *Communicator, op string, buf []float32) (lo, hi int, err error) {
-	tag, err := c.Tag(op, 0)
+	rt, err := c.routeOf(op, 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := c.ringPhase(op, tag, "reduce-scatter", [][]float32{buf}, 0, add); err != nil {
+	if err := c.ringPhase(rt, "reduce-scatter", [][]float32{buf}, 0, add); err != nil {
 		return 0, 0, err
 	}
 	lo, hi = chunkBounds(len(buf), c.Size(), c.Rank())

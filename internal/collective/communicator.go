@@ -17,21 +17,21 @@ import (
 // tagging and per-call buffer allocation stopped scaling. It owns three
 // concerns the free functions used to push onto every caller:
 //
-//   - Tag allocation. Every collective is addressed by a logical operation
-//     name plus a step number; the Communicator maps (op, step) to a
-//     collision-free transport tag deterministically, so all ranks agree on
-//     the tag without negotiation and without hand-maintained tag constants.
-//     The mapping is order-independent (a stable hash of the op name), which
-//     makes it safe to allocate tags from concurrent goroutines — the hazard
-//     that hand-numbered tag spaces kept latent.
+//   - Ordered op streams. Every collective is addressed by a logical
+//     operation name plus a step number. The op name alone picks the
+//     transport tag (a stable hash, so all ranks agree without negotiation
+//     and concurrent goroutines cannot desynchronize registration); the
+//     step rides in every frame as a check. Successive calls of one op are
+//     matched by issue order on one (peer, op) stream, the way MPI and NCCL
+//     match collectives on a communicator, so per-rank state is bounded by
+//     the number of ops, not steps.
 //
 //   - Chunked pipelining. Dense ring operations split each ring chunk into
 //     ChunkBytes-sized segments and keep one segment in flight ahead of the
 //     reduction, so the transfer of segment k+1 overlaps the combine of
-//     segment k. The default (ChunkBytes == 0) sends each ring chunk whole,
-//     preserving the legacy single-message framing. Segmentation splits
-//     element ranges, never the per-element summation order, so results are
-//     bit-identical for every chunk size.
+//     segment k. The default (ChunkBytes == 0) sends each ring chunk as one
+//     message. Segmentation splits element ranges, never the per-element
+//     summation order, so results are bit-identical for every chunk size.
 //
 //   - Buffer pooling. Scratch buffers for ring sends are drawn from an
 //     internal sync.Pool and recycled when the received copy has been folded
@@ -40,10 +40,11 @@ import (
 //     receiving rank returns the buffer to its own pool.
 //
 // A Communicator is safe for concurrent use by one rank's goroutines as long
-// as concurrent collectives use distinct op names (or distinct steps), the
-// same discipline MPI communicators require. All ranks of a world must issue
-// the same logical operations — the SPMD contract every collective already
-// has.
+// as concurrent collectives use distinct op names, the same discipline MPI
+// communicators require. All ranks of a world must issue the same logical
+// operations with the same steps in the same order — the SPMD contract every
+// collective already has; a frame whose step differs from the one its
+// receiver issued fails with ErrStepMismatch instead of being misdelivered.
 type Communicator struct {
 	t          comm.Transport
 	chunkElems int
@@ -55,7 +56,6 @@ type Communicator struct {
 	mu      sync.Mutex
 	ops     map[string]int64 // op name -> slot in the tag space
 	byIndex map[int64]string // slot -> op name, for collision detection
-	tickets map[string]int   // out-of-band sequence numbers per op
 
 	streamMu sync.Mutex
 	sends    map[streamKey]*sendStream
@@ -71,11 +71,16 @@ type Communicator struct {
 	sparesB sync.Pool // *[]byte holding empty containers
 }
 
+// ErrStepMismatch is returned by a receive whose next in-order frame on its
+// (peer, op) stream was sent for a different step than the receiver issued:
+// the ranks' collective schedules have diverged.
+var ErrStepMismatch = errors.New("collective: step mismatch")
+
 // Observer receives per-logical-operation traffic notifications from a
 // Communicator. metrics.OpRecorder implements it; the indirection keeps
 // collective free of a metrics dependency.
 type Observer interface {
-	// Sent is called after each point-to-point send of the operation.
+	// Sent is called after each successful point-to-point send of op.
 	Sent(op string, payload any, blocked time.Duration)
 	// Received is called after each point-to-point receive; blocked is the
 	// time spent waiting, the real-mode analogue of communication stall.
@@ -109,21 +114,17 @@ type CodecObserver interface {
 	CodecOp(op, phase string, rawBytes, wireBytes int, d time.Duration)
 }
 
-// Tag-space layout: tags are epoch<<epochShift + tagBase + opSlot<<stepBits
-// + step. The base keeps Communicator tags disjoint from every legacy
-// hand-numbered tag space (all below 1<<32); the per-op slot gives each
-// logical operation 2^21 step values; the world-epoch bits (zero by default,
-// so legacy tags are unchanged) give each rebuild of a world its own
-// disjoint tag plane. Requires 64-bit ints (every supported platform).
+// Tag-space layout: tags are epoch<<epochShift + tagBase + opSlot. The base
+// keeps Communicator tags above the small literal tags raw-transport code
+// and tests use (all below 1<<32); the world-epoch bits (zero by default)
+// give each rebuild of a world its own disjoint tag plane. Requires 64-bit
+// ints (every supported platform).
 const (
-	stepBits = 21
-	// MaxStep is the largest step (or Ticket) value a tag can encode.
-	MaxStep = 1<<stepBits - 1
 	opSlots = 1 << 30
 	tagBase = 1 << 32
 	// epochShift places the world-epoch bits above the whole epoch-0 tag
-	// space (tagBase + opSlots<<stepBits < 1<<52).
-	epochShift = 52
+	// space (tagBase + opSlots < 1<<33).
+	epochShift = 33
 	// MaxEpoch is the largest world epoch a tag can encode while keeping
 	// the tag a positive int64. Elastic training consumes one epoch per
 	// world rebuild, so the bound is unreachable in practice.
@@ -134,7 +135,7 @@ const (
 type Option func(*Communicator)
 
 // WithChunkBytes sets the pipelining segment size for dense ring operations.
-// Zero or negative keeps the legacy whole-chunk framing.
+// Zero or negative sends each ring chunk as one message.
 func WithChunkBytes(n int) Option {
 	return func(c *Communicator) {
 		if n > 0 {
@@ -156,14 +157,14 @@ func WithObserver(o Observer) Option {
 // an elastic world rebuild the stale in-flight frames of the dead world —
 // delayed deliveries, a leaked background exchange's sends — are simply
 // never matched, instead of corrupting the rebuilt collectives' sequence
-// streams. Epoch 0 (the default) is the legacy tag plane.
+// streams. Epoch 0 is the default, and the plane TagOf addresses.
 func WithEpoch(e int) Option {
 	return func(c *Communicator) { c.epoch = e }
 }
 
 // NewCommunicator creates the rank-local collective endpoint over t.
 func NewCommunicator(t comm.Transport, opts ...Option) *Communicator {
-	c := &Communicator{t: t}
+	c := &Communicator{t: t, sends: make(map[streamKey]*sendStream), recvs: make(map[streamKey]*recvStream)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -200,14 +201,11 @@ func (c *Communicator) opIndex(op string) (int64, error) {
 	return idx, nil
 }
 
-// Tag returns the transport tag of (op, step) in this Communicator's epoch
-// plane. Distinct (op, step) pairs map to distinct tags; an unresolvable
-// hash collision between op names is reported as an error (astronomically
-// unlikely with a 2^30 slot space).
-func (c *Communicator) Tag(op string, step int) (int, error) {
-	if step < 0 || step > MaxStep {
-		return 0, fmt.Errorf("collective: step %d outside [0, %d] for op %q", step, MaxStep, op)
-	}
+// Tag returns the transport tag of op in this Communicator's epoch plane.
+// Distinct op names map to distinct tags; an unresolvable hash collision
+// between op names is reported as an error (astronomically unlikely with a
+// 2^30 slot space).
+func (c *Communicator) Tag(op string) (int, error) {
 	if c.epoch < 0 || c.epoch > MaxEpoch {
 		return 0, fmt.Errorf("collective: world epoch %d outside [0, %d]", c.epoch, MaxEpoch)
 	}
@@ -215,24 +213,16 @@ func (c *Communicator) Tag(op string, step int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.epoch<<epochShift + tagBase + int(idx)<<stepBits + step, nil
+	return c.epoch<<epochShift + tagBase + int(idx), nil
 }
 
-// Epoch returns the world epoch this Communicator's tags live in.
-func (c *Communicator) Epoch() int { return c.epoch }
-
-// TagOf computes the epoch-0 transport tag of (op, step) without a
-// Communicator — the targeting hook chaos plans use to aim a fault at one
-// collective of one training step (a FaultRule.Match on FaultPoint.Tag).
-// It is the same pure function of the op name every Communicator resolves,
-// minus the cross-op collision registry, so it must only feed predicates,
-// never tag allocation.
-func TagOf(op string, step int) (int, error) {
-	if step < 0 || step > MaxStep {
-		return 0, fmt.Errorf("collective: step %d outside [0, %d] for op %q", step, MaxStep, op)
-	}
-	return tagBase + int(opSlot(op))<<stepBits + step, nil
-}
+// TagOf computes the epoch-0 transport tag of op without a Communicator —
+// the targeting hook chaos plans use to aim a fault at one collective (a
+// FaultRule.Match on FaultPoint.Tag, with FaultPoint.Step picking the
+// training step). It is the same pure function of the op name every
+// Communicator resolves, minus the cross-op collision registry, so it must
+// only feed predicates, never tag allocation.
+func TagOf(op string) int { return tagBase + int(opSlot(op)) }
 
 // opSlot is the stable hash placing an op name in the tag space.
 func opSlot(op string) int64 {
@@ -251,22 +241,6 @@ func (c *Communicator) Ops() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Ticket returns the next out-of-band sequence number for op, for
-// collectives that happen outside the training-step cadence (e.g. gathering
-// the final embedding table). All ranks must call it symmetrically — the
-// same SPMD contract as the collectives themselves — so every rank derives
-// the same tag without hand-picked magic step numbers.
-func (c *Communicator) Ticket(op string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tickets == nil {
-		c.tickets = make(map[string]int)
-	}
-	n := c.tickets[op]
-	c.tickets[op] = n + 1
-	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -376,13 +350,15 @@ func (c *Communicator) putBufB(buf []byte) {
 // Instrumented, self-healing point-to-point.
 //
 // Every message a Communicator sends is wrapped in a comm.SeqFrame carrying a
-// per-(peer, tag) sequence number. The receiver uses it to drop duplicated
-// frames and to buffer frames that arrive ahead of their turn, so a fabric
-// that duplicates, delays or reorders within a stream (comm.WrapChaos, or a
-// real retransmitting network) still yields bit-identical collective results.
-// Transient send failures (comm.ErrTransient) are retried with exponential
-// backoff up to sendAttempts; everything else surfaces immediately with the
-// op name attached.
+// per-(peer, tag) sequence number and the step the sender issued. The
+// receiver uses the sequence number to drop duplicated frames and to buffer
+// frames that arrive ahead of their turn, so a fabric that duplicates, delays
+// or reorders within a stream (comm.WrapChaos, or a real retransmitting
+// network) still yields bit-identical collective results; it checks the step
+// of each in-order frame against its own. Transient send failures
+// (comm.ErrTransient) are retried with exponential backoff up to
+// sendAttempts; everything else surfaces immediately with the op name
+// attached.
 // ---------------------------------------------------------------------------
 
 const (
@@ -394,6 +370,20 @@ const (
 	// retryBackoff is the initial sleep between attempts; it doubles each try.
 	retryBackoff = 100 * time.Microsecond
 )
+
+// route is one issued collective as its frames see it: the op name (for
+// errors and observers), the op's tag, and the step every frame carries.
+type route struct {
+	op   string
+	tag  int
+	step int
+}
+
+// routeOf resolves the route of (op, step).
+func (c *Communicator) routeOf(op string, step int) (route, error) {
+	tag, err := c.Tag(op)
+	return route{op: op, tag: tag, step: step}, err
+}
 
 // streamKey identifies one directed per-tag message stream.
 type streamKey struct{ peer, tag int }
@@ -408,35 +398,17 @@ type sendStream struct {
 type recvStream struct {
 	mu   sync.Mutex
 	next int64
-	held map[int64]any // seq -> payload, frames that arrived ahead of turn
+	held map[int64]comm.SeqFrame // frames that arrived ahead of turn, by Seq
 }
 
-func (c *Communicator) sendStream(to, tag int) *sendStream {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	k := streamKey{to, tag}
-	s, ok := c.sends[k]
+// streamOf returns (creating on first use) the stream of k in m.
+func streamOf[S any](mu *sync.Mutex, m map[streamKey]*S, k streamKey) *S {
+	mu.Lock()
+	defer mu.Unlock()
+	s, ok := m[k]
 	if !ok {
-		if c.sends == nil {
-			c.sends = make(map[streamKey]*sendStream)
-		}
-		s = &sendStream{}
-		c.sends[k] = s
-	}
-	return s
-}
-
-func (c *Communicator) recvStream(from, tag int) *recvStream {
-	c.streamMu.Lock()
-	defer c.streamMu.Unlock()
-	k := streamKey{from, tag}
-	s, ok := c.recvs[k]
-	if !ok {
-		if c.recvs == nil {
-			c.recvs = make(map[streamKey]*recvStream)
-		}
-		s = &recvStream{}
-		c.recvs[k] = s
+		s = new(S)
+		m[k] = s
 	}
 	return s
 }
@@ -462,31 +434,26 @@ func faultKindOf(err error) string {
 	}
 }
 
-// rawSendOnce performs one framed transport send with observer timing. The
-// observer sees the inner payload, not the frame, so byte accounting matches
-// what the caller handed over.
-func (c *Communicator) rawSendOnce(op string, to, tag int, frame comm.SeqFrame) error {
-	if c.obs == nil {
-		return c.t.Send(to, tag, frame)
-	}
-	start := time.Now()
-	err := c.t.Send(to, tag, frame)
-	c.obs.Sent(op, frame.Payload, time.Since(start))
-	return err
-}
-
-func (c *Communicator) sendRaw(op string, to, tag int, payload any) error {
-	ss := c.sendStream(to, tag)
+func (c *Communicator) sendRaw(rt route, to int, payload any) error {
+	ss := streamOf(&c.streamMu, c.sends, streamKey{to, rt.tag})
 	ss.mu.Lock()
 	seq := ss.next
 	ss.next++
 	ss.mu.Unlock()
-	frame := comm.SeqFrame{Seq: seq, Payload: payload}
+	frame := comm.SeqFrame{Seq: seq, Step: rt.step, Payload: payload}
+	op := rt.op
 
 	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
-		err := c.rawSendOnce(op, to, tag, frame)
+		start := time.Now()
+		err := c.t.Send(to, rt.tag, frame)
 		if err == nil {
+			// The observer sees the inner payload, not the frame, so byte
+			// accounting matches what the caller handed over. A failed
+			// attempt is not traffic; it reaches the observer through fault.
+			if c.obs != nil {
+				c.obs.Sent(op, payload, time.Since(start))
+			}
 			return nil
 		}
 		if !errors.Is(err, comm.ErrTransient) {
@@ -506,34 +473,33 @@ func (c *Communicator) sendRaw(op string, to, tag int, payload any) error {
 }
 
 // recvRaw returns the next in-order payload of the (from, tag) stream,
-// absorbing duplicated and early frames. Unframed payloads (from peers not
+// absorbing duplicated and early frames, and fails with ErrStepMismatch when
+// that frame was sent for another step. Unframed payloads (from peers not
 // using a Communicator) pass through untouched.
-func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
-	rs := c.recvStream(from, tag)
+func (c *Communicator) recvRaw(rt route, from int) (any, error) {
+	op := rt.op
+	rs := streamOf(&c.streamMu, c.recvs, streamKey{from, rt.tag})
 	for {
 		rs.mu.Lock()
-		if v, ok := rs.held[rs.next]; ok {
+		if f, ok := rs.held[rs.next]; ok {
 			delete(rs.held, rs.next)
 			rs.next++
 			rs.mu.Unlock()
-			return v, nil
+			return rt.check(from, f)
 		}
 		rs.mu.Unlock()
 
 		// The transport call happens with no lock held: a blocked receive
 		// must never pin stream state.
-		var payload any
-		var err error
-		if c.obs == nil {
-			payload, err = c.t.Recv(from, tag)
-		} else {
-			start := time.Now()
-			payload, err = c.t.Recv(from, tag)
-			if f, ok := payload.(comm.SeqFrame); ok {
-				c.obs.Received(op, f.Payload, time.Since(start))
-			} else {
-				c.obs.Received(op, payload, time.Since(start))
+		start := time.Now()
+		payload, err := c.t.Recv(from, rt.tag)
+		f, framed := payload.(comm.SeqFrame)
+		if c.obs != nil {
+			inner := payload
+			if framed {
+				inner = f.Payload
 			}
+			c.obs.Received(op, inner, time.Since(start))
 		}
 		if err != nil {
 			if kind := faultKindOf(err); kind != "" {
@@ -541,8 +507,7 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 			}
 			return nil, fmt.Errorf("collective: %s recv from rank %d: %w", op, from, err)
 		}
-		f, ok := payload.(comm.SeqFrame)
-		if !ok {
+		if !framed {
 			return payload, nil
 		}
 
@@ -555,37 +520,48 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 		case f.Seq > rs.next:
 			// Ahead of turn: park it and keep receiving.
 			if rs.held == nil {
-				rs.held = make(map[int64]any)
+				rs.held = make(map[int64]comm.SeqFrame)
 			}
-			rs.held[f.Seq] = f.Payload
+			rs.held[f.Seq] = f
 			rs.mu.Unlock()
 			c.fault(op, "reorder", true)
 		default:
 			rs.next++
 			rs.mu.Unlock()
-			return f.Payload, nil
+			return rt.check(from, f)
 		}
 	}
 }
 
-// Send delivers payload to rank `to` under the tag of (op, step) — the
+// check returns the payload of the in-order frame f, or ErrStepMismatch when
+// the sender issued it for another step than rt's.
+func (rt route) check(from int, f comm.SeqFrame) (any, error) {
+	if f.Step != rt.step {
+		return nil, fmt.Errorf("%w: %s from rank %d carries step %d, receiver is at step %d",
+			ErrStepMismatch, rt.op, from, f.Step, rt.step)
+	}
+	return f.Payload, nil
+}
+
+// Send delivers payload to rank `to` on op's stream, stamped with step — the
 // point-to-point escape hatch for protocols (like serving's control plane)
 // that need raw messaging inside a Communicator-allocated tag range.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return err
 	}
-	return c.sendRaw(op, to, tag, payload)
+	return c.sendRaw(rt, to, payload)
 }
 
-// Recv blocks until rank `from`'s message under (op, step) arrives.
+// Recv blocks until rank `from`'s next message on op's stream arrives; it
+// fails with ErrStepMismatch if that message was sent for another step.
 func (c *Communicator) Recv(op string, step, from int) (any, error) {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return nil, err
 	}
-	return c.recvRaw(op, from, tag)
+	return c.recvRaw(rt, from)
 }
 
 // ---------------------------------------------------------------------------
@@ -594,7 +570,7 @@ func (c *Communicator) Recv(op string, step, from int) (any, error) {
 
 // segCount returns the number of pipelined segments an n-element ring chunk
 // is split into. Always at least one, so sender and receiver exchange a
-// message even for empty chunks (the legacy framing).
+// message even for empty chunks.
 func (c *Communicator) segCount(n int) int {
 	if c.chunkElems <= 0 || n <= c.chunkElems {
 		return 1
@@ -647,7 +623,7 @@ func (h *hopStream) walk(seg []float32, f func(part, seg []float32)) {
 // segments. Segment k+1 is on the wire before segment k is combined, so
 // transfer overlaps reduction. combine folds each received run into the
 // block chunk it belongs to.
-func (c *Communicator) ringExchange(op string, tag, right, left int, bufs [][]float32, sendChunk, recvChunk int, combine func(dst, src []float32)) error {
+func (c *Communicator) ringExchange(rt route, right, left int, bufs [][]float32, sendChunk, recvChunk int, combine func(dst, src []float32)) error {
 	out := hopStream{bufs: bufs, parts: c.t.Size(), chunk: sendChunk}
 	into := hopStream{bufs: bufs, parts: c.t.Size(), chunk: recvChunk}
 	sendLen, recvLen := out.len(), into.len()
@@ -659,7 +635,7 @@ func (c *Communicator) ringExchange(op string, tag, right, left int, bufs [][]fl
 		seg := c.getBuf(b - a)
 		out.walk(seg, func(part, seg []float32) { copy(seg, part) })
 		sent++
-		return c.sendRaw(op, right, tag, seg)
+		return c.sendRaw(rt, right, seg)
 	}
 	// Prime the pipeline before blocking on the first receive.
 	if err := sendSeg(); err != nil {
@@ -671,17 +647,17 @@ func (c *Communicator) ringExchange(op string, tag, right, left int, bufs [][]fl
 				return fmt.Errorf("ring send: %w", err)
 			}
 		}
-		payload, err := c.recvRaw(op, left, tag)
+		payload, err := c.recvRaw(rt, left)
 		if err != nil {
 			return fmt.Errorf("ring recv: %w", err)
 		}
 		in, ok := payload.([]float32)
 		if !ok {
-			return fmt.Errorf("collective: %s: unexpected payload %T", op, payload)
+			return fmt.Errorf("collective: %s: unexpected payload %T", rt.op, payload)
 		}
 		a, b := chunkBounds(recvLen, rs, k)
 		if len(in) != b-a {
-			return fmt.Errorf("collective: %s: segment size %d != %d", op, len(in), b-a)
+			return fmt.Errorf("collective: %s: segment size %d != %d", rt.op, len(in), b-a)
 		}
 		into.walk(in, combine)
 		c.putBuf(in)
@@ -695,20 +671,20 @@ func (c *Communicator) ringExchange(op string, tag, right, left int, bufs [][]fl
 }
 
 // ringPhase runs the N-1 hops of one ring phase over every block of bufs
-// under an explicit tag. Each block keeps its own N-way chunk layout, so an
+// on one route. Each block keeps its own N-way chunk layout, so an
 // element is combined in the same rank order whether its block travels alone
 // or with others. At hop s the rank sends chunk (rank-s-1+shift) mod N and
 // receives the one before it: shift 0 is reduce-scatter, after which chunk
 // `rank` of every block holds the reduction across all ranks; shift 1 is the
 // allgather that follows it.
-func (c *Communicator) ringPhase(op string, tag int, phase string, bufs [][]float32, shift int, combine func(dst, src []float32)) error {
+func (c *Communicator) ringPhase(rt route, phase string, bufs [][]float32, shift int, combine func(dst, src []float32)) error {
 	n, r := c.t.Size(), c.t.Rank()
 	right := (r + 1) % n
 	left := (r - 1 + n) % n
 	for s := 0; s < n-1; s++ {
 		sendChunk := ((r-s-1+shift)%n + n) % n
 		recvChunk := (sendChunk - 1 + n) % n
-		if err := c.ringExchange(op, tag, right, left, bufs, sendChunk, recvChunk, combine); err != nil {
+		if err := c.ringExchange(rt, right, left, bufs, sendChunk, recvChunk, combine); err != nil {
 			return fmt.Errorf("%s step %d: %w", phase, s, err)
 		}
 	}
@@ -728,14 +704,14 @@ func (c *Communicator) AllReduce(op string, step int, buf []float32) error {
 // is bit-identical to AllReduce on each block separately. All ranks must pass
 // blocks of the same lengths in the same order.
 func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return err
 	}
-	if err := c.ringPhase(op, tag, "reduce-scatter", bufs, 0, add); err != nil {
+	if err := c.ringPhase(rt, "reduce-scatter", bufs, 0, add); err != nil {
 		return err
 	}
-	return c.ringPhase(op, tag, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
+	return c.ringPhase(rt, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
 }
 
 // add folds src into dst element-wise: the ring's reduction.
@@ -747,7 +723,7 @@ func add(dst, src []float32) {
 
 // Barrier blocks until every rank has entered it.
 func (c *Communicator) Barrier(op string, step int) error {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return err
 	}
@@ -757,21 +733,21 @@ func (c *Communicator) Barrier(op string, step int) error {
 	}
 	if c.t.Rank() == 0 {
 		for p := 1; p < n; p++ {
-			if _, err := c.recvRaw(op, p, tag); err != nil {
+			if _, err := c.recvRaw(rt, p); err != nil {
 				return fmt.Errorf("barrier fan-in: %w", err)
 			}
 		}
 		for p := 1; p < n; p++ {
-			if err := c.sendRaw(op, p, tag, struct{}{}); err != nil {
+			if err := c.sendRaw(rt, p, struct{}{}); err != nil {
 				return fmt.Errorf("barrier fan-out: %w", err)
 			}
 		}
 		return nil
 	}
-	if err := c.sendRaw(op, 0, tag, struct{}{}); err != nil {
+	if err := c.sendRaw(rt, 0, struct{}{}); err != nil {
 		return fmt.Errorf("barrier fan-in: %w", err)
 	}
-	if _, err := c.recvRaw(op, 0, tag); err != nil {
+	if _, err := c.recvRaw(rt, 0); err != nil {
 		return fmt.Errorf("barrier fan-out: %w", err)
 	}
 	return nil
@@ -785,7 +761,7 @@ func (c *Communicator) Barrier(op string, step int) error {
 // AllGatherVia collects one value from every rank under (op, step) and
 // returns them indexed by rank.
 func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, error) {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +772,7 @@ func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, er
 		if p == r {
 			continue
 		}
-		if err := c.sendRaw(op, p, tag, local); err != nil {
+		if err := c.sendRaw(rt, p, local); err != nil {
 			return nil, fmt.Errorf("allgather send to %d: %w", p, err)
 		}
 	}
@@ -804,7 +780,7 @@ func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, er
 		if p == r {
 			continue
 		}
-		payload, err := c.recvRaw(op, p, tag)
+		payload, err := c.recvRaw(rt, p)
 		if err != nil {
 			return nil, fmt.Errorf("allgather recv from %d: %w", p, err)
 		}
@@ -820,7 +796,7 @@ func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, er
 // AllToAllVia sends send[p] to rank p under (op, step) and returns the
 // received values indexed by sender.
 func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, error) {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return nil, err
 	}
@@ -834,7 +810,7 @@ func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, er
 		if p == r {
 			continue
 		}
-		if err := c.sendRaw(op, p, tag, send[p]); err != nil {
+		if err := c.sendRaw(rt, p, send[p]); err != nil {
 			return nil, fmt.Errorf("alltoall send to %d: %w", p, err)
 		}
 	}
@@ -842,7 +818,7 @@ func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, er
 		if p == r {
 			continue
 		}
-		payload, err := c.recvRaw(op, p, tag)
+		payload, err := c.recvRaw(rt, p)
 		if err != nil {
 			return nil, fmt.Errorf("alltoall recv from %d: %w", p, err)
 		}
@@ -858,13 +834,13 @@ func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, er
 // GatherVia collects one value from every rank at root under (op, step);
 // non-root ranks receive a nil slice.
 func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T, error) {
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return nil, err
 	}
 	n, r := c.t.Size(), c.t.Rank()
 	if r != root {
-		if err := c.sendRaw(op, root, tag, local); err != nil {
+		if err := c.sendRaw(rt, root, local); err != nil {
 			return nil, fmt.Errorf("gather send: %w", err)
 		}
 		return nil, nil
@@ -875,7 +851,7 @@ func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T,
 		if p == r {
 			continue
 		}
-		payload, err := c.recvRaw(op, p, tag)
+		payload, err := c.recvRaw(rt, p)
 		if err != nil {
 			return nil, fmt.Errorf("gather recv from %d: %w", p, err)
 		}

@@ -1,17 +1,20 @@
 package collective
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"embrace/internal/comm"
 	"embrace/internal/tensor"
 )
 
-func TestCommunicatorTagsDisjointAcrossOpsAndSteps(t *testing.T) {
+func TestCommunicatorTagsDisjointAcrossOps(t *testing.T) {
 	w, err := comm.NewWorld(1)
 	if err != nil {
 		t.Fatal(err)
@@ -20,18 +23,19 @@ func TestCommunicatorTagsDisjointAcrossOpsAndSteps(t *testing.T) {
 	c := NewCommunicator(w.Rank(0))
 	seen := map[int]string{}
 	for _, op := range []string{"dense/w1", "dense/w2", "emb/grad", "emb/data", "stats"} {
-		for step := 0; step < 100; step++ {
-			tag, err := c.Tag(op, step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prev, ok := seen[tag]; ok {
-				t.Fatalf("tag %d assigned to both %q step and %q step %d", tag, prev, op, step)
-			}
-			seen[tag] = op
-			if tag < tagBase {
-				t.Fatalf("tag %d of %q below the Communicator tag base; would collide with legacy tags", tag, op)
-			}
+		tag, err := c.Tag(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[tag]; ok {
+			t.Fatalf("tag %d assigned to both %q and %q", tag, prev, op)
+		}
+		seen[tag] = op
+		if tag < tagBase {
+			t.Fatalf("tag %d of %q below the Communicator tag base", tag, op)
+		}
+		if again, _ := c.Tag(op); again != tag {
+			t.Fatalf("op %q: tag %d then %d", op, tag, again)
 		}
 	}
 	if got := len(c.Ops()); got != 5 {
@@ -52,14 +56,14 @@ func TestCommunicatorTagDeterministicAcrossRanksAndOrder(t *testing.T) {
 	ops := []string{"alpha", "beta", "gamma"}
 	tagsA := map[string]int{}
 	for _, op := range ops {
-		tag, err := a.Tag(op, 7)
+		tag, err := a.Tag(op)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tagsA[op] = tag
 	}
 	for i := len(ops) - 1; i >= 0; i-- { // reverse registration order
-		tag, err := b.Tag(ops[i], 7)
+		tag, err := b.Tag(ops[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,36 +73,64 @@ func TestCommunicatorTagDeterministicAcrossRanksAndOrder(t *testing.T) {
 	}
 }
 
-func TestCommunicatorTagStepRange(t *testing.T) {
-	w, err := comm.NewWorld(1)
+// Steps are frame contents, not tag bits: collectives and point-to-point
+// traffic run at a step past the 2^21 ceiling the step-in-tag layout had.
+func TestCommunicatorStepsPastOldCeiling(t *testing.T) {
+	const n, step = 3, 1<<21 + 7
+	err := comm.RunRanks(n, func(tr comm.Transport) error {
+		c := NewCommunicator(tr)
+		buf := []float32{1, 2, 3, 4}
+		if err := c.AllReduce("dense", step, buf); err != nil {
+			return err
+		}
+		if buf[3] != 4*n {
+			return fmt.Errorf("allreduce at step %d: %v", step, buf)
+		}
+		send := make([]*tensor.Sparse, n)
+		for p := range send {
+			send[p] = &tensor.Sparse{NumRows: 8, Dim: 1, Indices: []int64{int64(tr.Rank())}, Vals: []float32{1}}
+		}
+		var arena SparseShards
+		if err := c.AlltoAllSparseCodec("sparse", step, send, &arena, nil, RowsWhole); err != nil {
+			return err
+		}
+		if got := arena.Merged().Indices; len(got) != n {
+			return fmt.Errorf("alltoall at step %d: %d rows, want %d", step, len(got), n)
+		}
+		if tr.Rank() == 0 {
+			return c.Send("p2p", step, 1, 42)
+		}
+		if tr.Rank() == 1 {
+			if v, err := c.Recv("p2p", step, 0); err != nil || v != 42 {
+				return fmt.Errorf("recv at step %d: %v, %v", step, v, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer w.Close()
-	c := NewCommunicator(w.Rank(0))
-	if _, err := c.Tag("op", -1); err == nil {
-		t.Fatal("negative step must be rejected")
-	}
-	if _, err := c.Tag("op", MaxStep+1); err == nil {
-		t.Fatal("step beyond MaxStep must be rejected")
-	}
-	if _, err := c.Tag("op", MaxStep); err != nil {
-		t.Fatalf("MaxStep must be accepted: %v", err)
 	}
 }
 
-func TestCommunicatorTicketAdvancesPerOp(t *testing.T) {
-	w, err := comm.NewWorld(1)
+// A schedule divergence — the sender at one step, the receiver at another —
+// fails at once with ErrStepMismatch instead of waiting out the timeout.
+func TestCommunicatorStepMismatchFailsFast(t *testing.T) {
+	w, err := comm.NewWorld(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	c := NewCommunicator(w.Rank(0))
-	if c.Ticket("gather-emb") != 0 || c.Ticket("gather-emb") != 1 {
-		t.Fatal("tickets must count from 0 per op")
+	w.SetRecvTimeout(5 * time.Second)
+	if err := NewCommunicator(w.Rank(0)).Send("op", 3, 1, 1); err != nil {
+		t.Fatal(err)
 	}
-	if c.Ticket("other") != 0 {
-		t.Fatal("tickets must be independent per op")
+	start := time.Now()
+	_, err = NewCommunicator(w.Rank(1)).Recv("op", 4, 0)
+	if !errors.Is(err, ErrStepMismatch) {
+		t.Fatalf("err = %v, want ErrStepMismatch", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("mismatch took %v to surface", d)
 	}
 }
 
@@ -137,8 +169,8 @@ func TestCommunicatorAllReduceMatchesLegacy(t *testing.T) {
 // the summation order, so the comparison is bitwise.
 func TestChunkedAllReduceEqualsUnchunked(t *testing.T) {
 	prop := func(seed int64, nRaw, mRaw, chunkRaw uint8) bool {
-		n := 2 + int(nRaw)%4       // world size 2..5
-		m := 1 + int(mRaw)%257     // buffer length 1..257
+		n := 2 + int(nRaw)%4   // world size 2..5
+		m := 1 + int(mRaw)%257 // buffer length 1..257
 		rng := rand.New(rand.NewSource(seed))
 		// ChunkBytes ∈ {1 element … whole buffer}.
 		chunkBytes := (1 + int(chunkRaw)%m) * tensor.BytesPerElem

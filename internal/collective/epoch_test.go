@@ -2,15 +2,16 @@ package collective
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"embrace/internal/comm"
 )
 
-// Epoch planes partition the tag space: the same (op, step) under different
-// epochs must never share a tag — the property that lets an elastic rebuild
-// ignore a dead world's in-flight frames wholesale.
+// Epoch planes partition the tag space: the same op under different epochs
+// must never share a tag — the property that lets an elastic rebuild ignore
+// a dead world's in-flight frames wholesale.
 func TestEpochTagsDisjoint(t *testing.T) {
 	w, err := comm.NewWorld(1)
 	if err != nil {
@@ -18,47 +19,38 @@ func TestEpochTagsDisjoint(t *testing.T) {
 	}
 	defer w.Close()
 
-	seen := map[int]int{}
+	seen := map[int]string{}
 	for _, epoch := range []int{0, 1, 2, MaxEpoch} {
 		c := NewCommunicator(w.Rank(0), WithEpoch(epoch))
-		if c.Epoch() != epoch {
-			t.Fatalf("Epoch() = %d, want %d", c.Epoch(), epoch)
-		}
-		for _, step := range []int{0, 1, MaxStep} {
-			tag, err := c.Tag("emb/tokens", step)
+		for _, op := range []string{"emb/tokens", "emb/grad"} {
+			tag, err := c.Tag(op)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prev, ok := seen[tag]; ok {
-				t.Fatalf("epoch %d reuses epoch %d's tag %d", epoch, prev, tag)
+			if tag <= 0 {
+				t.Fatalf("epoch %d op %q: tag %d not a positive int64", epoch, op, tag)
 			}
-			seen[tag] = epoch
+			key := fmt.Sprintf("%s@%d", op, epoch)
+			if prev, ok := seen[tag]; ok {
+				t.Fatalf("%s reuses %s's tag %d", key, prev, tag)
+			}
+			seen[tag] = key
 		}
 	}
 
-	// Epoch 0 is the legacy plane: a default Communicator's tags are
-	// unchanged, so pre-elastic chaos predicates (TagOf) keep matching.
-	legacy := NewCommunicator(w.Rank(0))
+	// Epoch 0 is the default plane and the one TagOf addresses, so chaos
+	// predicates built from TagOf match a default Communicator's sends.
+	def := NewCommunicator(w.Rank(0))
 	e0 := NewCommunicator(w.Rank(0), WithEpoch(0))
-	lt, _ := legacy.Tag("emb/tokens", 5)
-	et, _ := e0.Tag("emb/tokens", 5)
-	ot, err := TagOf("emb/tokens", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lt != et || lt != ot {
-		t.Fatalf("legacy/epoch-0/TagOf disagree: %d %d %d", lt, et, ot)
+	dt, _ := def.Tag("emb/tokens")
+	et, _ := e0.Tag("emb/tokens")
+	if ot := TagOf("emb/tokens"); dt != et || dt != ot {
+		t.Fatalf("default/epoch-0/TagOf disagree: %d %d %d", dt, et, ot)
 	}
 
 	c := NewCommunicator(w.Rank(0), WithEpoch(MaxEpoch+1))
-	if _, err := c.Tag("emb/tokens", 0); err == nil {
+	if _, err := c.Tag("emb/tokens"); err == nil {
 		t.Fatal("expected error for epoch beyond MaxEpoch")
-	}
-	if _, err := TagOf("emb/tokens", -1); err == nil {
-		t.Fatal("expected error for negative step")
-	}
-	if _, err := TagOf("emb/tokens", MaxStep+1); err == nil {
-		t.Fatal("expected error for step beyond MaxStep")
 	}
 }
 
@@ -115,7 +107,7 @@ func TestEpochRejectsStaleFramesFromOldWorld(t *testing.T) {
 
 // Collectives rebuilt in a fresh epoch start their sequence streams from
 // zero and complete normally — the old epoch's sequence state is per-tag,
-// so a new plane means a clean slate (no ErrGap from inherited counters).
+// so a new plane means a clean slate.
 func TestEpochCollectivesRunCleanAfterRebuild(t *testing.T) {
 	w, err := comm.NewWorld(3)
 	if err != nil {

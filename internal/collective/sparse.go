@@ -236,7 +236,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	if len(send) != n {
 		return fmt.Errorf("collective: alltoallsparse wants %d send parts, got %d", n, len(send))
 	}
-	tag, err := c.Tag(op, step)
+	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return err
 	}
@@ -248,7 +248,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			continue
 		}
 		sh := send[p]
-		if err := c.sendRaw(op, p, tag, sparseStreamHeader{Rows: int32(len(sh.Indices)), Dim: int32(sh.Dim)}); err != nil {
+		if err := c.sendRaw(rt, p, sparseStreamHeader{Rows: int32(len(sh.Indices)), Dim: int32(sh.Dim)}); err != nil {
 			return fmt.Errorf("alltoallsparse header to %d: %w", p, err)
 		}
 		if len(sh.Indices) == 0 {
@@ -257,12 +257,12 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if codec == nil {
 			ibuf := c.getBufI64(len(sh.Indices))
 			copy(ibuf, sh.Indices)
-			if err := c.sendRaw(op, p, tag, ibuf); err != nil {
+			if err := c.sendRaw(rt, p, ibuf); err != nil {
 				return fmt.Errorf("alltoallsparse indices to %d: %w", p, err)
 			}
 			vbuf := c.getBuf(len(sh.Vals))
 			copy(vbuf, sh.Vals)
-			if err := c.sendRaw(op, p, tag, vbuf); err != nil {
+			if err := c.sendRaw(rt, p, vbuf); err != nil {
 				return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
 			}
 			continue
@@ -275,7 +275,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if c.codecObs != nil {
 			c.codecObs.CodecOp(op, "encode", sparseRawBytes(len(sh.Indices), sh.Dim), len(wire), time.Since(start))
 		}
-		if err := c.sendRaw(op, p, tag, wire); err != nil {
+		if err := c.sendRaw(rt, p, wire); err != nil {
 			return fmt.Errorf("alltoallsparse payload to %d: %w", p, err)
 		}
 	}
@@ -289,7 +289,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			arena.appendShard(p, int32(send[r].Dim), send[r].Indices, send[r].Vals)
 			continue
 		}
-		payload, err := c.recvRaw(op, p, tag)
+		payload, err := c.recvRaw(rt, p)
 		if err != nil {
 			return fmt.Errorf("alltoallsparse header from %d: %w", p, err)
 		}
@@ -305,7 +305,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			continue
 		}
 		if codec == nil {
-			payload, err = c.recvRaw(op, p, tag)
+			payload, err = c.recvRaw(rt, p)
 			if err != nil {
 				return fmt.Errorf("alltoallsparse indices from %d: %w", p, err)
 			}
@@ -313,7 +313,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			if !ok {
 				return fmt.Errorf("collective: alltoallsparse index type %T from rank %d", payload, p)
 			}
-			payload, err = c.recvRaw(op, p, tag)
+			payload, err = c.recvRaw(rt, p)
 			if err != nil {
 				return fmt.Errorf("alltoallsparse values from %d: %w", p, err)
 			}
@@ -330,7 +330,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			c.putBuf(vals)
 			continue
 		}
-		payload, err = c.recvRaw(op, p, tag)
+		payload, err = c.recvRaw(rt, p)
 		if err != nil {
 			return fmt.Errorf("alltoallsparse payload from %d: %w", p, err)
 		}

@@ -78,14 +78,18 @@ func (k FaultKind) String() string {
 const AnyRank = -1
 
 // FaultPoint identifies one send as seen by the fault injector: the message
-// envelope plus the send's ordinal within its (From, To, Tag) stream. Rules
-// target specific collectives through it — Communicator tags are a pure
-// function of (op, step), so a predicate can match e.g. "the AlltoAll of
-// step 3" by tag.
+// envelope, the send's ordinal within its (From, To, Tag) stream, and the
+// step its SeqFrame carries. Rules target specific collectives through it —
+// a Communicator tag is a pure function of the op name and the frame carries
+// the step, so a predicate can match e.g. "the AlltoAll of step 3" by
+// (Tag, Step).
 type FaultPoint struct {
 	From, To, Tag int
 	// Index is the zero-based ordinal of this send within its stream.
 	Index int64
+	// Step is the payload's SeqFrame.Step, or -1 when the payload is not a
+	// SeqFrame.
+	Step int
 }
 
 // FaultRule arms one fault kind against a subset of the message stream.
@@ -382,7 +386,10 @@ func (c *chaosTransport) Send(to, tag int, payload any) error {
 
 	st := c.stream(to, tag)
 	st.mu.Lock()
-	pt := FaultPoint{From: c.self, To: to, Tag: tag, Index: st.index}
+	pt := FaultPoint{From: c.self, To: to, Tag: tag, Index: st.index, Step: -1}
+	if f, ok := payload.(SeqFrame); ok {
+		pt.Step = f.Step
+	}
 	st.index++
 
 	// A send on a stream with a held message releases it: deliver the new

@@ -87,13 +87,15 @@ type Readmitter interface {
 }
 
 // SeqFrame is the ordered-delivery envelope resilient senders wrap payloads
-// in: a per-(sender, tag) sequence number plus the payload. The transport
-// treats it as an opaque payload; the receiving Communicator uses Seq to
-// drop duplicated frames and reorder delayed ones, and metrics unwraps it
-// when sizing traffic. Exported so every layer (and gob) agrees on the one
-// envelope type.
+// in: a per-(sender, tag) sequence number, the step the sender issued the
+// message for, and the payload. The transport treats it as an opaque
+// payload; the receiving Communicator uses Seq to drop duplicated frames and
+// reorder delayed ones and checks Step against its own, the chaos transport
+// reads Step into FaultPoint, and metrics unwraps it when sizing traffic.
+// Exported so every layer (and gob) agrees on the one envelope type.
 type SeqFrame struct {
 	Seq     int64
+	Step    int
 	Payload any
 }
 

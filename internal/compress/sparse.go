@@ -100,7 +100,8 @@ func (DeltaRaw) DecodeShard(src []byte, rows, dim int, idx []int64, vals []float
 		prev += unzigzag(u)
 		idx = append(idx, prev)
 	}
-	if len(src) != rows*dim*4 {
+	// Compared by division: rows*dim*4 overflows for a hostile dim.
+	if n := len(src) / 4; len(src)%4 != 0 || (rows == 0 && n != 0) || (rows > 0 && (n%rows != 0 || n/rows != dim)) {
 		return idx, vals, sparseDecodeError("delta-raw: value stream length mismatch")
 	}
 	for i := 0; i < rows*dim; i++ {
@@ -235,7 +236,7 @@ func (q DualQuant) DecodeShard(src []byte, rows, dim int, idx []int64, vals []fl
 		prev += unzigzag(key >> 1)
 		idx = append(idx, prev)
 		if key&1 == 1 {
-			if len(src) < dim*4 {
+			if len(src)/4 < dim { // not dim*4, which overflows for a hostile dim
 				return idx, vals, sparseDecodeError("dualq: truncated raw row")
 			}
 			for i := 0; i < dim; i++ {

@@ -102,8 +102,8 @@ func PayloadSize(payload any) int64 {
 	switch v := payload.(type) {
 	case comm.SeqFrame:
 		// Sequence envelope added by collective.Communicator: size the
-		// payload it carries (the 8-byte counter is framing overhead, like
-		// the tag, and deliberately excluded).
+		// payload it carries (the sequence number and step are framing
+		// overhead, like the tag, and deliberately excluded).
 		return PayloadSize(v.Payload)
 	case []float32:
 		return int64(len(v) * tensor.BytesPerElem)

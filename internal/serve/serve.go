@@ -13,15 +13,14 @@
 // the other ranks only when a batch misses rows it does not hold. The
 // control protocol is the same stepped SPMD exchange whichever driver runs
 // it: one []int64 AlltoAll of requested ids followed by one sparse AlltoAll
-// of the rows under monotonically stepped (op, step) tags. Concurrent
-// drivers never collide because each driver's exchanges live in their own
-// tag plane: plane d's per-rank Communicators are built with
+// of the rows, issued at monotonically increasing steps. Concurrent drivers
+// never collide because each driver's exchanges live in their own tag
+// plane: plane d's per-rank Communicators are built with
 // collective.WithEpoch(d), so two drivers conscripting the same ranks at
-// the same moment address disjoint (op, step) spaces. Every rank therefore
-// runs one driver loop (if it is a driver) plus one follower loop per
-// remote driver, all over the same Transport — the fabric can be the
-// in-process world, real TCP sockets, or the chaos wrapper with no code
-// change.
+// the same moment address disjoint tags. Every rank therefore runs one
+// driver loop (if it is a driver) plus one follower loop per remote driver,
+// all over the same Transport — the fabric can be the in-process world,
+// real TCP sockets, or the chaos wrapper with no code change.
 //
 // On top of the driver set sits the hot-shard replication manager (hotSet):
 // an access-frequency tracker promotes Zipf-hot rows into a replica set
@@ -577,8 +576,9 @@ func (rs *rankState) load(cfg Config, rank int, ck *checkpoint.Checkpoint) error
 }
 
 // node is one (tag plane, rank) participant: its epoch-tagged communicator,
-// a pointer to the rank's shared state, plus the step counters that keep its
-// (op, step) tags in lockstep with its plane's driver.
+// a pointer to the rank's shared state, plus the per-op-family sequence
+// counters it passes as the step of each collective, which keep it in
+// lockstep with its plane's driver.
 type node struct {
 	cm    *collective.Communicator
 	rank  int // fabric rank
@@ -594,9 +594,6 @@ type node struct {
 	sendPtrs []*tensor.Sparse
 	arena    collective.SparseShards
 }
-
-// step folds a monotone sequence number into the Communicator's step range.
-func step(seq int) int { return seq % (collective.MaxStep + 1) }
 
 // buildNode wires one plane member to its rank's shared state.
 func (c *Cluster) buildNode(cm *collective.Communicator, plane int) *node {
@@ -718,12 +715,13 @@ const (
 )
 
 // broadcastCtl tells every follower of this plane what happens next. One ctl
-// sequence number is consumed per broadcast on every rank, keeping tags
-// aligned. Every peer is attempted even after a send fails (the first error
-// is returned): skipping survivors would desynchronize their ctl streams
-// from the driver's, turning one dead rank into a wedged plane.
+// sequence number is consumed per broadcast on every rank, keeping the steps
+// of the plane's ctl streams aligned. Every peer is attempted even after a
+// send fails (the first error is returned): skipping survivors would
+// desynchronize their ctl streams from the driver's, turning one dead rank
+// into a wedged plane.
 func (c *Cluster) broadcastCtl(n *node, kind int) error {
-	st := step(n.ctlSeq)
+	st := n.ctlSeq
 	n.ctlSeq++
 	var first error
 	for p := 0; p < c.cfg.Ranks; p++ {
@@ -747,7 +745,7 @@ func (c *Cluster) broadcastCtl(n *node, kind int) error {
 //embrace:hotpath
 //embrace:arena
 func (c *Cluster) exchange(n *node, reqLists [][]int64) (*collective.SparseShards, error) {
-	st := step(n.xSeq)
+	st := n.xSeq
 	n.xSeq++
 	if reqLists == nil {
 		reqLists = make([][]int64, c.cfg.Ranks) //embrace:allow hotalloc follower conscription is off the request fast path
@@ -781,7 +779,7 @@ func (c *Cluster) reloadRendezvous(n *node) error {
 	if err := c.rv.await(c.rebuildAll, c.closeCh); err != nil {
 		return err
 	}
-	st := step(n.reloadSeq)
+	st := n.reloadSeq
 	n.reloadSeq++
 	return n.cm.Barrier("serve/reload", st)
 }
@@ -813,8 +811,7 @@ func (c *Cluster) rebuildAll() error {
 // keeps listening.
 func (c *Cluster) followerLoop(n *node) {
 	for {
-		st := step(n.ctlSeq)
-		payload, err := n.cm.Recv("serve/ctl", st, n.plane)
+		payload, err := n.cm.Recv("serve/ctl", n.ctlSeq, n.plane)
 		if err != nil {
 			if errors.Is(err, comm.ErrTimeout) {
 				continue // idle; same step, keep waiting

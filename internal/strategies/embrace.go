@@ -402,15 +402,14 @@ func (w *embraceWorker) shardOf(windows [][]int64, gradPooled *tensor.Dense) []*
 
 // FullEmbedding reassembles the complete table from every rank's column
 // shard. All ranks must call it together (it is a collective). Any in-flight
-// delayed update is applied first so the gathered table is complete. The tag
-// comes from a Communicator ticket — an out-of-band sequence number all
-// ranks advance symmetrically — rather than a magic step value, so repeated
-// gathers can never collide with training-step tags or each other.
+// delayed update is applied first so the gathered table is complete.
+// Repeated gathers are ordered by their own op stream, so every call passes
+// the same step.
 func (w *embraceWorker) FullEmbedding() (*tensor.Dense, error) {
 	if err := w.harvestDelayed(-1); err != nil {
 		return nil, err
 	}
-	shards, err := collective.AllGatherVia(w.cm, OpGatherEmb, w.cm.Ticket(OpGatherEmb), w.shard.Table)
+	shards, err := collective.AllGatherVia(w.cm, OpGatherEmb, 0, w.shard.Table)
 	if err != nil {
 		return nil, err
 	}

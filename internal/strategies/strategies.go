@@ -191,11 +191,11 @@ type Shared struct {
 }
 
 // Logical operation names: every collective of a step runs under one of
-// these through the Communicator, which allocates collision-free tag ranges
-// per (op, step). Several collectives can be in flight concurrently without
-// crosstalk, and traffic is attributed per logical op by the metrics
-// observer. The trainer and examples reuse the same names so the tag space
-// has a single owner.
+// these through the Communicator, which gives each op its own collision-free
+// tag and checks the step each frame carries. Collectives of distinct ops can
+// be in flight concurrently without crosstalk, and traffic is attributed per
+// logical op by the metrics observer. The trainer and examples reuse the same
+// names so the tag space has a single owner.
 const (
 	// OpTokens gathers every rank's token windows (EmbRace step 1).
 	OpTokens = "emb/tokens"
@@ -213,7 +213,7 @@ const (
 	// OpNextBatch gathers the prefetched next-batch token ids (Algorithm 1).
 	OpNextBatch = "emb/next-batch"
 	// OpGatherEmb reassembles the full embedding table from column shards;
-	// it runs out-of-band via Communicator tickets, not step numbers.
+	// it runs outside the step loop, always at step 0.
 	OpGatherEmb = "emb/gather-table"
 	// OpStats gathers per-rank step metrics at rank 0.
 	OpStats = "trainer/stats"

@@ -1,6 +1,7 @@
 package strategies
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -206,20 +207,20 @@ func TestWorkerStrategyNames(t *testing.T) {
 }
 
 func TestNoTagCollisionsAcrossStrategies(t *testing.T) {
-	// Run every strategy for 3 real steps over shared per-rank Communicators
-	// (EmbRace with 2D scheduling, so the background delayed exchange and the
-	// out-of-band FullEmbedding ticket both register their ops), then verify
-	// that every (op, step) pair the run touched maps to a distinct tag.
-	// This is the regression test for the old hand-numbered tag spaces,
-	// where an out-of-band gather reused step arithmetic (tag(1<<20, ...))
-	// and could collide with a long enough training run.
+	// Run every strategy for 3 real steps (EmbRace with 2D scheduling, so
+	// the background delayed exchange and the out-of-band FullEmbedding
+	// gather both register their ops) and collect every op any run touched.
+	// The union must map to distinct tags, and no two (epoch, op) pairs may
+	// share a tag. Every run also completes, so each (peer, op) stream
+	// passed its per-frame step checks.
 	const workers, steps = 2, 3
 	cfg := validConfig()
 	cfg.Sched = Sched2D
-	cms := make([]*collective.Communicator, workers)
 	windows := [][][]int64{{{1, 2, 3, 4}}, {{5, 6, 7, 8}}}
 	targets := [][]int64{{5}, {9}}
 
+	var mu sync.Mutex
+	ops := map[string]bool{}
 	for _, name := range AllNames() {
 		sh, err := NewShared(name, cfg, workers)
 		if err != nil {
@@ -227,12 +228,6 @@ func TestNoTagCollisionsAcrossStrategies(t *testing.T) {
 		}
 		err = comm.RunRanks(workers, func(tr comm.Transport) error {
 			r := tr.Rank()
-			if cms[r] == nil {
-				cms[r] = collective.NewCommunicator(tr)
-			}
-			// Communicators carry no transport-topology state beyond the
-			// rank, so reusing the tag table across worlds is safe here and
-			// is exactly what accumulates all strategies' ops into one space.
 			cm := collective.NewCommunicator(tr)
 			w, err := NewWorker(name, cm, cfg, sh)
 			if err != nil {
@@ -242,39 +237,45 @@ func TestNoTagCollisionsAcrossStrategies(t *testing.T) {
 				if _, err := w.Step(s, windows[r], targets[r], []int64{1, 2}); err != nil {
 					return err
 				}
-				// Mirror the ops into the shared per-rank communicator.
-				for _, op := range cm.Ops() {
-					if _, err := cms[r].Tag(op, s); err != nil {
-						return err
-					}
-				}
 			}
-			_, err = w.FullEmbedding()
-			return err
+			if _, err := w.FullEmbedding(); err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, op := range cm.Ops() {
+				ops[op] = true
+			}
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	if !ops[OpGatherEmb] || !ops[OpEmbDelayed] {
+		t.Fatalf("ops %v miss the gather or the delayed exchange", ops)
+	}
 
-	for r, cm := range cms {
-		ops := cm.Ops()
-		if len(ops) == 0 {
-			t.Fatalf("rank %d registered no ops", r)
-		}
-		seen := map[int]string{}
-		for _, op := range ops {
-			for s := 0; s <= steps; s++ { // steps plus one ticket's worth
-				tg, err := cm.Tag(op, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				key := op + "@" + string(rune('0'+s))
-				if prev, ok := seen[tg]; ok {
-					t.Fatalf("rank %d: tag %d shared by %s and %s", r, tg, prev, key)
-				}
-				seen[tg] = key
+	w, err := comm.NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	seen := map[int]string{}
+	for epoch := 0; epoch < 3; epoch++ {
+		// One Communicator per plane registers the whole union, so its
+		// cross-op collision check sees every pair.
+		cm := collective.NewCommunicator(w.Rank(0), collective.WithEpoch(epoch))
+		for op := range ops {
+			tg, err := cm.Tag(op)
+			if err != nil {
+				t.Fatal(err)
 			}
+			key := fmt.Sprintf("%s@%d", op, epoch)
+			if prev, ok := seen[tg]; ok {
+				t.Fatalf("tag %d shared by %s and %s", tg, prev, key)
+			}
+			seen[tg] = key
 		}
 	}
 }

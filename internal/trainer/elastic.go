@@ -161,18 +161,20 @@ func FaultErrors(err error) []*FaultError {
 // flight, and take that step down with it.) The crash rule leads the rule
 // list so noise cannot swallow the targeted send; the tag predicate pins it
 // to epoch 0, so a readmitted victim cannot re-crash on a rebuilt world's
-// tags.
-func CrashPlan(seed int64, victim, step int) (comm.FaultPlan, error) {
-	tag, err := collective.TagOf(strategies.OpEmbData, step)
-	if err != nil {
-		return comm.FaultPlan{}, err
-	}
+// tags. Retarget it at another collective with CrashAt.
+func CrashPlan(seed int64, victim, step int) comm.FaultPlan {
 	crash := comm.Rule(comm.FaultCrash, 1)
 	crash.From = victim
-	crash.Match = func(pt comm.FaultPoint) bool { return pt.Tag == tag }
+	crash.Match = CrashAt(strategies.OpEmbData, step)
 	plan := comm.MaskableChaosPlan(seed)
 	plan.Rules = append([]comm.FaultRule{crash}, plan.Rules...)
-	return plan, nil
+	return plan
+}
+
+// CrashAt matches the epoch-0 sends of op's collective at step.
+func CrashAt(op string, step int) func(comm.FaultPoint) bool {
+	tag := collective.TagOf(op)
+	return func(pt comm.FaultPoint) bool { return pt.Tag == tag && pt.Step == step }
 }
 
 // validate extends Job.Validate with the elastic constraints.

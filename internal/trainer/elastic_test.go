@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"embrace/internal/collective"
-	"embrace/internal/comm"
 	"embrace/internal/strategies"
 	"embrace/internal/tensor"
 )
@@ -128,18 +126,15 @@ func stitchedReference(t *testing.T, job ElasticJob, epochs []EpochInfo) *Result
 // world sizes and chaos seeds. Run with -race.
 func TestElasticCrashShrinkRejoinBitIdentical(t *testing.T) {
 	cases := []struct{ workers, embDim int }{
-		{3, 6},   // EmbDim divides 3 and 2
-		{4, 12},  // divides 4 and 3
-		{8, 56},  // divides 8 and 7
+		{3, 6},  // EmbDim divides 3 and 2
+		{4, 12}, // divides 4 and 3
+		{8, 56}, // divides 8 and 7
 	}
 	for _, tc := range cases {
 		for _, seed := range elasticSeeds(3) {
 			job := elasticJob(tc.workers, tc.embDim)
 			victim := tc.workers - 1
-			plan, err := CrashPlan(seed, victim, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := CrashPlan(seed, victim, 4)
 			job.Chaos = &plan
 
 			res, err := runElasticWithGuard(t, job)
@@ -191,10 +186,7 @@ func TestElasticCrashShrinkRejoinBitIdentical(t *testing.T) {
 // run at the smaller size — and still completes and rejoins.
 func TestElasticCrashBeforeFirstCheckpoint(t *testing.T) {
 	job := elasticJob(4, 12)
-	plan, err := CrashPlan(elasticSeeds(1)[0], 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := CrashPlan(elasticSeeds(1)[0], 3, 1)
 	job.Chaos = &plan
 
 	res, err := runElasticWithGuard(t, job)
@@ -213,17 +205,10 @@ func TestElasticCrashBeforeFirstCheckpoint(t *testing.T) {
 func TestElasticShrinkAllReduceStrategy(t *testing.T) {
 	job := elasticJob(4, 12)
 	job.Strategy = strategies.HorovodAllReduce
-	plan, err := CrashPlan(elasticSeeds(1)[0], 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := CrashPlan(elasticSeeds(1)[0], 3, 4)
 	// AllReduce never touches the token-routing op; aim the crash at the
 	// embedding-gradient AllReduce of the same step instead.
-	tag, err := collective.TagOf(strategies.OpEmbGrad, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Rules[0].Match = func(pt comm.FaultPoint) bool { return pt.Tag == tag }
+	plan.Rules[0].Match = CrashAt(strategies.OpEmbGrad, 4)
 	job.Chaos = &plan
 
 	res, err := runElasticWithGuard(t, job)
@@ -242,10 +227,7 @@ func TestElasticShrinkAllReduceStrategy(t *testing.T) {
 func TestElasticShrinkWithoutRejoin(t *testing.T) {
 	job := elasticJob(4, 12)
 	job.Rejoin = false
-	plan, err := CrashPlan(elasticSeeds(1)[0], 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := CrashPlan(elasticSeeds(1)[0], 3, 4)
 	job.Chaos = &plan
 
 	res, err := runElasticWithGuard(t, job)
@@ -267,10 +249,7 @@ func TestElasticShrinkWithoutRejoin(t *testing.T) {
 // never a nil result.
 func TestElasticUnshrinkableWorldReturnsSalvage(t *testing.T) {
 	job := elasticJob(4, 8) // 8 % 3 != 0: shrinking to 3 ranks must fail
-	plan, err := CrashPlan(elasticSeeds(1)[0], 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := CrashPlan(elasticSeeds(1)[0], 3, 4)
 	job.Chaos = &plan
 
 	res, err := runElasticWithGuard(t, job)

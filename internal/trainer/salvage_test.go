@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"embrace/internal/collective"
 	"embrace/internal/comm"
 	"embrace/internal/strategies"
 )
@@ -48,10 +47,7 @@ func TestFaultedRunReturnsPartialResult(t *testing.T) {
 		t.Fatalf("fault-free: %v", err)
 	}
 
-	plan, err := CrashPlan(11, 3, faultStep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := CrashPlan(11, 3, faultStep)
 	job.Chaos = &plan
 	res, err := runWithGuard(t, job)
 	if err == nil {
@@ -84,14 +80,14 @@ func TestFaultedRunReturnsPartialResult(t *testing.T) {
 // The attribution matrix: a crash targeted at each phase of the step loop
 // must surface as a FaultError naming the crashed rank, the exact step, and
 // the exact phase — the coordinates the elastic supervisor steers by.
-// CrashPlan pins the crash to a (op, step) tag via collective.TagOf, so the
-// phase hit is deterministic, not scheduling-dependent.
+// CrashAt pins the crash to one (op tag, frame step) point, so the phase hit
+// is deterministic, not scheduling-dependent.
 func TestFaultAttributionMatrix(t *testing.T) {
 	const victim = 3
 	cases := []struct {
 		name      string
 		op        string
-		tagStep   int // step encoded in the targeted tag
+		tagStep   int // step the targeted frames carry
 		wantStep  int // FaultError.Step (-1 outside the step loop)
 		wantPhase string
 	}{
@@ -99,26 +95,20 @@ func TestFaultAttributionMatrix(t *testing.T) {
 		{"train step", strategies.OpTokens, 2, 2, "train step"},
 		// OpStats is sent by non-root ranks in the gather after the step.
 		{"stats gather", strategies.OpStats, 2, 2, "stats gather"},
-		// OpGatherEmb runs once, after the loop (Ticket 0), step -1.
+		// OpGatherEmb runs once, after the loop at frame step 0; the
+		// FaultError reports step -1.
 		{"final embedding", strategies.OpGatherEmb, 0, -1, "final embedding"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			job := testJob(strategies.EmbRace, 4)
 			job.RecvTimeout = 5 * time.Second
-			plan, err := CrashPlan(7, victim, tc.tagStep)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan := CrashPlan(7, victim, tc.tagStep)
 			// Retarget the prepended crash rule at the phase's op.
-			tag, err := collective.TagOf(tc.op, tc.tagStep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan.Rules[0].Match = func(pt comm.FaultPoint) bool { return pt.Tag == tag }
+			plan.Rules[0].Match = CrashAt(tc.op, tc.tagStep)
 
 			job.Chaos = &plan
-			_, err = runWithGuard(t, job)
+			_, err := runWithGuard(t, job)
 			if err == nil {
 				t.Fatal("job succeeded despite a crashed rank")
 			}

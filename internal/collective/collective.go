@@ -22,8 +22,8 @@ import (
 )
 
 func init() {
-	// Tensor payloads must be registered for the TCP transport's gob
-	// framing; the in-process transport ignores registration.
+	// Tensor payloads ride the TCP transport's gob frame kind, which needs
+	// them registered; the in-process transport ignores registration.
 	comm.RegisterWireType(&tensor.Dense{})
 	comm.RegisterWireType(&tensor.Sparse{})
 	comm.RegisterWireType([]*tensor.Dense{})

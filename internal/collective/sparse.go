@@ -65,11 +65,6 @@ type SparseCodec interface {
 	DecodeShard(src []byte, rows, dim int, idx []int64, vals []float32) ([]int64, []float32, error)
 }
 
-func init() {
-	// Compressed payloads must survive the gob-encoded TCP transport too.
-	comm.RegisterWireType([]byte{})
-}
-
 // sparseStreamHeader announces one AlltoAllSparse peer stream: how many rows
 // follow and how many values each row carries (senders may hold different
 // column widths, e.g. a remainder-bearing column partition). Zero rows means

@@ -92,7 +92,8 @@ type Readmitter interface {
 // payload; the receiving Communicator uses Seq to drop duplicated frames and
 // reorder delayed ones and checks Step against its own, the chaos transport
 // reads Step into FaultPoint, and metrics unwraps it when sizing traffic.
-// Exported so every layer (and gob) agrees on the one envelope type.
+// Exported so every layer agrees on the one envelope type; the TCP wire
+// gives it a frame kind of its own.
 type SeqFrame struct {
 	Seq     int64
 	Step    int

@@ -1,9 +1,9 @@
 // TCP transport: the same Transport contract as the in-process world, but
-// carried over real sockets with gob framing. It exists to demonstrate that
-// the collective algorithms are wire-ready — nothing in internal/collective
-// or internal/strategies knows which fabric it runs on — and to exercise the
-// serialization of every payload the trainer moves (gradients, sparse
-// tensors, token batches).
+// carried over real sockets in the binary frames of wire.go, one conn.Write
+// per Send. It exists to demonstrate that the collective algorithms are
+// wire-ready — nothing in internal/collective or internal/strategies knows
+// which fabric it runs on — and to exercise the serialization of every
+// payload the trainer moves (gradients, sparse tensors, token batches).
 //
 // Topology: a full mesh. Rank i accepts connections from every lower rank
 // and dials every higher rank, so each unordered pair shares exactly one
@@ -29,32 +29,24 @@ const (
 	dialBackoff  = 100 * time.Millisecond
 )
 
-// wireFrame is the on-the-wire envelope.
-type wireFrame struct {
-	From    int
-	Tag     int
-	Payload any
-}
+// helloTag marks the handshake: the first frame on a dialed connection,
+// carrying the dialer's rank.
+const helloTag = -1
 
 // RegisterWireType registers a concrete payload type for TCP transport.
 // Types sent through TCPWorld must be registered by all processes; the
 // common tensor and batch types are pre-registered by internal packages.
+// SeqFrame, []float32, []int64, [][]int64, []byte, int and struct{} have
+// frame kinds of their own and need no registration.
 func RegisterWireType(v any) {
 	gob.Register(v)
 }
 
 func init() {
-	// Payload types every collective uses.
-	RegisterWireType([]float32{})
 	RegisterWireType([][]float32{})
-	RegisterWireType([]int64{})
-	RegisterWireType([][]int64{})
 	RegisterWireType([]int{})
-	RegisterWireType(0)
 	RegisterWireType(0.0)
 	RegisterWireType("")
-	RegisterWireType(struct{}{})
-	RegisterWireType(SeqFrame{})
 }
 
 // TCPWorld is a set of ranks connected all-to-all over loopback TCP. It is
@@ -84,29 +76,44 @@ type tcpRank struct {
 
 	mu    sync.Mutex
 	conns []*tcpConn // indexed by peer rank; nil for self
-	errs  []error
 	wg    sync.WaitGroup
 }
 
-// tcpConn is one duplex peer connection. Exactly one gob encoder and one
-// gob decoder exist per connection for its whole lifetime — the handshake
-// uses the same streams as the frames, because a second decoder on the same
-// socket would lose bytes buffered by the first.
+// tcpConn is one duplex peer connection. Exactly one frame encoder and one
+// frame reader exist per connection for its whole lifetime — the handshake
+// uses the same streams as the frames, because a second reader on the same
+// socket would lose bytes buffered by the first, and each gob stream sends a
+// type's descriptor only once.
 type tcpConn struct {
 	conn  net.Conn
 	encMu sync.Mutex
-	enc   *gob.Encoder
-	dec   *gob.Decoder
+	enc   *frameEncoder
+	dec   *frameReader
 }
 
-// newTCPConn wraps a socket with its lifetime encoder/decoder pair.
+// newTCPConn wraps a socket with its lifetime encoder/reader pair.
 func newTCPConn(conn net.Conn) *tcpConn {
-	return &tcpConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &tcpConn{conn: conn, enc: newFrameEncoder(), dec: newFrameReader(conn)}
 }
 
-// hello is the first frame on a dialed connection, identifying the dialer.
-type hello struct {
-	From int
+// send encodes payload as one frame into pooled scratch and writes it with
+// one conn.Write, so concurrent senders never interleave bytes.
+func (c *tcpConn) send(tag int, payload any) error {
+	p := framePool.Get().(*[]byte)
+	c.encMu.Lock()
+	c.enc.buf = (*p)[:0]
+	err := c.enc.frame(tag, payload)
+	if err == nil && len(c.enc.buf) > maxFrameBytes {
+		err = errFrameSize
+	}
+	if err == nil {
+		_, err = c.conn.Write(c.enc.buf)
+	}
+	*p = c.enc.buf[:0]
+	c.enc.buf = nil
+	c.encMu.Unlock()
+	framePool.Put(p)
+	return err
 }
 
 // NewTCPWorld builds an n-rank world connected over 127.0.0.1 TCP sockets.
@@ -182,7 +189,7 @@ func (r *tcpRank) connectMesh(addrs []string) error {
 			var tc *tcpConn
 			if err == nil {
 				tc = newTCPConn(conn)
-				err = tc.enc.Encode(hello{From: r.id})
+				err = tc.send(helloTag, r.id)
 			}
 			dialCh <- dialRes{peer: peer, conn: tc, err: err}
 		}(peer)
@@ -196,14 +203,15 @@ func (r *tcpRank) connectMesh(addrs []string) error {
 				return fmt.Errorf("comm: rank %d accept: %w", r.id, err)
 			}
 			tc := newTCPConn(conn)
-			var h hello
-			if err := tc.dec.Decode(&h); err != nil {
+			tag, v, err := tc.dec.frame()
+			if err != nil {
 				return fmt.Errorf("comm: rank %d handshake: %w", r.id, err)
 			}
-			if h.From < 0 || h.From >= r.id {
-				return fmt.Errorf("comm: rank %d got handshake from invalid rank %d", r.id, h.From)
+			from, ok := v.(int)
+			if tag != helloTag || !ok || from < 0 || from >= r.id {
+				return fmt.Errorf("comm: rank %d got handshake %T %v under tag %d", r.id, v, v, tag)
 			}
-			r.setConn(h.From, tc)
+			r.setConn(from, tc)
 			accepts--
 			continue
 		}
@@ -233,32 +241,23 @@ func (r *tcpRank) startReaders() {
 		go func(peer int, c *tcpConn) {
 			defer r.wg.Done()
 			for {
-				var f wireFrame
-				if err := c.dec.Decode(&f); err != nil {
-					// Connection closed or broken. During a local shutdown
-					// the mailboxes are about to deliver ErrClosed; a peer
-					// dying on its own is a single-link failure the blocked
-					// receivers must hear about now, not when the whole
-					// world eventually closes.
+				tag, payload, err := c.dec.frame()
+				if err != nil {
+					// Connection closed or broken, or the peer sent bytes
+					// that are not a frame. During a local shutdown the
+					// mailboxes are about to deliver ErrClosed; a peer
+					// failing on its own is a single-link failure the
+					// blocked receivers must hear about now, not when the
+					// whole world eventually closes.
 					if !r.shutdown.Load() {
 						r.mail.markDown(peer, fmt.Errorf("rank %d connection lost: %v", peer, err))
 					}
 					return
 				}
-				if f.From != peer {
-					r.recordErr(fmt.Errorf("comm: rank %d: frame from %d on connection to %d", r.id, f.From, peer))
-					return
-				}
-				r.mail.deliver(f.From, f.Tag, f.Payload)
+				r.mail.deliver(peer, tag, payload)
 			}
 		}(peer, c)
 	}
-}
-
-func (r *tcpRank) recordErr(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.errs = append(r.errs, err)
 }
 
 // Rank implements Transport.
@@ -267,8 +266,8 @@ func (r *tcpRank) Rank() int { return r.id }
 // Size implements Transport.
 func (r *tcpRank) Size() int { return r.size }
 
-// Send implements Transport: frames the payload with gob and writes it to
-// the peer connection. Self-sends short-circuit through the local mailbox.
+// Send implements Transport: writes the payload to the peer connection as
+// one frame. Self-sends short-circuit through the local mailbox.
 func (r *tcpRank) Send(to, tag int, payload any) error {
 	if to < 0 || to >= r.size {
 		return fmt.Errorf("%w: send to %d in world of %d", ErrRank, to, r.size)
@@ -285,9 +284,7 @@ func (r *tcpRank) Send(to, tag int, payload any) error {
 	if c == nil {
 		return ErrClosed
 	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	if err := c.enc.Encode(wireFrame{From: r.id, Tag: tag, Payload: payload}); err != nil {
+	if err := c.send(tag, payload); err != nil {
 		return fmt.Errorf("comm: rank %d send to %d: %w", r.id, to, err)
 	}
 	return nil

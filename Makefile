@@ -53,20 +53,23 @@ elastic:
 
 ## overlap: what the concurrent hybrid step rests on, under the race detector
 ## — the fused ring pass is bit-identical to per-block AllReduce (clean, under
-## maskable chaos, over TCP), Algorithm 1's delayed rows never meet the next
-## batch and late harvest trains bit-identically to early harvest, plus the
+## maskable chaos, over TCP), the ring-sharded optimizer to a replicated one,
+## Algorithm 1's delayed rows never meet the next batch, late harvest and the
+## late dense join train bit-identically to their early forms, plus the
 ## strategies/trainer chaos-equivalence suites that run the three goroutines
 ## of a step against a fault-injecting fabric. CHAOS_SEED offsets the seeds.
 overlap:
 	EMBRACE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -timeout 10m -count=1 \
-		-run 'AllReduceBlocks|DelayedRowsDisjoint|LateHarvest|ChaosTrainingEquivalence|UnderChaos|MaskableChaos|CrossStrategyEquivalence|EmbRace2DEqualsWholeUpdate|TraceChromeExportGolden|TraceDelayedOverlaps' \
+		-run 'AllReduceBlocks|DenseShards|DelayedRowsDisjoint|LateHarvest|LateDenseJoin|ChaosTrainingEquivalence|UnderChaos|MaskableChaos|CrossStrategyEquivalence|EmbRace2DEqualsWholeUpdate|TraceChromeExportGolden|TraceDelayedOverlaps' \
 		./internal/collective ./internal/strategies ./internal/trainer
 
 ## kernels: what the register-blocked trunk kernels and the optimizer loops
 ## rest on, under the race detector — each against its pre-change loop, kept
-## in the tests as the oracle, to the float32 bit (DESIGN.md § Trunk kernels)
-## — then the two trunk benchmarks at the train_dense shape, which also
-## report the live-unit share the zero-skips feed on.
+## in the tests as the oracle, to the float32 bit (DESIGN.md § Trunk kernels),
+## the range-bound Adam and SGD of the ring-sharded optimizer included
+## (TestAdamRange*, matched by Adam) — then the two trunk benchmarks at the
+## train_dense shape, which also report the live-unit share the zero-skips
+## feed on.
 kernels:
 	$(GO) test -race -count=1 -run 'Kernel|Gradients|Infer|Adam|Adagrad|PoolBackward' \
 		./internal/nn ./internal/optim

@@ -162,6 +162,8 @@ var (
 	collectiveMethods = map[string]collectiveArgs{
 		"AllReduce":           {0, 1},
 		"AllReduceBlocks":     {0, 1},
+		"ReduceScatterBlocks": {0, 1},
+		"AllGatherBlocks":     {0, 1},
 		"Barrier":             {0, 1},
 		"SparseAllGather":     {0, 1},
 		"AlltoAllSparse":      {0, 1},

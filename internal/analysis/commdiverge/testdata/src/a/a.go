@@ -152,6 +152,30 @@ func fusedSymmetric(cm *collective.Communicator, w, b []float32) {
 	}
 }
 
+// scatterOnOneArm runs the first half of a split ring pass on one arm only.
+func scatterOnOneArm(cm *collective.Communicator, w, b []float32) {
+	if cm.Rank() == 0 { // want `no matching collective`
+		_ = cm.ReduceScatterBlocks("trunk", 1, w, b)
+	}
+}
+
+// gatherOnOneArm runs the second half of a split ring pass on one arm only.
+func gatherOnOneArm(cm *collective.Communicator, w, b []float32) {
+	if cm.Rank() == 0 { // want `no matching collective`
+		_ = cm.AllGatherBlocks("trunk", 1, w, b)
+	}
+}
+
+// splitSymmetric issues both halves of a split ring pass on every rank, with
+// a rank-local update in between — silent.
+func splitSymmetric(cm *collective.Communicator, g, p []float32) {
+	_ = cm.ReduceScatterBlocks("trunk", 1, g)
+	if cm.Rank() == 0 {
+		p[0] -= g[0]
+	}
+	_ = cm.AllGatherBlocks("trunk", 1, p)
+}
+
 // dataConditioned branches on data, not rank — silent.
 func dataConditioned(cm *collective.Communicator, buf []float32) {
 	if len(buf) > 0 {

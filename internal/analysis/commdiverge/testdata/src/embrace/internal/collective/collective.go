@@ -16,6 +16,10 @@ func (c *Communicator) AllReduce(op string, step int, buf []float32) error { ret
 
 func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error { return nil }
 
+func (c *Communicator) ReduceScatterBlocks(op string, step int, bufs ...[]float32) error { return nil }
+
+func (c *Communicator) AllGatherBlocks(op string, step int, bufs ...[]float32) error { return nil }
+
 func (c *Communicator) Barrier(op string, step int) error { return nil }
 
 func (c *Communicator) Send(op string, step, to int, payload any) error { return nil }

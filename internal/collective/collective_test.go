@@ -122,21 +122,6 @@ func TestRingAllReduceMatchesSequentialSum(t *testing.T) {
 	}
 }
 
-// reduceScatter runs the first ring phase of AllReduceBlocks alone on one
-// block: after it, chunk `rank` of buf holds the sum across all ranks. It
-// returns that chunk's bounds.
-func reduceScatter(c *Communicator, op string, buf []float32) (lo, hi int, err error) {
-	rt, err := c.routeOf(op, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.ringPhase(rt, "reduce-scatter", [][]float32{buf}, 0, add); err != nil {
-		return 0, 0, err
-	}
-	lo, hi = chunkBounds(len(buf), c.Size(), c.Rank())
-	return lo, hi, nil
-}
-
 func TestReduceScatterOwnChunk(t *testing.T) {
 	const n, m = 4, 10
 	err := comm.RunRanks(n, func(tr comm.Transport) error {
@@ -144,10 +129,11 @@ func TestReduceScatterOwnChunk(t *testing.T) {
 		for i := range buf {
 			buf[i] = float32(tr.Rank() + 1) // sum across ranks = 1+2+3+4 = 10
 		}
-		lo, hi, err := reduceScatter(NewCommunicator(tr), "test/rs", buf)
-		if err != nil {
+		c := NewCommunicator(tr)
+		if err := c.ReduceScatterBlocks("test/rs", 0, buf); err != nil {
 			return err
 		}
+		lo, hi := c.ChunkOf(m)
 		wantLo, wantHi := chunkBounds(m, n, tr.Rank())
 		if lo != wantLo || hi != wantHi {
 			return fmt.Errorf("bounds [%d,%d), want [%d,%d)", lo, hi, wantLo, wantHi)

@@ -176,6 +176,16 @@ func NewCommunicator(t comm.Transport, opts ...Option) *Communicator {
 // Rank returns this participant's rank in [0, Size).
 func (c *Communicator) Rank() int { return c.t.Rank() }
 
+// Leave announces that this rank has abandoned the world's collective
+// schedule, so peers blocked on it fail fast with comm.ErrPeerDown instead of
+// waiting on a protocol it will never finish (comm.Leaver). A no-op on
+// transports that cannot announce a departure.
+func (c *Communicator) Leave(reason error) {
+	if l, ok := c.t.(comm.Leaver); ok {
+		l.Leave(reason)
+	}
+}
+
 // Size returns the world size.
 func (c *Communicator) Size() int { return c.t.Size() }
 
@@ -704,14 +714,43 @@ func (c *Communicator) AllReduce(op string, step int, buf []float32) error {
 // is bit-identical to AllReduce on each block separately. All ranks must pass
 // blocks of the same lengths in the same order.
 func (c *Communicator) AllReduceBlocks(op string, step int, bufs ...[]float32) error {
+	if err := c.ReduceScatterBlocks(op, step, bufs...); err != nil {
+		return err
+	}
+	return c.AllGatherBlocks(op, step, bufs...)
+}
+
+// ReduceScatterBlocks is the first half of AllReduceBlocks: afterwards this
+// rank's chunk of every block (ChunkOf) holds the sum across all ranks, in the
+// same bits AllReduceBlocks would leave there, and the rest of each block
+// holds partial sums.
+func (c *Communicator) ReduceScatterBlocks(op string, step int, bufs ...[]float32) error {
 	rt, err := c.routeOf(op, step)
 	if err != nil {
 		return err
 	}
-	if err := c.ringPhase(rt, "reduce-scatter", bufs, 0, add); err != nil {
+	return c.ringPhase(rt, "reduce-scatter", bufs, 0, add)
+}
+
+// AllGatherBlocks is the second half of AllReduceBlocks: every rank's chunk
+// of every block is copied to every other rank. Issued on the op of the
+// ReduceScatterBlocks before it, it costs exactly the rest of that
+// AllReduceBlocks; the blocks it gathers need not be the ones that were
+// reduced, only of the same lengths — a ring-sharded optimizer gathers the
+// parameters it updated from the gradients.
+func (c *Communicator) AllGatherBlocks(op string, step int, bufs ...[]float32) error {
+	rt, err := c.routeOf(op, step)
+	if err != nil {
 		return err
 	}
 	return c.ringPhase(rt, "allgather", bufs, 1, func(dst, src []float32) { copy(dst, src) })
+}
+
+// ChunkOf returns the [lo, hi) range of an n-element block that this rank
+// owns between ReduceScatterBlocks and AllGatherBlocks. It is empty when the
+// block is shorter than the world.
+func (c *Communicator) ChunkOf(n int) (lo, hi int) {
+	return chunkBounds(n, c.t.Size(), c.t.Rank())
 }
 
 // add folds src into dst element-wise: the ring's reduction.

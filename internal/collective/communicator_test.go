@@ -226,10 +226,10 @@ func TestCommunicatorReduceScatterChunked(t *testing.T) {
 	}
 	err := comm.RunRanks(n, func(tr comm.Transport) error {
 		c := NewCommunicator(tr, WithChunkBytes(3*tensor.BytesPerElem))
-		lo, hi, err := reduceScatter(c, "rs", bufs[tr.Rank()])
-		if err != nil {
+		if err := c.ReduceScatterBlocks("rs", 0, bufs[tr.Rank()]); err != nil {
 			return err
 		}
+		lo, hi := c.ChunkOf(m)
 		for i := lo; i < hi; i++ {
 			if bufs[tr.Rank()][i] != want[i] {
 				t.Errorf("rank %d elem %d: got %g want %g", tr.Rank(), i, bufs[tr.Rank()][i], want[i])

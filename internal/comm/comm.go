@@ -67,7 +67,11 @@ type TimeoutSetter interface {
 // Leave marks this rank down for every peer, so receivers blocked on it fail
 // fast with ErrPeerDown instead of hanging until the whole world closes.
 // A rank that aborts a collective mid-protocol should Leave so the failure
-// cascades cleanly instead of deadlocking the survivors. Leave is idempotent:
+// cascades cleanly instead of deadlocking the survivors. The leaver's own
+// blocked receives must still end: the in-process fabrics wake them when the
+// peers leave in turn; TCP, which closes the leaver's connections and so can
+// no longer hear those departures, marks every peer down on the leaver's
+// receive side at once. Leave is idempotent:
 // the first call's reason wins, and later calls — its own Leave racing a
 // peer's death notice during a failure cascade — are no-ops that neither
 // re-wake receivers nor clobber the recorded reason.

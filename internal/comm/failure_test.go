@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,41 @@ func TestTCPNodeLeaveWakesPeers(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("receiver hung after peer left")
+	}
+}
+
+// Leave also wakes the leaver's own receives: with its connections closed it
+// can no longer hear a live peer, nor that peer's later departure, so a
+// receive it still has blocked (a background lane) must fail, not hang.
+func TestTCPLeaveWakesOwnReceives(t *testing.T) {
+	w, err := NewTCPWorld(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := w.Rank(0).Recv(1, 3)
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	w.Rank(0).(Leaver).Leave(errors.New("step failed"))
+
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrPeerDown) || !strings.Contains(err.Error(), "step failed") {
+			t.Fatalf("err = %v, want ErrPeerDown carrying the leave reason", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("leaver's own receive hung")
+	}
+	// Rank 1 and rank 2 were never told anything about each other.
+	if err := w.Rank(1).Send(2, 1, 42); err != nil {
+		t.Fatalf("survivor link send: %v", err)
+	}
+	if v, err := w.Rank(2).Recv(1, 1); err != nil || v != 42 {
+		t.Fatalf("survivor link recv: %v %v", v, err)
 	}
 }
 

@@ -302,15 +302,23 @@ func (r *tcpRank) Recv(from, tag int) (any, error) {
 func (r *tcpRank) SetRecvTimeout(d time.Duration) { r.mail.setTimeout(d) }
 
 // Leave implements Leaver: closing this rank's connections makes every
-// peer's reader observe the breakage and mark this rank down. Idempotent:
-// only the first call closes anything; repeats during a failure cascade are
-// no-ops (the peers' recorded reason — their reader's first observation —
-// is never rewritten).
+// peer's reader observe the breakage and mark this rank down. Once its
+// connections are closed this rank can hear nothing more, not even a peer's
+// own departure, so it also marks every peer down on its own receive side:
+// a receive it still has blocked (a background lane's ring hop) fails with
+// ErrPeerDown instead of waiting forever. Idempotent: only the first call
+// closes anything; repeats during a failure cascade are no-ops (the peers'
+// recorded reason — their reader's first observation — is never rewritten).
 func (r *tcpRank) Leave(reason error) {
 	if r.left.Swap(true) {
 		return
 	}
 	r.shutdown.Store(true)
+	for peer := 0; peer < r.size; peer++ {
+		if peer != r.id {
+			r.mail.markDown(peer, fmt.Errorf("rank %d left the world: %v", r.id, reason))
+		}
+	}
 	r.mu.Lock()
 	for _, c := range r.conns {
 		if c != nil {

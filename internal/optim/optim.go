@@ -37,7 +37,12 @@ func checkDense(param, grad *tensor.Dense) error {
 	return nil
 }
 
-func checkSparse(param *tensor.Dense, grad *tensor.Sparse) error {
+// checkSparse also rejects an optimizer bound to a range: sparse rows address
+// the whole parameter.
+func checkSparse(param *tensor.Dense, lo, hi int, grad *tensor.Sparse) error {
+	if lo != 0 || hi != param.Len() {
+		return fmt.Errorf("optim: sparse step on an optimizer bound to elements [%d, %d) of %v", lo, hi, param.Shape())
+	}
 	if param.Dims() != 2 || param.Dim(0) != grad.NumRows || param.Dim(1) != grad.Dim {
 		return fmt.Errorf("optim: sparse grad [%d x %d] incompatible with param %v",
 			grad.NumRows, grad.Dim, param.Shape())
@@ -52,24 +57,39 @@ func checkSparse(param *tensor.Dense, grad *tensor.Sparse) error {
 // SGD is plain stochastic gradient descent: p -= lr * g. It is stateless and
 // fully element-wise, so split sparse updates are trivially exact.
 type SGD struct {
-	param *tensor.Dense
-	lr    float32
+	param  *tensor.Dense
+	lo, hi int // the flat elements of param StepDense updates
+	lr     float32
 }
 
 // NewSGD binds an SGD optimizer to param.
 func NewSGD(param *tensor.Dense, lr float32) *SGD {
-	return &SGD{param: param, lr: lr}
+	return NewSGDRange(param, 0, param.Len(), lr)
+}
+
+// NewSGDRange binds SGD to elements [lo, hi) of param's flat data, the chunk
+// one rank owns in a ring-sharded update: StepDense reads and updates only
+// that range of the full-size gradient and parameter. Sparse steps need the
+// whole parameter.
+func NewSGDRange(param *tensor.Dense, lo, hi int, lr float32) *SGD {
+	return &SGD{param: param, lo: lo, hi: hi, lr: lr}
 }
 
 func (o *SGD) StepDense(grad *tensor.Dense) error {
 	if err := checkDense(o.param, grad); err != nil {
 		return err
 	}
-	return o.param.AXPY(-o.lr, grad)
+	g := grad.Data()[o.lo:o.hi]
+	p := o.param.Data()[o.lo:o.hi][:len(g)]
+	a := -o.lr
+	for i, gi := range g {
+		p[i] += a * gi
+	}
+	return nil
 }
 
 func (o *SGD) StepSparse(grad *tensor.Sparse) error {
-	if err := checkSparse(o.param, grad); err != nil {
+	if err := checkSparse(o.param, o.lo, o.hi, grad); err != nil {
 		return err
 	}
 	grad.Coalesce().AddToDense(o.param, -o.lr)
@@ -123,7 +143,7 @@ func (o *Adagrad) StepDense(grad *tensor.Dense) error {
 }
 
 func (o *Adagrad) StepSparse(grad *tensor.Sparse) error {
-	if err := checkSparse(o.param, grad); err != nil {
+	if err := checkSparse(o.param, 0, o.param.Len(), grad); err != nil {
 		return err
 	}
 	c := grad.Coalesce()
@@ -142,33 +162,51 @@ func (o *Adagrad) StepSparse(grad *tensor.Sparse) error {
 // does. The bias correction depends on the global step counter, the one
 // non-element-wise piece of state §5.7 discusses.
 type Adam struct {
-	param *tensor.Dense
-	m     *tensor.Dense
-	v     *tensor.Dense
-	lr    float32
-	beta1 float32
-	beta2 float32
-	eps   float32
-	step  int
+	param  *tensor.Dense
+	lo, hi int           // the flat elements of param the moments cover
+	m      *tensor.Dense // m[i] and v[i] belong to param element lo+i
+	v      *tensor.Dense
+	lr     float32
+	beta1  float32
+	beta2  float32
+	eps    float32
+	step   int
 }
 
 // NewAdam binds an Adam optimizer to param with the usual hyperparameters.
 func NewAdam(param *tensor.Dense, lr, beta1, beta2, eps float32) *Adam {
-	return &Adam{
-		param: param,
-		m:     tensor.NewDense(param.Shape()...),
-		v:     tensor.NewDense(param.Shape()...),
-		lr:    lr,
-		beta1: beta1,
-		beta2: beta2,
-		eps:   eps,
-	}
+	return newAdam(param, 0, param.Len(), param.Shape(), lr, beta1, beta2, eps)
 }
 
 // NewAdamDefault binds Adam with the paper-era defaults
 // (lr, β1=0.9, β2=0.999, ε=1e-8).
 func NewAdamDefault(param *tensor.Dense, lr float32) *Adam {
 	return NewAdam(param, lr, 0.9, 0.999, 1e-8)
+}
+
+// NewAdamRange binds default Adam to elements [lo, hi) of param's flat data,
+// the chunk one rank owns in a ring-sharded update: the moments hold hi-lo
+// elements, and StepDense reads and updates only that range of the full-size
+// gradient and parameter, through the same element loop as a whole-parameter
+// Adam. Sparse steps need the whole parameter.
+func NewAdamRange(param *tensor.Dense, lo, hi int, lr float32) *Adam {
+	return newAdam(param, lo, hi, []int{hi - lo}, lr, 0.9, 0.999, 1e-8)
+}
+
+// newAdam binds Adam to elements [lo, hi) of param with moments of the given
+// shape.
+func newAdam(param *tensor.Dense, lo, hi int, moments []int, lr, beta1, beta2, eps float32) *Adam {
+	return &Adam{
+		param: param,
+		lo:    lo,
+		hi:    hi,
+		m:     tensor.NewDense(moments...),
+		v:     tensor.NewDense(moments...),
+		lr:    lr,
+		beta1: beta1,
+		beta2: beta2,
+		eps:   eps,
+	}
 }
 
 // Step returns the number of completed optimization steps.
@@ -179,8 +217,8 @@ func (o *Adam) Step() int { return o.step }
 // state and parameter slices are hoisted and cut to g's length once, so the
 // loop body carries no bounds check and no pointer chase.
 func (o *Adam) apply(off int, g []float32, stepLR float32) {
-	m := o.m.Data()[off:][:len(g)]
-	v := o.v.Data()[off:][:len(g)]
+	m := o.m.Data()[off-o.lo:][:len(g)]
+	v := o.v.Data()[off-o.lo:][:len(g)]
 	p := o.param.Data()[off:][:len(g)]
 	beta1, beta2, eps := o.beta1, o.beta2, o.eps
 	for i, gi := range g {
@@ -203,7 +241,7 @@ func (o *Adam) StepDense(grad *tensor.Dense) error {
 		return err
 	}
 	o.step++
-	o.apply(0, grad.Data(), o.stepLR(o.step))
+	o.apply(o.lo, grad.Data()[o.lo:o.hi], o.stepLR(o.step))
 	return nil
 }
 
@@ -217,7 +255,7 @@ func (o *Adam) StepSparse(grad *tensor.Sparse) error {
 // correction, and only the call with final=true advances the counter — the
 // paper's Adam modification (§5.7).
 func (o *Adam) StepSparsePartial(grad *tensor.Sparse, final bool) error {
-	if err := checkSparse(o.param, grad); err != nil {
+	if err := checkSparse(o.param, o.lo, o.hi, grad); err != nil {
 		return err
 	}
 	step := o.step + 1 // logical step shared by all parts of this iteration

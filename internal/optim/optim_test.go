@@ -377,6 +377,72 @@ func TestAdamLoopsMatchPerElementReference(t *testing.T) {
 	})
 }
 
+// tile splits n elements into `parts` nearly equal ranges, the ring chunk
+// layout: with more parts than elements some ranges are empty.
+func tile(n, parts int) [][2]int {
+	out := make([][2]int, parts)
+	lo := 0
+	for i := range out {
+		hi := lo + n/parts
+		if i < n%parts {
+			hi++
+		}
+		out[i] = [2]int{lo, hi}
+		lo = hi
+	}
+	return out
+}
+
+// Range-bound optimizers tiling a parameter — one per ring chunk, as a
+// ring-sharded update runs them — must leave it bit-identical to the
+// per-element reference over the whole parameter, with each Adam's moments
+// sized to its range and equal to the reference's over it.
+func TestAdamRangeMatchesPerElementReference(t *testing.T) {
+	const rows, dim, steps = 7, 5, 20
+	for _, parts := range []int{1, 2, 3, 4, 8, 2 * rows * dim} {
+		rng := rand.New(rand.NewSource(int64(23 + parts)))
+		param := tensor.RandDense(rng, 1, rows, dim)
+		ref := newRefAdam(param.Clone(), 0.01)
+		sgdParam := param.Clone()
+		sgdRef := param.Clone()
+		var adams []*Adam
+		var sgds []*SGD
+		for _, r := range tile(rows*dim, parts) {
+			adams = append(adams, NewAdamRange(param, r[0], r[1], 0.01))
+			sgds = append(sgds, NewSGDRange(sgdParam, r[0], r[1], 0.05))
+		}
+		for s := 0; s < steps; s++ {
+			g := tensor.RandDense(rng, 1, rows, dim)
+			ref.stepDense(g)
+			if err := sgdRef.AXPY(-0.05, g); err != nil {
+				t.Fatal(err)
+			}
+			for i := range adams {
+				if err := adams[i].StepDense(g); err != nil {
+					t.Fatal(err)
+				}
+				if err := sgds[i].StepDense(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameFloat32Bits(t, "param", s, ref.p, param.Data())
+			sameFloat32Bits(t, "sgd param", s, sgdRef.Data(), sgdParam.Data())
+			for _, o := range adams {
+				if o.m.Len() != o.hi-o.lo {
+					t.Fatalf("parts %d: moments of range [%d, %d) hold %d elements", parts, o.lo, o.hi, o.m.Len())
+				}
+				sameFloat32Bits(t, "m", s, ref.m[o.lo:o.hi], o.m.Data())
+				sameFloat32Bits(t, "v", s, ref.v[o.lo:o.hi], o.v.Data())
+			}
+		}
+	}
+	part := NewAdamRange(tensor.NewDense(4, 2), 2, 6, 0.01)
+	g, _ := tensor.NewSparse(4, 2, []int64{0}, []float32{1, 2})
+	if err := part.StepSparse(g); err == nil {
+		t.Fatal("sparse step on a range-bound Adam must fail")
+	}
+}
+
 func TestAdagradLoopsMatchPerElementReference(t *testing.T) {
 	const rows, dim, steps = 40, 7, 50
 	rng := rand.New(rand.NewSource(19))

@@ -160,6 +160,7 @@ func TestStatsAggregateMerge(t *testing.T) {
 	}
 
 	var sum Stats
+	meanLo, meanHi := math.Inf(1), math.Inf(-1) // per-driver mean latency range
 	for d := 0; d < drivers; d++ {
 		ds := c.DriverStats(d)
 		if ds.Drivers != 1 {
@@ -183,7 +184,10 @@ func TestStatsAggregateMerge(t *testing.T) {
 		sum.Cache.Misses += ds.Cache.Misses
 		sum.Cache.Evictions += ds.Cache.Evictions
 		sum.Latency.Count += ds.Latency.Count
+		sum.Latency.Sum += ds.Latency.Sum
 		sum.QueueWait.Count += ds.QueueWait.Count
+		mean := ds.Latency.Sum / float64(ds.Latency.Count)
+		meanLo, meanHi = min(meanLo, mean), max(meanHi, mean)
 	}
 
 	agg := c.Stats()
@@ -211,20 +215,17 @@ func TestStatsAggregateMerge(t *testing.T) {
 	if agg.Requests == 0 || agg.Latency.Count == 0 {
 		t.Fatal("degenerate test: no traffic recorded")
 	}
-	// The merged p50 must lie within the per-driver extremes — a sanity bound
-	// that catches merging summaries instead of histograms.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for d := 0; d < drivers; d++ {
-		ds := c.DriverStats(d)
-		if ds.Latency.P50 < lo {
-			lo = ds.Latency.P50
-		}
-		if ds.Latency.P50 > hi {
-			hi = ds.Latency.P50
-		}
+	// Merging histograms, not summaries: the merged latency sum is the
+	// per-driver sums added in driver order — the order Stats merges in, so
+	// the float64 is exact — and the pooled mean lies within the per-driver
+	// means. (A merged quantile need not lie within the per-driver ones: each
+	// estimate is a bucket's lower bound clamped to its own histogram's
+	// minimum, so the merged p50 can fall below every per-driver p50.)
+	if agg.Latency.Sum != sum.Latency.Sum {
+		t.Errorf("merged latency sum %v, per-driver sums add to %v", agg.Latency.Sum, sum.Latency.Sum)
 	}
-	if agg.Latency.P50 < lo || agg.Latency.P50 > hi {
-		t.Errorf("merged p50 %v outside per-driver p50 range [%v, %v]", agg.Latency.P50, lo, hi)
+	if mean := agg.Latency.Sum / float64(agg.Latency.Count); mean < meanLo || mean > meanHi {
+		t.Errorf("pooled mean latency %v outside per-driver means [%v, %v]", mean, meanLo, meanHi)
 	}
 }
 
@@ -550,7 +551,7 @@ func TestMultiDriverTCP(t *testing.T) {
 	defer c.Close()
 
 	for i, ids := range requestSet()[:12] {
-		got, err := c.RouterAt(i % 2).Lookup(context.Background(), ids)
+		got, err := c.RouterAt(i%2).Lookup(context.Background(), ids)
 		if err != nil {
 			t.Fatalf("tcp lookup %v: %v", ids, err)
 		}

@@ -15,23 +15,23 @@ import (
 // model replica per rank plus worker-side optimizers. Only the gradient
 // exchange differs between them.
 type replicaWorker struct {
-	cm        *collective.Communicator
-	cfg       Config
-	rec       *trace.Recorder // per-rank span recorder; nil disables tracing
-	model     *nn.Model
-	trunkOpts map[string]optim.Optimizer
-	embOpt    optim.Optimizer
+	cm       *collective.Communicator
+	cfg      Config
+	rec      *trace.Recorder // per-rank span recorder; nil disables tracing
+	model    *nn.Model
+	trunkOpt *DenseShards
+	embOpt   optim.Optimizer
 }
 
 func newReplicaWorker(cm *collective.Communicator, cfg Config, rec *trace.Recorder) *replicaWorker {
 	m := newInitialModel(cfg)
 	return &replicaWorker{
-		cm:        cm,
-		cfg:       cfg,
-		rec:       rec,
-		model:     m,
-		trunkOpts: trunkOptimizers(cfg, m.Trunk),
-		embOpt:    newOptimizer(cfg, m.Emb.Table),
+		cm:       cm,
+		cfg:      cfg,
+		rec:      rec,
+		model:    m,
+		trunkOpt: NewDenseShards(cm, cfg.Optimizer, cfg.LR, m.Trunk.Params()),
+		embOpt:   newOptimizer(cfg, m.Emb.Table),
 	}
 }
 
@@ -49,10 +49,14 @@ func (w *replicaWorker) FullEmbedding() (*tensor.Dense, error) {
 	return w.model.Emb.Table, nil
 }
 
+// Drain has nothing to wait for: the baselines run every exchange on the
+// step goroutine.
+func (w *replicaWorker) Drain() {}
+
 // allReduceTrunk is the dense path every baseline except BytePS shares,
 // blocking on the step goroutine.
 func (w *replicaWorker) allReduceTrunk(step int, grads *nn.TrunkGrads) error {
-	return exchangeTrunk(w.cm, w.rec, trace.TrackCompute, w.trunkOpts, step, grads)
+	return exchangeTrunk(w.rec, trace.TrackCompute, w.trunkOpt, step, grads)
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ import (
 //     batch — embedding forward via model parallelism.
 //  3. The dense trunk runs forward/backward locally.
 //  4. The hybrid of §4.1.3, both halves in flight together (Figure 5). The
-//     dense half — one ring AllReduce pass over every trunk gradient block,
-//     then the trunk updates — runs on its own goroutine; the step goroutine
-//     meanwhile runs the embedding half, (5)-(6). The dense goroutine is
-//     joined before Step returns, on every path.
+//     dense half — one ring pass over every trunk gradient block with the
+//     ring-sharded trunk update (DenseShards) — runs on its own goroutine;
+//     the step goroutine meanwhile runs the embedding half, (5)-(6). The dense
+//     goroutine outlives the step: see late dense join below.
 //  5. The pooled-activation gradient becomes per-token sparse rows,
 //     column-sliced per destination shard — the raw, uncoalesced gradient
 //     Algorithm 1 starts from.
@@ -46,49 +46,80 @@ import (
 // never reads them — and the join still comes before the vertical split
 // rewrites the buffers the exchange reads and before step t's prior update,
 // so §5.7's logical Adam step advances in the same order.
+//
+// Late dense join: step t's dense lane is joined by step t+1 after its (1)
+// token gather and (2) lookup and emb/data AlltoAll, right before (3) reads
+// the trunk, so those run under step t's ring — the next iteration's
+// embedding forward under this iteration's dense communication (§4.2.1,
+// Fig. 5). Nothing else reads or writes the trunk in between: the lane owns
+// the trunk gradients and the parameters it all-gathers into until the join.
+// FullEmbedding joins it too, so Trunk is valid after FullEmbedding. A failed
+// Step or FullEmbedding may leave either lane running; the caller leaves the
+// world and then calls Drain (the Worker contract), so no lane outlives the
+// rank.
 type embraceWorker struct {
 	cm  *collective.Communicator
 	cfg Config
 	rec *trace.Recorder // per-rank span recorder; nil disables tracing
 
-	shard     *nn.Embedding // [vocab x dim/N], this rank's columns
-	trunk     *nn.Trunk
-	trunkOpts map[string]optim.Optimizer
-	embOpt    optim.Optimizer
-	dimShard  int
+	shard    *nn.Embedding // [vocab x dim/N], this rank's columns
+	trunk    *nn.Trunk
+	trunkOpt *DenseShards
+	embOpt   optim.Optimizer
+	dimShard int
 
-	// dense is step (4)'s ring pass and trunk update, in flight only inside
-	// Step. delayed is the background exchange of a step's delayed gradients
-	// (§4.2.2: "the communications of delayed gradients could be performed
-	// later"); it is harvested — its gradient applied with the modified
-	// optimizer's final call — by the next step or by FullEmbedding.
+	// dense is step (4)'s ring pass and trunk update, joined by the next
+	// step's late dense join or by FullEmbedding. delayed is the background
+	// exchange of a step's delayed gradients (§4.2.2: "the communications of
+	// delayed gradients could be performed later"); it is harvested — its
+	// gradient applied with the modified optimizer's final call — by the next
+	// step or by FullEmbedding.
 	dense, delayed lane
 
 	hot hotScratch
 }
+
+// LaneError is the failure of an operation a worker ran on a background lane,
+// with the step that started it. Such a failure surfaces in a later call — a
+// dense ring of step t inside step t+1 or FullEmbedding — and the caller
+// attributes it to Step.
+type LaneError struct {
+	Step int
+	Err  error
+}
+
+func (e *LaneError) Error() string { return fmt.Sprintf("step %d: %v", e.Step, e.Err) }
+
+// Unwrap exposes the operation's error.
+func (e *LaneError) Unwrap() error { return e.Err }
 
 // lane runs one background operation at a time on its own goroutine and
 // joins it; the join channel is allocated once and reused by every step.
 type lane struct {
 	done chan error // capacity 1: the goroutine never blocks delivering
 	busy bool
+	step int // the step whose operation is in flight
 }
 
 func newLane() lane { return lane{done: make(chan error, 1)} }
 
-// start runs op on a new goroutine. The lane must be idle.
-func (l *lane) start(op func() error) {
-	l.busy = true
+// start runs step's op on a new goroutine. The lane must be idle.
+func (l *lane) start(step int, op func() error) {
+	l.busy, l.step = true, step
 	go func() { l.done <- op() }()
 }
 
-// join waits for the operation in flight, if any, and returns its error.
+// join waits for the operation in flight, if any, and returns its error as a
+// *LaneError.
 func (l *lane) join() error {
 	if !l.busy {
 		return nil
 	}
 	l.busy = false
-	return <-l.done
+	if err := <-l.done; err != nil {
+		return &LaneError{Step: l.step, Err: err}
+	}
+	return nil
 }
 
 // hotScratch owns every reusable buffer of the steady-state step: the raw
@@ -166,16 +197,16 @@ func newEmbRaceWorker(cm *collective.Communicator, cfg Config, rec *trace.Record
 		}
 	}
 	w := &embraceWorker{
-		cm:        cm,
-		cfg:       cfg,
-		rec:       rec,
-		shard:     &nn.Embedding{Table: shardTable},
-		trunk:     full.Trunk,
-		trunkOpts: trunkOptimizers(cfg, full.Trunk),
-		embOpt:    newOptimizer(cfg, shardTable),
-		dimShard:  dimShard,
-		dense:     newLane(),
-		delayed:   newLane(),
+		cm:       cm,
+		cfg:      cfg,
+		rec:      rec,
+		shard:    &nn.Embedding{Table: shardTable},
+		trunk:    full.Trunk,
+		trunkOpt: NewDenseShards(cm, cfg.Optimizer, cfg.LR, full.Trunk.Params()),
+		embOpt:   newOptimizer(cfg, shardTable),
+		dimShard: dimShard,
+		dense:    newLane(),
+		delayed:  newLane(),
 	}
 	w.hot.init(n)
 	// Both lanes record from their own goroutines; their wire events must
@@ -187,7 +218,15 @@ func newEmbRaceWorker(cm *collective.Communicator, cfg Config, rec *trace.Record
 
 func (w *embraceWorker) Strategy() Name { return EmbRace }
 
+// Trunk returns the trunk. Between steps it is valid only after
+// FullEmbedding: the last step's update may still be in flight until then.
 func (w *embraceWorker) Trunk() *nn.Trunk { return w.trunk }
+
+// Drain joins both lanes and discards what they return.
+func (w *embraceWorker) Drain() {
+	w.dense.join()
+	w.delayed.join()
+}
 
 // harvestDelayed joins the background delayed exchange in flight, if any,
 // and applies it as the final part of its step's split update. It must run
@@ -270,6 +309,13 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	}
 	sp.End()
 
+	// Late dense join: the previous step's ring pass and trunk update have
+	// been in flight since that step returned, under (1) and (2). The forward
+	// below reads the trunk, so this is the last point to join them.
+	if err := w.dense.join(); err != nil {
+		return nn.StepStats{}, fmt.Errorf("dense lane: %w", err)
+	}
+
 	// (3) Dense trunk forward/backward.
 	sp = w.rec.Begin(trace.TrackCompute, SpanFP, step)
 	loss, cache, err := w.trunk.Forward(pooled, targets)
@@ -285,15 +331,12 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	// (4) Hybrid communication: the dense ring pass and trunk update on the
 	// dense lane, the embedding-gradient path on this goroutine beside it.
 	// The two touch disjoint state (trunk blocks vs. grads.Pooled, the shard
-	// and the hot scratch). Nothing returns before the lane is joined.
-	w.dense.start(func() error { //embrace:allow hotalloc the concurrent hybrid of §4.1.3 is a real goroutine per step
-		return exchangeTrunk(w.cm, w.rec, trace.TrackBackground, w.trunkOpts, step, grads)
+	// and the hot scratch). The lane outlives the step: the next step joins
+	// it before its forward.
+	w.dense.start(step, func() error { //embrace:allow hotalloc the concurrent hybrid of §4.1.3 is a real goroutine per step
+		return exchangeTrunk(w.rec, trace.TrackBackground, w.trunkOpt, step, grads)
 	})
-	err = w.exchangeEmbGrad(step, windows, grads.Pooled, nextTokens)
-	if derr := w.dense.join(); err == nil {
-		err = derr
-	}
-	if err != nil {
+	if err := w.exchangeEmbGrad(step, windows, grads.Pooled, nextTokens); err != nil {
 		return nn.StepStats{}, err
 	}
 	return stats, nil
@@ -381,7 +424,7 @@ func (w *embraceWorker) exchangeEmbGrad(step int, windows [][]int64, gradPooled 
 	}
 	sp.End()
 
-	w.delayed.start(func() error { return w.exchangeDelayed(step) }) //embrace:allow hotalloc the overlap of §4.2.2 is a real goroutine per step
+	w.delayed.start(step, func() error { return w.exchangeDelayed(step) }) //embrace:allow hotalloc the overlap of §4.2.2 is a real goroutine per step
 	return nil
 }
 
@@ -401,11 +444,14 @@ func (w *embraceWorker) shardOf(windows [][]int64, gradPooled *tensor.Dense) []*
 }
 
 // FullEmbedding reassembles the complete table from every rank's column
-// shard. All ranks must call it together (it is a collective). Any in-flight
-// delayed update is applied first so the gathered table is complete.
-// Repeated gathers are ordered by their own op stream, so every call passes
-// the same step.
+// shard. All ranks must call it together (it is a collective). The in-flight
+// trunk update is joined and any in-flight delayed update applied first, so
+// the gathered table is complete and Trunk is current. Repeated gathers are
+// ordered by their own op stream, so every call passes the same step.
 func (w *embraceWorker) FullEmbedding() (*tensor.Dense, error) {
+	if err := w.dense.join(); err != nil {
+		return nil, fmt.Errorf("dense lane: %w", err)
+	}
 	if err := w.harvestDelayed(-1); err != nil {
 		return nil, err
 	}

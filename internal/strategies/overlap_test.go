@@ -140,6 +140,28 @@ func TestDelayedRowsDisjointFromNextBatch(t *testing.T) {
 	}
 }
 
+// Late dense join must be invisible to training. The early order — the dense
+// lane joined before Step returns, the order before the join moved — is
+// reproduced by joining it explicitly ahead of each Step, which leaves the
+// step's own late join nothing to wait for.
+func TestLateDenseJoinEqualsEarlyJoin(t *testing.T) {
+	const steps = 6
+	early := func(w *embraceWorker, s int) error { return w.dense.join() }
+	for _, sched := range []SchedMode{Sched2D, SchedNone} {
+		for _, opt := range []OptimizerKind{OptAdam, OptSGD} {
+			for _, n := range []int{2, 3, 4, 8} {
+				cfg := overlapConfig(opt)
+				cfg.Sched = sched
+				wantLosses, wantEmb, wantTrunk := runZipfTraining(t, n, steps, 11, cfg, early)
+				gotLosses, gotEmb, gotTrunk := runZipfTraining(t, n, steps, 11, cfg, nil)
+				label := fmt.Sprintf("sched %d %s n=%d late vs early dense join", sched, opt, n)
+				assertTrainingEqual(t, label, wantLosses, gotLosses, wantEmb, gotEmb)
+				assertTrainingEqual(t, label+", trunk", nil, nil, wantTrunk, gotTrunk)
+			}
+		}
+	}
+}
+
 // Late harvest must be invisible to training. The early order — join and
 // apply the delayed exchange as a step's first act, the order before the
 // harvest moved — is reproduced by harvesting explicitly ahead of each Step,

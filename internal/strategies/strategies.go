@@ -172,13 +172,22 @@ type Worker interface {
 	// Step trains on one batch: windows/targets are this rank's training
 	// pairs; nextTokens are the token ids of this rank's prefetched next
 	// batch (used only by EmbRace's vertical scheduling). Returns the
-	// rank-local batch metrics.
+	// rank-local batch metrics. EmbRace returns with the step's trunk update
+	// still in flight; the next Step or FullEmbedding joins it.
 	Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error)
 	// FullEmbedding returns this rank's view of the complete embedding
 	// table. Collective for EmbRace (shards are gathered), local otherwise.
 	FullEmbedding() (*tensor.Dense, error)
-	// Trunk returns the rank's dense trunk parameters.
+	// Trunk returns the rank's dense trunk parameters, current after
+	// FullEmbedding.
 	Trunk() *nn.Trunk
+	// Drain waits out every background operation the worker has in flight
+	// and discards its result: the teardown of a rank that failed anywhere,
+	// in Step and FullEmbedding too (they leave their lanes running on
+	// error). Call it only once the rank has left the world: a lane may be
+	// waiting on a peer only the departure wakes. The worker must not be
+	// used afterwards.
+	Drain()
 }
 
 // Shared holds state that must be created once per world and handed to all
@@ -294,40 +303,82 @@ func WithEmbShard(shard *tensor.Dense) WorkerOption {
 	return func(e *workerExtras) { e.embShard = shard }
 }
 
-// newOptimizer binds the configured optimizer kind to a parameter.
+// newOptimizer binds the configured optimizer kind to a whole parameter.
 func newOptimizer(cfg Config, param *tensor.Dense) optim.Optimizer {
-	switch cfg.Optimizer {
+	return newRangeOptimizer(cfg.Optimizer, cfg.LR, param, 0, param.Len())
+}
+
+// newRangeOptimizer binds an optimizer of the given kind to elements [lo, hi)
+// of param's flat data: the one map from OptimizerKind to an optimizer.
+func newRangeOptimizer(kind OptimizerKind, lr float32, param *tensor.Dense, lo, hi int) optim.Optimizer {
+	switch kind {
 	case OptAdam:
-		return optim.NewAdamDefault(param, cfg.LR)
+		return optim.NewAdamRange(param, lo, hi, lr)
 	default:
-		return optim.NewSGD(param, cfg.LR)
+		return optim.NewSGDRange(param, lo, hi, lr)
 	}
 }
 
-// trunkOptimizers builds one optimizer per trunk parameter.
-func trunkOptimizers(cfg Config, t *nn.Trunk) map[string]optim.Optimizer {
-	out := make(map[string]optim.Optimizer, 4)
-	for _, p := range t.Params() {
-		out[p.Name] = newOptimizer(cfg, p.Tensor)
-	}
-	return out
+// DenseShards is the ring-sharded dense optimizer. It sums dense gradient
+// blocks across ranks and applies them to their parameters at the wire cost
+// of one ring AllReduce, but each rank keeps the optimizer state of, and runs
+// the update on, only its own ring chunk of every block — Parallax's rule:
+// state lives with whoever writes it. The reduce-scatter leaves chunk r of
+// every gradient block summed on rank r; rank r updates that chunk of every
+// parameter; the all-gather then ships the updated parameters instead of the
+// summed gradients. The update is element-wise, so every rank ends with the
+// bits a replicated optimizer would compute from the all-reduced gradient,
+// holding 1/N of its moments and doing 1/N of its work.
+type DenseShards struct {
+	cm     *collective.Communicator
+	names  []string
+	params [][]float32
+	opts   []optim.Optimizer // opts[i] is bound to this rank's chunk of params[i]
 }
 
-// exchangeTrunk sums every trunk gradient block across ranks in place, in one
-// ring pass, and applies the trunk updates: the dense half of §4.1.3's hybrid.
+// NewDenseShards binds a sharded optimizer of the given kind to params, in
+// the order Step takes their gradients. Every rank must pass parameters of
+// the same shapes in the same order.
+func NewDenseShards(cm *collective.Communicator, kind OptimizerKind, lr float32, params []nn.NamedParam) *DenseShards {
+	d := &DenseShards{cm: cm}
+	for _, p := range params {
+		lo, hi := cm.ChunkOf(p.Tensor.Len())
+		d.names = append(d.names, p.Name)
+		d.params = append(d.params, p.Tensor.Data())
+		d.opts = append(d.opts, newRangeOptimizer(kind, lr, p.Tensor, lo, hi))
+	}
+	return d
+}
+
+// Step sums grads (one per parameter, in NewDenseShards order) across ranks
+// under (op, step) and applies them. grads are consumed: only this rank's
+// chunk of each ends summed.
+func (d *DenseShards) Step(op string, step int, grads ...*tensor.Dense) error {
+	bufs := make([][]float32, len(grads))
+	for i, g := range grads {
+		bufs[i] = g.Data()
+	}
+	if err := d.cm.ReduceScatterBlocks(op, step, bufs...); err != nil {
+		return err
+	}
+	for i, g := range grads {
+		if err := d.opts[i].StepDense(g); err != nil {
+			return fmt.Errorf("%s update: %w", d.names[i], err)
+		}
+	}
+	return d.cm.AllGatherBlocks(op, step, d.params...)
+}
+
+// exchangeTrunk sums the trunk gradients across ranks and applies the trunk
+// updates through the sharded optimizer: the dense half of §4.1.3's hybrid.
 // Every strategy that AllReduces its trunk goes through it, which is what
 // keeps them bit-identical to each other. track is the lane of the calling
 // goroutine.
-func exchangeTrunk(cm *collective.Communicator, rec *trace.Recorder, track trace.Track, opts map[string]optim.Optimizer, step int, grads *nn.TrunkGrads) error {
+func exchangeTrunk(rec *trace.Recorder, track trace.Track, shards *DenseShards, step int, g *nn.TrunkGrads) error {
 	sp := rec.Begin(track, SpanTrunk, step)
 	defer sp.End()
-	if err := cm.AllReduceBlocks(OpTrunk, step, grads.W1.Data(), grads.B1.Data(), grads.W2.Data(), grads.B2.Data()); err != nil {
+	if err := shards.Step(OpTrunk, step, g.W1, g.B1, g.W2, g.B2); err != nil {
 		return fmt.Errorf("trunk: %w", err)
-	}
-	for _, g := range grads.Dense() {
-		if err := opts[g.Name].StepDense(g.Tensor); err != nil {
-			return fmt.Errorf("trunk %s update: %w", g.Name, err)
-		}
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,27 +79,36 @@ func TestFaultedRunReturnsPartialResult(t *testing.T) {
 	}
 }
 
-// The attribution matrix: a crash targeted at each phase of the step loop
+// The attribution matrix: a fault targeted at each phase of the step loop
 // must surface as a FaultError naming the crashed rank, the exact step, and
 // the exact phase — the coordinates the elastic supervisor steers by.
-// CrashAt pins the crash to one (op tag, frame step) point, so the phase hit
+// CrashAt pins the fault to one (op tag, frame step) point, so the phase hit
 // is deterministic, not scheduling-dependent.
 func TestFaultAttributionMatrix(t *testing.T) {
 	const victim = 3
 	cases := []struct {
 		name      string
+		kind      comm.FaultKind
 		op        string
 		tagStep   int // step the targeted frames carry
 		wantStep  int // FaultError.Step (-1 outside the step loop)
 		wantPhase string
 	}{
 		// OpTokens opens every training step's exchange.
-		{"train step", strategies.OpTokens, 2, 2, "train step"},
+		{"train step", comm.FaultCrash, strategies.OpTokens, 2, 2, "train step"},
 		// OpStats is sent by non-root ranks in the gather after the step.
-		{"stats gather", strategies.OpStats, 2, 2, "stats gather"},
+		{"stats gather", comm.FaultCrash, strategies.OpStats, 2, 2, "stats gather"},
+		// OpTrunk runs on the dense lane, which outlives its step; a fault
+		// in it is reported at the step whose ring failed. A crash would
+		// race the lane's first send against the victim's step goroutine,
+		// whose next send could then fail first, in step 2 or in step 3's
+		// token gather. Cutting only the victim's trunk stream leaves every
+		// step goroutine untouched, so all ranks reach step 3's dense join
+		// and the victim's fails there with the lane's error.
+		{"trunk ring", comm.FaultPartition, strategies.OpTrunk, 2, 2, "train step"},
 		// OpGatherEmb runs once, after the loop at frame step 0; the
 		// FaultError reports step -1.
-		{"final embedding", strategies.OpGatherEmb, 0, -1, "final embedding"},
+		{"final embedding", comm.FaultCrash, strategies.OpGatherEmb, 0, -1, "final embedding"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +116,7 @@ func TestFaultAttributionMatrix(t *testing.T) {
 			job.RecvTimeout = 5 * time.Second
 			plan := CrashPlan(7, victim, tc.tagStep)
 			// Retarget the prepended crash rule at the phase's op.
+			plan.Rules[0].Kind = tc.kind
 			plan.Rules[0].Match = CrashAt(tc.op, tc.tagStep)
 
 			job.Chaos = &plan
@@ -132,6 +144,90 @@ func TestFaultAttributionMatrix(t *testing.T) {
 				t.Fatalf("FaultError.Phase = %q, want %q", got.Phase, tc.wantPhase)
 			}
 		})
+	}
+}
+
+// A failed job leaves no background lane running: a rank drains its worker
+// when it fails, whether the fault hit the lane itself or the step loop while
+// a lane was in flight, so the goroutine count returns to its baseline. The
+// plan injects the crash alone, so no chaos delivery is left in flight either.
+// Over TCP the receives are unbounded, as on every multi-process path: only
+// the Leave cascade can end the job, including a rank whose lane still waits
+// on a live neighbour when it leaves.
+func TestFaultedRunLeavesNoLaneRunning(t *testing.T) {
+	for _, op := range []string{strategies.OpTrunk, strategies.OpStats} {
+		for _, overTCP := range []bool{false, true} {
+			name := op + "/chaos"
+			if overTCP {
+				name = op + "/tcp"
+			}
+			t.Run(name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				var err error
+				if overTCP {
+					job := testJob(strategies.EmbRace, 3)
+					job.Model.EmbDim = 9
+					err = runWorkersOverTCP(t, job, crashPlan(2, op))
+				} else {
+					job := testJob(strategies.EmbRace, 4)
+					job.RecvTimeout = 5 * time.Second
+					plan := crashPlan(3, op)
+					job.Chaos = &plan
+					_, err = runWithGuard(t, job)
+				}
+				if err == nil {
+					t.Fatal("job succeeded despite a crashed rank")
+				}
+				for polls := 0; runtime.NumGoroutine() > before; polls++ {
+					if polls == 500 {
+						t.Fatalf("%d goroutines before the job, %d after", before, runtime.NumGoroutine())
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
+	}
+}
+
+// crashPlan crashes victim at its first send of op's collective at step 2,
+// and injects nothing else.
+func crashPlan(victim int, op string) comm.FaultPlan {
+	crash := comm.Rule(comm.FaultCrash, 1)
+	crash.From = victim
+	crash.Match = CrashAt(op, 2)
+	return comm.FaultPlan{Seed: 5, Rules: []comm.FaultRule{crash}}
+}
+
+// runWorkersOverTCP runs every rank of job through RunWorker over a loopback
+// TCP world, each rank's transport wrapped with plan, under a hang deadline,
+// and joins the ranks' errors.
+func runWorkersOverTCP(t *testing.T, job Job, plan comm.FaultPlan) error {
+	t.Helper()
+	w, err := comm.NewTCPWorld(job.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	errs := make([]error, job.Workers)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i := range job.Workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = RunWorker(job, comm.WrapChaos(w.Rank(i), plan))
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+		return errors.Join(errs...)
+	case <-time.After(60 * time.Second):
+		t.Fatal("job hung")
+		return nil
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 
 // SeqJob configures distributed training of the recurrent model
 // (nn.SeqModel): per-token embedding lookup into a GRU, the gradient
-// structure of the paper's translation models. Dense gradients ride ring
-// AllReduce; the per-token sparse embedding gradient is aggregated with
+// structure of the paper's translation models. Dense gradients ride the
+// ring-sharded optimizer (strategies.DenseShards), the same path as the
+// MLP trunk's; the per-token sparse embedding gradient is aggregated with
 // sparse AllGather, optionally through Algorithm 1's prior/delayed split
 // with the modified Adam.
 type SeqJob struct {
@@ -135,26 +136,22 @@ func (j SeqJob) setupRank(cm *collective.Communicator, _ *trace.Recorder) (stepp
 		cm:       cm,
 		model:    model,
 		params:   params,
-		opts:     make(map[string]optim.Optimizer, len(params)),
-		blocks:   make([][]float32, len(params)),
+		denseOpt: strategies.NewDenseShards(cm, strategies.OptAdam, j.LR, params),
 		embOpt:   optim.NewAdamDefault(model.Emb.Table, j.LR),
 		vertical: j.Vertical,
-	}
-	for _, p := range params {
-		w.opts[p.Name] = optim.NewAdamDefault(p.Tensor, j.LR)
 	}
 	return w, stream, nil
 }
 
 // seqWorker is one rank of the recurrent model: dense gradients ride one
-// ring pass, the per-token sparse embedding gradient a sparse AllGather,
-// optionally split by Algorithm 1 under the modified Adam.
+// ring pass through the ring-sharded optimizer, the per-token sparse
+// embedding gradient a sparse AllGather, optionally split by Algorithm 1
+// under the modified Adam.
 type seqWorker struct {
 	cm       *collective.Communicator
 	model    *nn.SeqModel
 	params   []nn.NamedParam
-	opts     map[string]optim.Optimizer
-	blocks   [][]float32
+	denseOpt *strategies.DenseShards
 	embOpt   *optim.Adam
 	vertical bool
 }
@@ -167,16 +164,12 @@ func (w *seqWorker) Step(step int, windows [][]int64, targets []int64, nextToken
 	}
 
 	// One ring pass over every dense gradient, in parameter order.
+	grads := make([]*tensor.Dense, len(w.params))
 	for i, p := range w.params {
-		w.blocks[i] = dense[p.Name].Data()
+		grads[i] = dense[p.Name]
 	}
-	if err := w.cm.AllReduceBlocks(strategies.OpTrunk, step, w.blocks...); err != nil {
-		return stats, fmt.Errorf("dense allreduce: %w", err)
-	}
-	for _, p := range w.params {
-		if err := w.opts[p.Name].StepDense(dense[p.Name]); err != nil {
-			return stats, fmt.Errorf("dense %s update: %w", p.Name, err)
-		}
+	if err := w.denseOpt.Step(strategies.OpTrunk, step, grads...); err != nil {
+		return stats, fmt.Errorf("dense exchange: %w", err)
 	}
 
 	if !w.vertical {
@@ -226,3 +219,6 @@ func (w *seqWorker) FullEmbedding() (*tensor.Dense, error) { return w.model.Emb.
 
 // Trunk returns nil: the recurrent model has no MLP trunk.
 func (w *seqWorker) Trunk() *nn.Trunk { return nil }
+
+// Drain has nothing to wait for: every exchange runs on the step goroutine.
+func (w *seqWorker) Drain() {}

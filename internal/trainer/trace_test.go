@@ -86,11 +86,11 @@ func TestTraceRunRecordsEveryRank(t *testing.T) {
 
 // TestTraceChromeExportGolden checks the exported JSON end to end: it
 // parses, every complete event has positive duration, per-rank compute
-// spans — and the dense lane's span, joined before Step returns — nest
-// inside their step span, the prior exchange of step k finishes before step
-// k+1 harvests the delayed half (the ordering Algorithm 1 requires), and
-// that harvest sits where late harvest puts it: after the step's own FP/BP,
-// before its vertical split.
+// spans nest inside their step span, the prior exchange of step k finishes
+// before step k+1 harvests the delayed half (the ordering Algorithm 1
+// requires), that harvest sits where late harvest puts it — after the step's
+// own FP/BP, before its vertical split — and the dense lane's span sits where
+// the late dense join puts it: after its step's BP, before the next step's FP.
 func TestTraceChromeExportGolden(t *testing.T) {
 	job := tracedJob(2, 4)
 	res, err := Run(job)
@@ -128,8 +128,7 @@ func TestTraceChromeExportGolden(t *testing.T) {
 		// after it, all on one goroutine and one clock.
 		stepSpan := byStep(r, "step")
 		for _, s := range r.Spans() {
-			onStepLoop := s.Track == trace.TrackCompute && s.Name != "step"
-			if s.Step < 0 || !(onStepLoop || s.Name == strategies.SpanTrunk) {
+			if s.Step < 0 || s.Track != trace.TrackCompute || s.Name == "step" {
 				continue
 			}
 			outer, ok := stepSpan[s.Step]
@@ -178,18 +177,24 @@ func TestTraceChromeExportGolden(t *testing.T) {
 		if routed == 0 {
 			t.Fatalf("rank %d: no wire events of the background ops recorded", rank)
 		}
-		// The dense lane starts once BP has produced the trunk gradients,
-		// on the background track.
+		// The dense lane starts once BP has produced the trunk gradients, on
+		// the background track, and is joined before the next step's forward
+		// reads the trunk.
 		dense := spansOf(r, strategies.SpanTrunk)
 		if len(dense) != job.Steps {
 			t.Fatalf("rank %d: %d dense spans, want %d", rank, len(dense), job.Steps)
 		}
+		fp := byStep(r, strategies.SpanFP)
 		for _, d := range dense {
 			if d.Track != trace.TrackBackground {
 				t.Fatalf("rank %d: dense exchange on track %d", rank, d.Track)
 			}
 			if bp[d.Step].End() > d.Start {
 				t.Fatalf("rank %d step %d: dense exchange starts %v, before bp ends %v", rank, d.Step, d.Start, bp[d.Step].End())
+			}
+			if next, ok := fp[d.Step+1]; ok && d.End() > next.Start {
+				t.Fatalf("rank %d step %d: dense exchange ends %v, after step %d's fp starts %v",
+					rank, d.Step, d.End(), d.Step+1, next.Start)
 			}
 		}
 	}

@@ -204,9 +204,20 @@ func isCommFault(err error) bool {
 		errors.Is(err, comm.ErrClosed)
 }
 
-// attribute wraps a step-phase error: communication faults become clean
-// attributed FaultErrors; everything else keeps the plain wrapping.
-func attribute(rank, step int, phase string, err error) error {
+// attribute wraps a step-phase error of rank at epoch-local step (-1 outside
+// the step loop): communication faults become clean attributed FaultErrors;
+// everything else keeps the plain wrapping. A failure of a worker's
+// background lane is reported at the step that started the lane — a dense
+// ring of step t surfaces inside step t+1 or the final gather. Steps are
+// reported in global numbering.
+func (s epochSpec) attribute(rank, step int, phase string, err error) error {
+	var le *strategies.LaneError
+	if errors.As(err, &le) {
+		step = le.Step
+	}
+	if step >= 0 {
+		step += s.stepBase
+	}
 	if isCommFault(err) {
 		return &FaultError{Rank: rank, Step: step, Phase: phase, Err: err}
 	}
@@ -256,7 +267,7 @@ func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	}
 	spec := epochSpec{job: job, workers: job.Workers}
 	out := &epochOutcome{res: newResult(job.Steps)}
-	err := runRank(spec, t, spec.strategyRank(nil), out)
+	err := rankLoop(spec, t, spec.strategyRank(nil), out)
 	return out.res, err
 }
 
@@ -270,6 +281,7 @@ type stepper interface {
 	Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error)
 	FullEmbedding() (*tensor.Dense, error)
 	Trunk() *nn.Trunk
+	Drain()
 }
 
 // batchStream is the prefetching contract both loaders satisfy.
@@ -396,7 +408,7 @@ func runEpoch(spec epochSpec, setup setupFunc, keep **comm.ChaosWorld) *epochOut
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = runRank(spec, w.rank(i), setup, out)
+			errs[i] = rankLoop(spec, w.rank(i), setup, out)
 		}()
 	}
 	wg.Wait()
@@ -444,29 +456,22 @@ func (s epochSpec) strategyRank(shared *strategies.Shared) setupFunc {
 	}
 }
 
-// runRank runs one rank of an epoch with its receives bounded by the job's
-// RecvTimeout. A rank that fails announces its departure (comm.Leaver) so
-// peers blocked on it fail fast with an attributed error instead of hanging
-// until their own timeouts.
-func runRank(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOutcome) error {
-	if ts, ok := raw.(comm.TimeoutSetter); ok && spec.job.RecvTimeout > 0 {
-		ts.SetRecvTimeout(spec.job.RecvTimeout)
-	}
-	err := rankLoop(spec, raw, setup, out)
-	if l, ok := raw.(comm.Leaver); ok && err != nil {
-		l.Leave(err)
-	}
-	return err
-}
-
 // rankLoop is the paper's worker iteration (§5.1), the one loop every job
 // runs: draw a batch, let the worker run FP, BP, exchange and update, gather
 // the step's stats to rank 0. At a snapshot boundary the ranks gather the
 // full embedding and rank 0 seals it with the trunk into a checkpoint; a stop
 // boundary ends the epoch there. After the last step rank 0 keeps the final
 // parameters.
-func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOutcome) error {
+//
+// Receives are bounded by the job's RecvTimeout. A rank that fails, in setup
+// too, announces its departure (comm.Leaver) so peers blocked on it fail fast
+// with an attributed error instead of hanging until their own timeouts; then
+// it drains its worker, so no background lane outlives the rank.
+func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOutcome) (err error) {
 	job := spec.job
+	if ts, ok := raw.(comm.TimeoutSetter); ok && job.RecvTimeout > 0 {
+		ts.SetRecvTimeout(job.RecvTimeout)
+	}
 	rec := metrics.NewOpRecorder()
 	obs := collective.Observer(rec)
 	var tr *trace.Recorder
@@ -489,6 +494,16 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 		}
 		out.mu.Unlock()
 	}()
+	var w stepper
+	defer func() {
+		if err == nil {
+			return
+		}
+		cm.Leave(err)
+		if w != nil {
+			w.Drain()
+		}
+	}()
 	w, stream, err := setup(cm, tr)
 	if err != nil {
 		return err
@@ -496,7 +511,7 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 	rank := cm.Rank()
 	if spec.epoch > 0 {
 		if err := cm.Barrier(opWorldBarrier, 0); err != nil {
-			return attribute(rank, -1, "world barrier", err)
+			return spec.attribute(rank, -1, "world barrier", err)
 		}
 		if rank == 0 {
 			out.mu.Lock()
@@ -507,7 +522,6 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 
 	steps := job.Steps - spec.stepBase
 	for s := 0; s < steps; s++ {
-		gStep := spec.stepBase + s // attribution in global step numbers
 		batch := stream.Next()
 		next := stream.Peek()
 		windows, targets := WindowsTargets(batch, job.Window)
@@ -515,11 +529,11 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 		stats, err := w.Step(s, windows, targets, next.Tokens())
 		sp.End()
 		if err != nil {
-			return attribute(rank, gStep, "train step", err)
+			return spec.attribute(rank, s, "train step", err)
 		}
 		all, err := collective.GatherVia(cm, strategies.OpStats, s, 0, stats)
 		if err != nil {
-			return attribute(rank, gStep, "stats gather", err)
+			return spec.attribute(rank, s, "stats gather", err)
 		}
 		out.mu.Lock()
 		if rank == 0 {
@@ -532,16 +546,17 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 		if !snap {
 			continue
 		}
-		// FullEmbedding is collective (EmbRace gathers shards; it also
-		// harvests the in-flight delayed exchange first, which the next step
-		// would have applied before any other mutation anyway — the reason
-		// snapshot boundaries stay bit-exact under Sched2D).
+		// FullEmbedding is collective (EmbRace gathers shards; it also joins
+		// the in-flight trunk update and harvests the in-flight delayed
+		// exchange first, which the next step would have applied before any
+		// other mutation anyway — the reason snapshot boundaries stay
+		// bit-exact). Trunk is current only after it.
 		emb, err := w.FullEmbedding()
 		if err != nil {
-			return attribute(rank, gStep, "checkpoint gather", err)
+			return spec.attribute(rank, s, "checkpoint gather", err)
 		}
 		if rank == 0 {
-			ckpt := snapshotCheckpoint(job.SkipBatches+gStep+1, emb, w.Trunk())
+			ckpt := snapshotCheckpoint(job.SkipBatches+spec.stepBase+s+1, emb, w.Trunk())
 			out.mu.Lock()
 			out.snaps = append(out.snaps, snapshotRec{steps: s + 1, ckpt: ckpt})
 			out.stopped = stop
@@ -554,7 +569,7 @@ func rankLoop(spec epochSpec, raw comm.Transport, setup setupFunc, out *epochOut
 
 	emb, err := w.FullEmbedding()
 	if err != nil {
-		return attribute(rank, -1, "final embedding", err)
+		return spec.attribute(rank, -1, "final embedding", err)
 	}
 	if rank == 0 {
 		out.mu.Lock()

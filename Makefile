@@ -11,10 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: go vet plus embracevet, the repo's seven analyzers (tag discipline,
+## lint: go vet plus embracevet, the repo's five analyzers (tag discipline,
 ## determinism, lock-over-send, slice aliasing contracts, hot-path
-## allocations, arena lifetimes, collective-schedule divergence). See
-## DESIGN.md § Static analysis; `-json` emits the machine-readable stream.
+## allocations). Arena lifetimes and collective-schedule divergence are
+## caught at test time instead (poisoned recycled buffers, a default receive
+## deadline). See DESIGN.md § Static analysis; `-json` emits the
+## machine-readable stream.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/embracevet ./...

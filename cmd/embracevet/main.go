@@ -1,7 +1,6 @@
 // Command embracevet runs the repo's custom static analyzers over the
 // module and reports violations of its concurrency, determinism,
-// tag-discipline, allocation, arena-lifetime, and collective-schedule
-// invariants.
+// tag-discipline, slice-aliasing and allocation invariants.
 //
 // Usage:
 //
@@ -10,10 +9,8 @@
 //	go run ./cmd/embracevet ./internal/collective ./internal/sched
 //
 // Each pattern is a directory path relative to the module root; a trailing
-// /... recurses. All matched packages are loaded into one program first, so
-// the interprocedural analyzers (arenalife, commdiverge) see cross-package
-// contracts and call-graph facts regardless of which directories were
-// named.
+// /... recurses. Every analyzer checks one package at a time, so each
+// package is checked as soon as it is loaded.
 //
 // Findings print as file:line:col: message (analyzer). With -json, every
 // diagnostic — including suppressed ones — prints as one JSON object per
@@ -41,8 +38,6 @@ import (
 	"time"
 
 	"embrace/internal/analysis"
-	"embrace/internal/analysis/arenalife"
-	"embrace/internal/analysis/commdiverge"
 	"embrace/internal/analysis/determinism"
 	"embrace/internal/analysis/hotalloc"
 	"embrace/internal/analysis/locksend"
@@ -56,8 +51,6 @@ var analyzers = []*analysis.Analyzer{
 	locksend.Analyzer,
 	sliceret.Analyzer,
 	hotalloc.Analyzer,
-	arenalife.Analyzer,
-	commdiverge.Analyzer,
 }
 
 // jsonDiag is the -json wire form of one diagnostic.
@@ -87,7 +80,9 @@ func main() {
 	}
 
 	loader := analysis.NewLoader([]analysis.Root{{Prefix: module, Dir: root}})
-	var units []*analysis.Package
+	runner := analysis.NewRunner(analyzers, loader.Fset)
+	enc := json.NewEncoder(os.Stdout)
+	found := false
 	for _, dir := range dirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -101,35 +96,30 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", importPath, err))
 		}
-		units = append(units, loaded...)
-	}
-
-	runner := analysis.NewRunner(analyzers, loader.Fset, units)
-	enc := json.NewEncoder(os.Stdout)
-	found := false
-	for _, unit := range units {
-		diags, err := runner.Check(unit)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", unit.Path, err))
-		}
-		for _, d := range diags {
-			pos := loader.Fset.Position(d.Pos)
-			file := pos.Filename
-			if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
-				file = r
+		for _, unit := range loaded {
+			diags, err := runner.Check(unit)
+			if err != nil {
+				fatal(fmt.Errorf("%s: %w", unit.Path, err))
 			}
-			if *jsonOut {
-				if err := enc.Encode(jsonDiag{
-					File: file, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Message: d.Message, Suppressed: d.Suppressed,
-				}); err != nil {
-					fatal(err)
+			for _, d := range diags {
+				pos := loader.Fset.Position(d.Pos)
+				file := pos.Filename
+				if r, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(r, "..") {
+					file = r
 				}
-			} else if !d.Suppressed {
-				fmt.Printf("%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, d.Message, d.Analyzer)
-			}
-			if !d.Suppressed {
-				found = true
+				if *jsonOut {
+					if err := enc.Encode(jsonDiag{
+						File: file, Line: pos.Line, Col: pos.Column,
+						Analyzer: d.Analyzer, Message: d.Message, Suppressed: d.Suppressed,
+					}); err != nil {
+						fatal(err)
+					}
+				} else if !d.Suppressed {
+					fmt.Printf("%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, d.Message, d.Analyzer)
+				}
+				if !d.Suppressed {
+					found = true
+				}
 			}
 		}
 	}

@@ -5,10 +5,11 @@
 // The repo's correctness rests on invariants the compiler cannot see —
 // collective tags must be unique per concurrent operation, simulation
 // results must be bit-reproducible, blocking sends must not happen under a
-// held lock, tensors must not leak their backing arrays. The analyzers under
-// this package (rawtag, determinism, locksend, sliceret) encode those
-// invariants; cmd/embracevet is the multichecker driver that runs them all,
-// and `make lint` wires them into the build.
+// held lock, tensors must not leak their backing arrays, hot paths must not
+// allocate. The analyzers under this package (rawtag, determinism, locksend,
+// sliceret, hotalloc) encode those invariants, one package at a time;
+// cmd/embracevet is the multichecker driver that runs them all, and
+// `make lint` wires them into the build.
 //
 // Suppression: a finding can be silenced with a justification comment on the
 // offending line (or the line directly above it):
@@ -24,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Analyzer describes one static check.
@@ -38,15 +38,6 @@ type Analyzer struct {
 	// pass.Reportf. The returned value is ignored by the driver (kept for
 	// x/tools API parity).
 	Run func(pass *Pass) (any, error)
-	// Summarize, when set, is called once per unit of the whole program
-	// before any Run, so the analyzer can export per-function facts into
-	// pass.Program. Reporting from Summarize is a no-op: facts are the only
-	// legitimate output of the phase.
-	Summarize func(pass *Pass)
-	// Finish, when set, runs once after every unit has been summarized —
-	// the place for program-wide fixpoints (taint propagation through the
-	// call graph, transitive summaries) before per-unit Run begins.
-	Finish func(prog *Program)
 }
 
 // Pass connects an Analyzer to the single package unit being checked.
@@ -61,9 +52,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo holds the resolution tables (Uses, Defs, Types, ...).
 	TypesInfo *types.Info
-	// Program is the whole-program view (call graph and exported facts)
-	// when the pass runs under a Runner; nil for bare single-unit passes.
-	Program *Program
 	// report receives each finding; installed by the checker.
 	report func(Diagnostic)
 }
@@ -147,47 +135,4 @@ func ReceiverType(fn *types.Func) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// collectiveArgs gives the positions of the op and step arguments of a
-// blocking collective.
-type collectiveArgs struct{ op, step int }
-
-// collectiveMethods and collectiveFuncs are the one table of
-// internal/collective's blocking collectives that commdiverge and locksend
-// both read: the Communicator methods, and the generic package functions
-// that take the Communicator first. The point-to-point Send/Recv are not
-// collectives and are absent.
-var (
-	collectiveMethods = map[string]collectiveArgs{
-		"AllReduce":           {0, 1},
-		"AllReduceBlocks":     {0, 1},
-		"ReduceScatterBlocks": {0, 1},
-		"AllGatherBlocks":     {0, 1},
-		"Barrier":             {0, 1},
-		"SparseAllGather":     {0, 1},
-		"AlltoAllSparse":      {0, 1},
-		"AlltoAllSparseCodec": {0, 1},
-	}
-	collectiveFuncs = map[string]collectiveArgs{
-		"AllGatherVia": {1, 2},
-		"AllToAllVia":  {1, 2},
-		"GatherVia":    {1, 2},
-	}
-)
-
-// Collective reports whether fn is a blocking collective of
-// internal/collective and, if so, the positions of its op and step
-// arguments.
-func Collective(fn *types.Func) (op, step int, ok bool) {
-	if !strings.HasSuffix(PkgPathOf(fn), "internal/collective") {
-		return 0, 0, false
-	}
-	var args collectiveArgs
-	if recv := ReceiverType(fn); recv == nil {
-		args, ok = collectiveFuncs[fn.Name()]
-	} else if recv.Obj().Name() == "Communicator" {
-		args, ok = collectiveMethods[fn.Name()]
-	}
-	return args.op, args.step, ok
 }

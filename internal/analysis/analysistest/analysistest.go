@@ -40,17 +40,12 @@ func TestData() string {
 
 // Run loads each fixture package under testdata/src, applies the analyzer,
 // and checks its diagnostics against the fixtures' want expectations.
-//
-// All named fixtures are pooled into one program before any is checked, so
-// interprocedural analyzers see contract comments and function bodies of
-// stub dependency packages listed alongside the fixture that imports them
-// (the loader's dependency typechecking strips both). Findings suppressed
-// by justified directives are not matched against wants — fixtures assert
-// what a user of the tool would see.
+// Findings suppressed by justified directives are not matched against
+// wants — fixtures assert what a user of the tool would see.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	loader := analysis.NewLoader([]analysis.Root{{Prefix: "", Dir: filepath.Join(testdata, "src")}})
-	var units []*analysis.Package
+	runner := analysis.NewRunner([]*analysis.Analyzer{a}, loader.Fset)
 	for _, path := range paths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(path))
 		loaded, err := loader.LoadDir(dir, path, true)
@@ -62,22 +57,20 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 			t.Errorf("fixture %s holds no Go package", path)
 			continue
 		}
-		units = append(units, loaded...)
-	}
-	runner := analysis.NewRunner([]*analysis.Analyzer{a}, loader.Fset, units)
-	for _, unit := range units {
-		diags, err := runner.Check(unit)
-		if err != nil {
-			t.Errorf("running %s on %s: %v", a.Name, unit.Path, err)
-			continue
-		}
-		surviving := diags[:0:0]
-		for _, d := range diags {
-			if !d.Suppressed {
-				surviving = append(surviving, d)
+		for _, unit := range loaded {
+			diags, err := runner.Check(unit)
+			if err != nil {
+				t.Errorf("running %s on %s: %v", a.Name, unit.Path, err)
+				continue
 			}
+			surviving := diags[:0:0]
+			for _, d := range diags {
+				if !d.Suppressed {
+					surviving = append(surviving, d)
+				}
+			}
+			match(t, loader.Fset, unit, surviving)
 		}
-		match(t, loader.Fset, unit, surviving)
 	}
 }
 

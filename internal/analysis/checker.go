@@ -86,55 +86,25 @@ type AnalyzerStats struct {
 	Findings int
 	// Suppressed counts diagnostics silenced by justified directives.
 	Suppressed int
-	// Elapsed is total wall time in the analyzer's Summarize/Finish/Run
-	// hooks.
+	// Elapsed is total wall time in the analyzer's Run.
 	Elapsed time.Duration
 }
 
-// Runner executes a set of analyzers over a whole program: NewRunner builds
-// the call graph and runs every analyzer's Summarize/Finish phases, then
-// Check audits one unit at a time. Findings suppressed by justified
-// directives are returned with Suppressed set rather than dropped, so
-// drivers can expose the full audit trail.
+// Runner executes a set of analyzers one unit at a time. Findings
+// suppressed by justified directives are returned with Suppressed set rather
+// than dropped, so drivers can expose the full audit trail.
 type Runner struct {
 	Analyzers []*Analyzer
 	Fset      *token.FileSet
-	Program   *Program
 	// Stats tallies findings and time per analyzer name.
 	Stats map[string]*AnalyzerStats
 }
 
-// NewRunner builds the program over units and runs the summary phases.
-func NewRunner(analyzers []*Analyzer, fset *token.FileSet, units []*Package) *Runner {
-	r := &Runner{
-		Analyzers: analyzers,
-		Fset:      fset,
-		Program:   NewProgram(fset, units),
-		Stats:     make(map[string]*AnalyzerStats),
-	}
+// NewRunner returns a runner of analyzers over units positioned by fset.
+func NewRunner(analyzers []*Analyzer, fset *token.FileSet) *Runner {
+	r := &Runner{Analyzers: analyzers, Fset: fset, Stats: make(map[string]*AnalyzerStats)}
 	for _, a := range analyzers {
 		r.Stats[a.Name] = &AnalyzerStats{}
-		if a.Summarize == nil && a.Finish == nil {
-			continue
-		}
-		start := time.Now()
-		if a.Summarize != nil {
-			for _, unit := range units {
-				a.Summarize(&Pass{
-					Analyzer:  a,
-					Fset:      fset,
-					Files:     unit.Files,
-					Pkg:       unit.Types,
-					TypesInfo: unit.Info,
-					Program:   r.Program,
-					report:    func(Diagnostic) {},
-				})
-			}
-		}
-		if a.Finish != nil {
-			a.Finish(r.Program)
-		}
-		r.Stats[a.Name].Elapsed += time.Since(start)
 	}
 	return r
 }
@@ -158,7 +128,6 @@ func (r *Runner) Check(unit *Package) ([]Diagnostic, error) {
 			Files:     unit.Files,
 			Pkg:       unit.Types,
 			TypesInfo: unit.Info,
-			Program:   r.Program,
 		}
 		pass.report = func(d Diagnostic) {
 			pos := r.Fset.Position(d.Pos)
@@ -230,12 +199,4 @@ func activeNames(analyzers []*Analyzer) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
-}
-
-// Run executes the analyzers over one package unit in isolation — a
-// convenience wrapper building a single-unit Runner. Interprocedural
-// analyzers see only this unit's functions; drivers that want cross-package
-// facts must pool units through NewRunner themselves.
-func Run(analyzers []*Analyzer, pkg *Package, fset *token.FileSet) ([]Diagnostic, error) {
-	return NewRunner(analyzers, fset, []*Package{pkg}).Check(pkg)
 }

@@ -56,7 +56,7 @@ func checkSrc(t *testing.T, subdir, src string, analyzers ...*analysis.Analyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := analysis.NewRunner(analyzers, loader.Fset, units)
+	runner := analysis.NewRunner(analyzers, loader.Fset)
 	var diags []analysis.Diagnostic
 	for _, unit := range units {
 		ds, err := runner.Check(unit)

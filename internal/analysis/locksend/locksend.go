@@ -14,9 +14,9 @@
 // receivers are replayed in source order against the blocking calls between
 // them; a deferred unlock holds its lock to the end of the function. Calls
 // considered blocking: comm.Transport Send/Recv (on the interface or any
-// implementation), Communicator Send/Recv, and the collectives of the one
-// table in internal/analysis (Communicator methods and the package-level
-// *Via functions).
+// implementation), Communicator Send/Recv, and internal/collective's
+// blocking collectives (Communicator methods and the package-level *Via
+// functions).
 package locksend
 
 import (
@@ -34,6 +34,19 @@ var Analyzer = &analysis.Analyzer{
 	Doc:  "forbid blocking Transport/collective calls while holding a sync.Mutex or RWMutex acquired in the same function",
 	Run:  run,
 }
+
+// collectiveMethods and collectiveFuncs name internal/collective's blocking
+// collectives: the Communicator methods, and the generic package functions
+// that take the Communicator first. The point-to-point Send/Recv are not
+// collectives and are absent.
+var (
+	collectiveMethods = map[string]bool{
+		"AllReduce": true, "AllReduceBlocks": true, "ReduceScatterBlocks": true,
+		"AllGatherBlocks": true, "Barrier": true, "SparseAllGather": true,
+		"AlltoAllSparse": true, "AlltoAllSparseCodec": true,
+	}
+	collectiveFuncs = map[string]bool{"AllGatherVia": true, "AllToAllVia": true, "GatherVia": true}
+)
 
 const (
 	evLock = iota
@@ -183,7 +196,7 @@ func classifyLockOp(pass *analysis.Pass, call *ast.CallExpr) (key string, kind i
 }
 
 // classifyBlocking recognizes the communication calls that can stall a rank:
-// the collectives of analysis.Collective, and Send/Recv on the Communicator,
+// the collectives above, and Send/Recv on the Communicator,
 // the Transport interface, or anything implementing it.
 func classifyBlocking(pass *analysis.Pass, call *ast.CallExpr, transport *types.Interface) (string, bool) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
@@ -191,11 +204,13 @@ func classifyBlocking(pass *analysis.Pass, call *ast.CallExpr, transport *types.
 		return "", false
 	}
 	recv := analysis.ReceiverType(fn)
-	if _, _, ok := analysis.Collective(fn); ok {
-		if recv == nil {
+	if strings.HasSuffix(analysis.PkgPathOf(fn), "internal/collective") {
+		switch {
+		case recv == nil && collectiveFuncs[fn.Name()]:
 			return "collective." + fn.Name(), true
+		case recv != nil && recv.Obj().Name() == "Communicator" && collectiveMethods[fn.Name()]:
+			return "Communicator." + fn.Name(), true
 		}
-		return "Communicator." + fn.Name(), true
 	}
 	if recv == nil || recv.Obj().Pkg() == nil || (fn.Name() != "Send" && fn.Name() != "Recv") {
 		return "", false

@@ -127,6 +127,9 @@ func (c *Checkpoint) Validate() error {
 		if p == nil {
 			return fmt.Errorf("checkpoint: %w: param %q is nil", ErrCorrupt, name)
 		}
+		if p.Len() == 0 {
+			return fmt.Errorf("checkpoint: %w: param %q of shape %v is empty", ErrCorrupt, name, p.Shape())
+		}
 	}
 	for name, st := range c.Optim {
 		p, ok := c.Params[name]

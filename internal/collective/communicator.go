@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
+	"testing"
 	"time"
 
 	"embrace/internal/comm"
@@ -34,7 +36,7 @@ import (
 //     summation order, so results are bit-identical for every chunk size.
 //
 //   - Buffer pooling. Scratch buffers for ring sends are drawn from an
-//     internal sync.Pool and recycled when the received copy has been folded
+//     internal pool and recycled when the received copy has been folded
 //     into the destination, eliminating the per-send make([]float32, ...) of
 //     the free-function paths. Ownership transfers with the message: the
 //     receiving rank returns the buffer to its own pool.
@@ -61,14 +63,9 @@ type Communicator struct {
 	sends    map[streamKey]*sendStream
 	recvs    map[streamKey]*recvStream
 
-	pool   sync.Pool // *[]float32 holding scratch data
-	spares sync.Pool // *[]float32 holding empty containers
-
-	poolI64   sync.Pool // *[]int64 holding scratch data (sparse index streams)
-	sparesI64 sync.Pool // *[]int64 holding empty containers
-
-	poolB   sync.Pool // *[]byte holding scratch data (compressed wire payloads)
-	sparesB sync.Pool // *[]byte holding empty containers
+	f32   bufPool[float32] // ring segments and raw sparse value streams
+	i64   bufPool[int64]   // raw sparse index streams
+	bytes bufPool[byte]    // encoded payloads of the compressed sparse exchanges
 }
 
 // ErrStepMismatch is returned by a receive whose next in-order frame on its
@@ -164,7 +161,14 @@ func WithEpoch(e int) Option {
 
 // NewCommunicator creates the rank-local collective endpoint over t.
 func NewCommunicator(t comm.Transport, opts ...Option) *Communicator {
-	c := &Communicator{t: t, sends: make(map[streamKey]*sendStream), recvs: make(map[streamKey]*recvStream)}
+	c := &Communicator{
+		t:     t,
+		sends: make(map[streamKey]*sendStream),
+		recvs: make(map[streamKey]*recvStream),
+		f32:   bufPool[float32]{poison: poisonF32},
+		i64:   bufPool[int64]{poison: poisonI64},
+		bytes: bufPool[byte]{poison: poisonByte},
+	}
 	for _, o := range opts {
 		o(c)
 	}
@@ -257,103 +261,67 @@ func (c *Communicator) Ops() []string {
 // Pooled scratch buffers.
 // ---------------------------------------------------------------------------
 
-// getBuf returns a scratch buffer of length n, reusing pooled memory. The
-// container pointer is parked in the spares pool so putBuf can return
-// received buffers without allocating a new header.
+// bufPool recycles scratch slices of T. Ownership travels with the message:
+// a buffer one rank's pool handed out is typically put back by the receiving
+// rank into its own pool once its contents have been consumed. The container
+// pointer is parked in spares so put can return received buffers without
+// allocating a new header.
 //
-//embrace:arena
-func (c *Communicator) getBuf(n int) []float32 {
-	v, _ := c.pool.Get().(*[]float32)
+// In test binaries put first fills the buffer's whole capacity with poison,
+// so a read of a recycled buffer sees NaN or sentinel bits, which the
+// bit-identity suites reject, instead of plausible stale data.
+type bufPool[T any] struct {
+	full   sync.Pool // *[]T holding scratch data
+	spares sync.Pool // *[]T holding empty containers
+	poison T
+}
+
+// Poison values of recycled memory in test binaries: a NaN for values, a
+// negative row id for indices, and a byte pattern for encoded payloads.
+var (
+	poisonRecycled = testing.Testing()
+	poisonF32      = math.Float32frombits(0x7fc0dead)
+	poisonI64      = int64(math.MinInt64 + 0xdead)
+	poisonByte     = byte(0xa5)
+)
+
+// get returns a scratch buffer of length n, reusing pooled memory.
+func (p *bufPool[T]) get(n int) []T {
+	v, _ := p.full.Get().(*[]T)
 	if v == nil {
-		v = new([]float32)
+		v = new([]T)
 	}
 	buf := *v
 	*v = nil
-	c.spares.Put(v)
+	p.spares.Put(v)
 	if cap(buf) < n {
-		buf = make([]float32, n)
+		buf = make([]T, n)
 	}
 	return buf[:n]
 }
 
-// putBuf recycles a buffer whose contents have been fully consumed. With the
-// in-process transport this is typically a buffer a peer's getBuf allocated;
-// ownership travels with the message.
-//
-//embrace:arena reuse buf
-func (c *Communicator) putBuf(buf []float32) {
+// put recycles a buffer whose contents have been fully consumed.
+func (p *bufPool[T]) put(buf []T) {
 	if cap(buf) == 0 {
 		return
 	}
-	v, _ := c.spares.Get().(*[]float32)
-	if v == nil {
-		v = new([]float32)
+	buf = buf[:cap(buf)]
+	if poisonRecycled {
+		fill(buf, p.poison)
 	}
-	*v = buf[:cap(buf)]
-	c.pool.Put(v)
+	v, _ := p.spares.Get().(*[]T)
+	if v == nil {
+		v = new([]T)
+	}
+	*v = buf
+	p.full.Put(v)
 }
 
-// getBufI64 and putBufI64 are the []int64 twins of getBuf/putBuf, used for
-// the index streams of the sparse exchanges. Same ownership discipline: the
-// buffer travels with the message and the receiver recycles it into its own
-// pool.
-//
-//embrace:arena
-func (c *Communicator) getBufI64(n int) []int64 {
-	v, _ := c.poolI64.Get().(*[]int64)
-	if v == nil {
-		v = new([]int64)
+// fill sets every element of buf to v.
+func fill[T any](buf []T, v T) {
+	for i := range buf {
+		buf[i] = v
 	}
-	buf := *v
-	*v = nil
-	c.sparesI64.Put(v)
-	if cap(buf) < n {
-		buf = make([]int64, n)
-	}
-	return buf[:n]
-}
-
-//embrace:arena reuse buf
-func (c *Communicator) putBufI64(buf []int64) {
-	if cap(buf) == 0 {
-		return
-	}
-	v, _ := c.sparesI64.Get().(*[]int64)
-	if v == nil {
-		v = new([]int64)
-	}
-	*v = buf[:cap(buf)]
-	c.poolI64.Put(v)
-}
-
-// getBufB and putBufB are the []byte twins of getBuf/putBuf, used for the
-// encoded payloads of the compressed sparse exchanges. getBufB returns a
-// zero-length buffer (codecs append into it), so the pool converges on
-// high-water-mark capacities after warm-up just like the float pools.
-//
-//embrace:arena
-func (c *Communicator) getBufB() []byte {
-	v, _ := c.poolB.Get().(*[]byte)
-	if v == nil {
-		v = new([]byte)
-	}
-	buf := *v
-	*v = nil
-	c.sparesB.Put(v)
-	return buf[:0]
-}
-
-//embrace:arena reuse buf
-func (c *Communicator) putBufB(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	v, _ := c.sparesB.Get().(*[]byte)
-	if v == nil {
-		v = new([]byte)
-	}
-	*v = buf[:cap(buf)]
-	c.poolB.Put(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +610,7 @@ func (c *Communicator) ringExchange(rt route, right, left int, bufs [][]float32,
 	sent := 0
 	sendSeg := func() error {
 		a, b := chunkBounds(sendLen, ss, sent)
-		seg := c.getBuf(b - a)
+		seg := c.f32.get(b - a)
 		out.walk(seg, func(part, seg []float32) { copy(seg, part) })
 		sent++
 		return c.sendRaw(rt, right, seg)
@@ -670,7 +638,7 @@ func (c *Communicator) ringExchange(rt route, right, left int, bufs [][]float32,
 			return fmt.Errorf("collective: %s: segment size %d != %d", rt.op, len(in), b-a)
 		}
 		into.walk(in, combine)
-		c.putBuf(in)
+		c.f32.put(in)
 	}
 	for sent < ss {
 		if err := sendSeg(); err != nil {

@@ -88,8 +88,6 @@ func init() {
 // is owned by one exchange call site and must not be shared between
 // concurrent exchanges; its contents are valid until the next AlltoAllSparse
 // call that fills it.
-//
-//embrace:arena
 type SparseShards struct {
 	merged tensor.Sparse
 	ends   []int   // ends[p] = exclusive row end of sender p's shard
@@ -103,8 +101,6 @@ type SparseShards struct {
 //
 // aliases: the returned tensor is a view of the arena, valid until the next
 // exchange into it.
-//
-//embrace:arena
 func (a *SparseShards) Merged() *tensor.Sparse { return &a.merged }
 
 // Senders returns the number of shards held (the world size of the exchange).
@@ -115,7 +111,6 @@ func (a *SparseShards) Senders() int { return len(a.ends) }
 // exchange into the arena.
 //
 //embrace:hotpath
-//embrace:arena dst
 func (a *SparseShards) ShardView(p int, dst *tensor.Sparse) {
 	lo, vlo := 0, 0
 	if p > 0 {
@@ -128,9 +123,14 @@ func (a *SparseShards) ShardView(p int, dst *tensor.Sparse) {
 }
 
 // reset prepares the arena for an n-sender exchange of numRows-row shards,
-// keeping its backing arrays. dim is the receiver's own width, the default
+// keeping its backing arrays; in test binaries it poisons their old contents
+// first, like bufPool.put. dim is the receiver's own width, the default
 // for senders until their streams say otherwise.
 func (a *SparseShards) reset(n, numRows, dim int) {
+	if poisonRecycled {
+		fill(a.merged.Indices[:cap(a.merged.Indices)], poisonI64)
+		fill(a.merged.Vals[:cap(a.merged.Vals)], poisonF32)
+	}
 	if cap(a.ends) < n {
 		a.ends = make([]int, n)
 		a.vends = make([]int, n)
@@ -191,7 +191,6 @@ func sparseRawBytes(rows, dim int) int { return rows * (8 + 4*dim) }
 // ShardView either way.
 //
 //embrace:hotpath
-//embrace:arena reuse arena
 func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse, arena *SparseShards) error {
 	return c.AlltoAllSparseCodec(op, step, send, arena, nil, RowsWhole)
 }
@@ -225,7 +224,6 @@ func (e sparseHeaderError) Error() string {
 // wire footprint and codec latency.
 //
 //embrace:hotpath
-//embrace:arena reuse arena
 func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.Sparse, arena *SparseShards, codec SparseCodec, class RowClass) error {
 	n, r := c.t.Size(), c.t.Rank()
 	if len(send) != n {
@@ -250,12 +248,12 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			continue
 		}
 		if codec == nil {
-			ibuf := c.getBufI64(len(sh.Indices))
+			ibuf := c.i64.get(len(sh.Indices))
 			copy(ibuf, sh.Indices)
 			if err := c.sendRaw(rt, p, ibuf); err != nil {
 				return fmt.Errorf("alltoallsparse indices to %d: %w", p, err)
 			}
-			vbuf := c.getBuf(len(sh.Vals))
+			vbuf := c.f32.get(len(sh.Vals))
 			copy(vbuf, sh.Vals)
 			if err := c.sendRaw(rt, p, vbuf); err != nil {
 				return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
@@ -266,7 +264,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if c.codecObs != nil {
 			start = time.Now()
 		}
-		wire := codec.AppendShard(c.getBufB(), sh.Indices, sh.Vals, sh.Dim, class)
+		wire := codec.AppendShard(c.bytes.get(0), sh.Indices, sh.Vals, sh.Dim, class)
 		if c.codecObs != nil {
 			c.codecObs.CodecOp(op, "encode", sparseRawBytes(len(sh.Indices), sh.Dim), len(wire), time.Since(start))
 		}
@@ -321,8 +319,8 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 					p, len(idx), len(vals), hdr.Rows, hdr.Dim)
 			}
 			arena.appendShard(p, hdr.Dim, idx, vals)
-			c.putBufI64(idx)
-			c.putBuf(vals)
+			c.i64.put(idx)
+			c.f32.put(vals)
 			continue
 		}
 		payload, err = c.recvRaw(rt, p)
@@ -343,7 +341,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if c.codecObs != nil {
 			c.codecObs.CodecOp(op, "decode", sparseRawBytes(int(hdr.Rows), int(hdr.Dim)), len(wire), time.Since(start))
 		}
-		c.putBufB(wire)
+		c.bytes.put(wire)
 	}
 	return nil
 }

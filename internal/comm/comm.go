@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 )
 
@@ -133,6 +134,7 @@ type mailboxSet struct {
 	closedCh chan struct{}
 
 	// timeoutNS is the receive timeout in nanoseconds; zero blocks forever.
+	// It starts at testRecvTimeout in test binaries, zero otherwise.
 	timeoutNS atomic.Int64
 }
 
@@ -145,12 +147,23 @@ type peerState struct {
 	reason error
 }
 
+// testRecvTimeout is the receive deadline every fabric starts with in test
+// binaries. A collective issued on some ranks only then fails within
+// seconds, with an error naming the peer (and, through the Communicator, the
+// op), instead of hanging until go test panics. An explicit SetRecvTimeout
+// still wins; product binaries block forever by default.
+const testRecvTimeout = 10 * time.Second
+
 func newMailboxSet() *mailboxSet {
-	return &mailboxSet{
+	m := &mailboxSet{
 		boxes:    make(map[mailboxKey]chan any),
 		peers:    make(map[int]*peerState),
 		closedCh: make(chan struct{}),
 	}
+	if testing.Testing() {
+		m.timeoutNS.Store(int64(testRecvTimeout))
+	}
+	return m
 }
 
 // box returns (creating if needed) the channel for (from, tag), or nil if

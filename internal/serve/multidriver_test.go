@@ -453,9 +453,13 @@ func TestDriverCrashIsolated(t *testing.T) {
 	}
 
 	// A remote fetch from the survivor needs the dead rank and must fail
-	// typed too, not hang.
-	if _, err := c.RouterAt(0).Lookup(context.Background(), theirs[:1]); err == nil {
-		t.Fatal("survivor fetched rows from a crashed rank")
+	// typed too, promptly: the crash, not a receive deadline, ends it.
+	start := time.Now()
+	if _, err := c.RouterAt(0).Lookup(context.Background(), theirs[:1]); !errors.Is(err, comm.ErrPeerDown) {
+		t.Fatalf("survivor fetch from a crashed rank: err = %v, want comm.ErrPeerDown", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("survivor fetch took %v to fail", d)
 	}
 
 	done := make(chan struct{})

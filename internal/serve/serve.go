@@ -743,7 +743,6 @@ func (c *Cluster) broadcastCtl(n *node, kind int) error {
 // is valid until the node's next exchange.
 //
 //embrace:hotpath
-//embrace:arena
 func (c *Cluster) exchange(n *node, reqLists [][]int64) (*collective.SparseShards, error) {
 	st := n.xSeq
 	n.xSeq++

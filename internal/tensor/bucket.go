@@ -9,6 +9,11 @@ package tensor
 // calls allocate nothing — the property the `hotalloc` analyzer enforces on
 // the marked functions.
 
+import (
+	"math"
+	"testing"
+)
+
 // SearchInt64 returns the smallest i in [0, len(xs)] with xs[i] >= x — the
 // lower-bound binary search (searchsorted-left). xs must be sorted ascending.
 // It is a hand-rolled loop rather than sort.Search so hot callers pay no
@@ -122,8 +127,6 @@ func UniqueSorted(xs []int64) []int64 {
 // streams without ever building a map. The buffers grow to a high-water mark
 // on first use and are reused on every later call, so steady-state bucketing
 // allocates nothing. A RowBucketer is not safe for concurrent use.
-//
-//embrace:arena
 type RowBucketer struct {
 	counts []int
 	offs   []int
@@ -135,16 +138,12 @@ type RowBucketer struct {
 //
 // aliases: the returned slice is the bucketer's scratch — valid until the
 // next Bucket call.
-//
-//embrace:arena
 func (b *RowBucketer) Counts() []int { return b.counts }
 
 // Offsets returns the exclusive prefix sums of Counts, with ndst+1 entries.
 //
 // aliases: the returned slice is the bucketer's scratch — valid until the
 // next Bucket call.
-//
-//embrace:arena
 func (b *RowBucketer) Offsets() []int { return b.offs }
 
 // Perm returns the stable destination-grouped permutation of the last Bucket
@@ -152,14 +151,11 @@ func (b *RowBucketer) Offsets() []int { return b.offs }
 //
 // aliases: the returned slice is the bucketer's scratch — valid until the
 // next Bucket call.
-//
-//embrace:arena
 func (b *RowBucketer) Perm() []int32 { return b.perm }
 
 // Bucket groups ids by destOf(id), which must return a value in [0, ndst).
 //
 //embrace:hotpath
-//embrace:arena reuse b
 func (b *RowBucketer) Bucket(ids []int64, ndst int, destOf func(int64) int) {
 	b.ensure(len(ids), ndst)
 	counts := b.counts
@@ -181,7 +177,6 @@ func (b *RowBucketer) Bucket(ids []int64, ndst int, destOf func(int64) int) {
 // bucketing of a contiguously row-partitioned table.
 //
 //embrace:hotpath
-//embrace:arena reuse b
 func (b *RowBucketer) BucketRanges(ids []int64, bounds []int64) {
 	ndst := len(bounds) - 1
 	b.ensure(len(ids), ndst)
@@ -229,8 +224,16 @@ func (b *RowBucketer) scatter(ids []int64) {
 
 // ensure grows the scratch buffers to hold n ids across ndst destinations.
 // Growth happens only until the high-water mark is reached; it is the cold
-// half of the bucketer, deliberately unmarked.
+// half of the bucketer, deliberately unmarked. In test binaries it first
+// poisons the old contents with negative sentinels, so a slice read from the
+// previous Bucket call indexes out of range instead of yielding stale data.
 func (b *RowBucketer) ensure(n, ndst int) {
+	if poisonScratch {
+		fillInts(b.counts[:cap(b.counts)], math.MinInt)
+		fillInts(b.offs[:cap(b.offs)], math.MinInt)
+		fillInts(b.dest[:cap(b.dest)], math.MinInt32)
+		fillInts(b.perm[:cap(b.perm)], math.MinInt32)
+	}
 	if cap(b.counts) < ndst {
 		b.counts = make([]int, ndst)
 	}
@@ -248,4 +251,14 @@ func (b *RowBucketer) ensure(n, ndst int) {
 		b.perm = make([]int32, n)
 	}
 	b.perm = b.perm[:n]
+}
+
+// poisonScratch is true in test binaries only: reused scratch is poisoned
+// before it is refilled.
+var poisonScratch = testing.Testing()
+
+func fillInts[T int | int32](xs []T, v T) {
+	for i := range xs {
+		xs[i] = v
+	}
 }

@@ -206,3 +206,23 @@ func TestSortAndSearchSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("SortInt64+UniqueSorted allocates %v times", n)
 	}
 }
+
+// Offsets and Perm read after the next Bucket call see negative sentinels
+// wherever the new call did not write, instead of the old grouping.
+func TestRowBucketerPoisonsStaleScratch(t *testing.T) {
+	var b RowBucketer
+	ids := []int64{0, 1, 2, 3, 4, 5}
+	b.Bucket(ids, 4, func(id int64) int { return int(id % 4) })
+	offs, perm := b.Offsets(), b.Perm()
+	b.Bucket(ids[:2], 2, func(id int64) int { return int(id % 2) })
+	for _, o := range offs[len(b.Offsets()):] {
+		if o >= 0 {
+			t.Fatalf("stale offsets %v not poisoned", offs)
+		}
+	}
+	for _, p := range perm[len(b.Perm()):] {
+		if p >= 0 {
+			t.Fatalf("stale perm %v not poisoned", perm)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // Wire encoding for the tensor types, used by the TCP transport. Dense keeps
@@ -35,6 +36,9 @@ func (t *Dense) GobDecode(b []byte) error {
 	for _, d := range w.Shape {
 		if d < 0 {
 			return fmt.Errorf("tensor: decoded negative dimension %d", d)
+		}
+		if d != 0 && n > math.MaxInt/d {
+			return fmt.Errorf("tensor: decoded shape %v overflows an element count", w.Shape)
 		}
 		n *= d
 	}
@@ -75,6 +79,13 @@ func (s *Sparse) GobDecode(b []byte) error {
 	var w sparseWire
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
 		return fmt.Errorf("tensor: decoding sparse: %w", err)
+	}
+	if w.NumRows < 0 || w.Dim < 0 {
+		return fmt.Errorf("tensor: decoded sparse shape %d x %d is negative", w.NumRows, w.Dim)
+	}
+	if w.Dim != 0 && max(w.NumRows, len(w.Indices)) > math.MaxInt/w.Dim {
+		return fmt.Errorf("tensor: decoded sparse dim %d overflows %d rows or %d indices",
+			w.Dim, w.NumRows, len(w.Indices))
 	}
 	if len(w.Vals) != len(w.Indices)*w.Dim {
 		return fmt.Errorf("tensor: decoded sparse vals %d != %d indices * dim %d",

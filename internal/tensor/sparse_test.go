@@ -358,6 +358,31 @@ func TestGobDecodeRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// Hostile shapes must be rejected at decode time, not panic later in
+// ToDense or a column shard: element counts that overflow int and wrap to
+// the (empty) data length, and negative sizes.
+func TestGobDecodeRejectsHostileShapes(t *testing.T) {
+	var dense bytes.Buffer
+	_ = gob.NewEncoder(&dense).Encode(denseWire{Shape: []int{1 << 32, 1 << 32}})
+	cases := []struct {
+		name string
+		dec  func() error
+	}{
+		{"dense element count wraps to 0", func() error { return new(Dense).GobDecode(dense.Bytes()) }},
+		{"sparse negative rows", func() error {
+			return new(Sparse).GobDecode(sparseWireForTest(-1, 2, nil, nil))
+		}},
+		{"sparse indices*dim wraps to 0", func() error {
+			return new(Sparse).GobDecode(sparseWireForTest(8, 1<<62, []int64{0, 1, 2, 3}, nil))
+		}},
+	}
+	for _, tc := range cases {
+		if err := tc.dec(); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
 // sparseWireForTest builds raw gob bytes for a (possibly invalid) sparse
 // tensor, bypassing NewSparse validation.
 func sparseWireForTest(rows, dim int, idx []int64, vals []float32) []byte {

@@ -151,9 +151,9 @@ func TestFaultAttributionMatrix(t *testing.T) {
 // when it fails, whether the fault hit the lane itself or the step loop while
 // a lane was in flight, so the goroutine count returns to its baseline. The
 // plan injects the crash alone, so no chaos delivery is left in flight either.
-// Over TCP the receives are unbounded, as on every multi-process path: only
-// the Leave cascade can end the job, including a rank whose lane still waits
-// on a live neighbour when it leaves.
+// Only the Leave cascade may end the job, including a rank whose lane still
+// waits on a live neighbour when it leaves: the test asserts ErrPeerDown, no
+// receive timeout, and a failure well inside any receive deadline.
 func TestFaultedRunLeavesNoLaneRunning(t *testing.T) {
 	for _, op := range []string{strategies.OpTrunk, strategies.OpStats} {
 		for _, overTCP := range []bool{false, true} {
@@ -163,6 +163,8 @@ func TestFaultedRunLeavesNoLaneRunning(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
+				slow := time.NewTimer(4 * time.Second)
+				defer slow.Stop()
 				var err error
 				if overTCP {
 					job := testJob(strategies.EmbRace, 3)
@@ -177,6 +179,16 @@ func TestFaultedRunLeavesNoLaneRunning(t *testing.T) {
 				}
 				if err == nil {
 					t.Fatal("job succeeded despite a crashed rank")
+				}
+				// Only the Leave cascade may end the job: a receive that
+				// missed its wake-up would end at a receive deadline instead.
+				if !errors.Is(err, comm.ErrPeerDown) || errors.Is(err, comm.ErrTimeout) {
+					t.Fatalf("err = %v, want ErrPeerDown and no receive timeout", err)
+				}
+				select {
+				case <-slow.C:
+					t.Fatal("job took over 4s to fail; the Leave cascade should end it at once")
+				default:
 				}
 				for polls := 0; runtime.NumGoroutine() > before; polls++ {
 					if polls == 500 {

@@ -8,8 +8,8 @@
 //     embedding+MLP model with genuine collective data movement under any of
 //     the paper's five strategies — the four baselines or EmbRace's hybrid
 //     AlltoAll/AllReduce communication with 2D scheduling and the modified
-//     Adam optimizer. TrainRank runs the same job one rank per OS process
-//     over TCP.
+//     Adam optimizer. TrainRank runs the same job, under any strategy, one
+//     rank per OS process over TCP.
 //
 //   - Performance simulation (Simulate): a calibrated discrete-event model
 //     of the paper's two GPU clusters that predicts step time and
@@ -19,8 +19,8 @@
 //   - Experiment harnesses (RunExperiment): regenerate every table and
 //     figure of the paper's evaluation section.
 //
-// The substrates — tensors, collectives, schedulers, parameter servers, the
-// network cost model — live under internal/ and are documented in DESIGN.md.
+// The substrates — tensors, collectives, schedulers, the network cost model —
+// live under internal/ and are documented in DESIGN.md.
 package embrace
 
 import (
@@ -28,6 +28,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"embrace/internal/checkpoint"
 	"embrace/internal/collective"
@@ -434,7 +435,6 @@ func (c TrainConfig) job() (trainer.Job, error) {
 			Optimizer: opt,
 			LR:        lr,
 			Sched:     sched,
-			PSServers: max(1, c.Workers/4),
 			Codec:     codec,
 		},
 		Data: data.Config{
@@ -587,9 +587,9 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 // TrainRank runs rank `rank` of cfg's job as one OS process of a
 // multi-process run: it binds peers[rank], meshes over TCP with the other
 // ranks (each running TrainRank with the same cfg and peers) and trains. The
-// world size is len(peers); a non-zero cfg.Workers must match it. Only the
-// peer-to-peer strategies (horovod-allreduce, horovod-allgather, embrace) run
-// this way, and the single-process options are rejected. Rank 0's result
+// world size is len(peers); a non-zero cfg.Workers must match it. Every
+// strategy runs this way (the parameter-server baselines host one server
+// shard per rank); the single-process options are rejected. Rank 0's result
 // carries the losses, bit-identical to Train's; every rank's carries its own
 // traffic.
 func TrainRank(cfg TrainConfig, rank int, peers []string) (*TrainResult, error) {
@@ -610,10 +610,8 @@ func TrainRank(cfg TrainConfig, rank int, peers []string) (*TrainResult, error) 
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	switch job.Strategy {
-	case HorovodAllReduce, HorovodAllGather, EmbRace:
-	default:
-		return nil, fmt.Errorf("embrace: TrainRank runs %s, %s or %s, not %q", HorovodAllReduce, HorovodAllGather, EmbRace, job.Strategy)
+	if !slices.Contains(Strategies(), job.Strategy) {
+		return nil, fmt.Errorf("embrace: unknown strategy %q", job.Strategy)
 	}
 	node, err := comm.NewTCPNode(rank, peers)
 	if err != nil {

@@ -226,7 +226,8 @@ func TestTrainElasticCrashWritesCheckpoint(t *testing.T) {
 
 // TrainRank is Train split across processes: two ranks meshed over loopback
 // TCP, run here as goroutines, train the same job, and rank 0 reports
-// Train's losses to the bit.
+// Train's losses to the bit — under EmbRace and under both parameter-server
+// baselines, whose server shards live on the ranks.
 func TestTrainRankMatchesTrain(t *testing.T) {
 	cfg := embrace.TrainConfig{
 		Strategy: embrace.EmbRace,
@@ -239,49 +240,57 @@ func TestTrainRankMatchesTrain(t *testing.T) {
 		Adam:     true,
 		Seed:     11,
 	}
-	want, err := embrace.Train(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// reservePeers reserves two loopback ports, then frees them for the
+	// ranks to bind.
+	reservePeers := func() []string {
+		peers := make([]string, 2)
+		for i := range peers {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[i] = l.Addr().String()
+			l.Close()
+		}
+		return peers
 	}
-	// Reserve two loopback ports, then free them for the ranks to bind.
-	peers := make([]string, 2)
-	for i := range peers {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+	for _, strategy := range []embrace.Strategy{embrace.EmbRace, embrace.BytePS, embrace.Parallax} {
+		cfg := cfg
+		cfg.Strategy = strategy
+		want, err := embrace.Train(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = l.Addr().String()
-		l.Close()
-	}
-	results := make([]*embrace.TrainResult, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for rank := range peers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[rank], errs[rank] = embrace.TrainRank(cfg, rank, peers)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	got := results[0].Losses
-	if len(got) != len(want.Losses) {
-		t.Fatalf("rank 0 reported %d losses, Train %d", len(got), len(want.Losses))
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want.Losses[i]) {
-			t.Fatalf("step %d: TrainRank loss %v, Train %v", i, got[i], want.Losses[i])
+		peers := reservePeers()
+		results := make([]*embrace.TrainResult, 2)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for rank := range peers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[rank], errs[rank] = embrace.TrainRank(cfg, rank, peers)
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		got := results[0].Losses
+		if len(got) != len(want.Losses) {
+			t.Fatalf("%s: rank 0 reported %d losses, Train %d", strategy, len(got), len(want.Losses))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want.Losses[i]) {
+				t.Fatalf("%s step %d: TrainRank loss %v, Train %v", strategy, i, got[i], want.Losses[i])
+			}
 		}
 	}
 
-	// The single-process options and the parameter-server strategies are
-	// refused before the mesh waits on peers, not silently dropped.
+	// The single-process options and unknown strategies are refused before
+	// the mesh waits on peers, not silently dropped.
+	peers := reservePeers()
 	for name, bad := range map[string]func(*embrace.TrainConfig){
-		"BytePS":         func(c *embrace.TrainConfig) { c.Strategy = embrace.BytePS },
-		"Parallax":       func(c *embrace.TrainConfig) { c.Strategy = embrace.Parallax },
 		"unknown":        func(c *embrace.TrainConfig) { c.Strategy = "nope" },
 		"Elastic":        func(c *embrace.TrainConfig) { c.Elastic = true },
 		"ChaosSeed":      func(c *embrace.TrainConfig) { c.ChaosSeed = 3 },

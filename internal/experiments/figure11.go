@@ -51,7 +51,6 @@ func figure11Job(strategy strategies.Name, sched strategies.SchedMode, steps int
 			Optimizer: strategies.OptAdam,
 			LR:        0.01,
 			Sched:     sched,
-			PSServers: 2,
 		},
 		Data: data.Config{
 			VocabSize:      600,

@@ -38,7 +38,7 @@ func TestEmbRaceCompressedTrainingEquivalenceAcrossWorldSizes(t *testing.T) {
 	const steps = 4
 	cfg := Config{
 		Seed: 3, Vocab: 36, EmbDim: 24, Hidden: 4,
-		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D, PSServers: 1,
+		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D,
 	}
 	compressed := cfg
 	compressed.Codec = compress.DeltaRaw{}
@@ -67,7 +67,7 @@ func TestEmbRaceLossyCompressedDeterministicUnderChaos(t *testing.T) {
 	}
 	cfg := Config{
 		Seed: 3, Vocab: 36, EmbDim: 24, Hidden: 4,
-		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D, PSServers: 1,
+		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D,
 		Codec: q,
 	}
 	wantLosses, wantEmb := runEmbRaceTraining(t, n, steps, cfg, comm.RunRanks)
@@ -133,7 +133,7 @@ func measureTwoRankStepAllocs(t *testing.T, cfg Config) float64 {
 func TestEmbRaceCompressedStepAllocParity(t *testing.T) {
 	base := Config{
 		Seed: 3, Vocab: 36, EmbDim: 8, Hidden: 4,
-		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D, PSServers: 1,
+		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D,
 	}
 	raw := measureTwoRankStepAllocs(t, base)
 	q, err := compress.NewDualQuant(1e-4, 1e-3)

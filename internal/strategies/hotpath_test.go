@@ -83,7 +83,7 @@ func TestEmbRaceChaosTrainingEquivalenceAcrossWorldSizes(t *testing.T) {
 	const steps = 4
 	cfg := Config{
 		Seed: 3, Vocab: 36, EmbDim: 24, Hidden: 4,
-		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D, PSServers: 1,
+		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D,
 	}
 	for _, n := range []int{2, 3, 4, 8} {
 		wantLosses, wantEmb := runEmbRaceTraining(t, n, steps, cfg, comm.RunRanks)
@@ -152,7 +152,7 @@ func measureStepAllocs(t *testing.T, cfg Config) float64 {
 func TestEmbRaceStepSteadyStateAllocBudget(t *testing.T) {
 	base := Config{
 		Seed: 3, Vocab: 36, EmbDim: 8, Hidden: 4,
-		Optimizer: OptAdam, LR: 0.05, PSServers: 1,
+		Optimizer: OptAdam, LR: 0.05,
 	}
 	noSched := base
 	if got := measureStepAllocs(t, noSched); got > 80 {

@@ -1,16 +1,18 @@
 // Package strategies implements the five distributed training strategies the
-// paper evaluates (§5.2.3), all in real-execution mode: every rank is a
-// goroutine holding real tensors, and gradients actually move through the
-// collective/PS substrates.
+// paper evaluates (§5.2.3), all in real-execution mode: every rank holds real
+// tensors, and gradients actually move through the collectives.
 //
 //   - HorovodAllReduce: every gradient, embeddings included, is aggregated
 //     densely with ring AllReduce.
 //   - HorovodAllGather: dense gradients use AllReduce; embedding gradients
 //     stay sparse and are aggregated with AllGather.
-//   - BytePS: every gradient goes through dense parameter servers (BytePS
-//     treats sparse tensors as dense; its ByteScheduler priority scheduling
-//     is a timing concern modeled by internal/perfsim).
-//   - Parallax: embedding gradients go to a sparse parameter server, dense
+//   - BytePS: every gradient goes through dense parameter servers, one
+//     shard co-located with each rank: the push is a ring reduce-scatter to
+//     the chunk owners, the pull an all-gather of the updated parameters
+//     (BytePS treats sparse tensors as dense; its ByteScheduler priority
+//     scheduling is a timing concern modeled by internal/perfsim).
+//   - Parallax: embedding rows live on a sparse parameter-server shard on
+//     their owning rank, reached by sparse AlltoAll pulls and pushes; dense
 //     gradients use AllReduce.
 //   - EmbRace: embeddings are column-wise partitioned across ranks (model
 //     parallelism); lookup results and gradients travel by AlltoAll, dense
@@ -24,11 +26,11 @@ package strategies
 
 import (
 	"fmt"
+	"slices"
 
 	"embrace/internal/collective"
 	"embrace/internal/nn"
 	"embrace/internal/optim"
-	"embrace/internal/ps"
 	"embrace/internal/tensor"
 	"embrace/internal/trace"
 )
@@ -101,8 +103,6 @@ type Config struct {
 	LR float32
 	// Sched selects EmbRace's scheduling mode; ignored by baselines.
 	Sched SchedMode
-	// PSServers is the logical server shard count for PS strategies.
-	PSServers int
 	// InitEmbedding and InitTrunk, when set, override the seed-derived
 	// initial parameters — the warm-start hook checkpoint resume uses.
 	// InitTrunk keys follow Trunk.Params ("w1", "b1", "w2", "b2").
@@ -138,9 +138,6 @@ func (c Config) Validate(workers int) error {
 	if c.EmbDim%workers != 0 {
 		return fmt.Errorf("strategies: EmbDim %d not divisible by %d workers (column-wise partitioning)", c.EmbDim, workers)
 	}
-	if c.PSServers < 0 {
-		return fmt.Errorf("strategies: negative PSServers %d", c.PSServers)
-	}
 	if c.InitEmbedding != nil &&
 		(c.InitEmbedding.Dims() != 2 || c.InitEmbedding.Dim(0) != c.Vocab || c.InitEmbedding.Dim(1) != c.EmbDim) {
 		return fmt.Errorf("strategies: InitEmbedding shape %v != [%d x %d]",
@@ -150,8 +147,8 @@ func (c Config) Validate(workers int) error {
 }
 
 // newInitialModel builds the starting model: seed-derived, with any
-// warm-start overrides applied. Every strategy (and the PS servers) uses it
-// so all replicas and shards begin identical.
+// warm-start overrides applied. Every strategy uses it so all replicas and
+// shards begin identical.
 func newInitialModel(cfg Config) *nn.Model {
 	m := nn.NewModel(cfg.Seed, cfg.Vocab, cfg.EmbDim, cfg.Hidden)
 	if cfg.InitEmbedding != nil {
@@ -176,7 +173,8 @@ type Worker interface {
 	// still in flight; the next Step or FullEmbedding joins it.
 	Step(step int, windows [][]int64, targets []int64, nextTokens []int64) (nn.StepStats, error)
 	// FullEmbedding returns this rank's view of the complete embedding
-	// table. Collective for EmbRace (shards are gathered), local otherwise.
+	// table. Collective for EmbRace (column shards are gathered) and
+	// Parallax (owned rows are gathered), local otherwise.
 	FullEmbedding() (*tensor.Dense, error)
 	// Trunk returns the rank's dense trunk parameters, current after
 	// FullEmbedding.
@@ -190,14 +188,10 @@ type Worker interface {
 	Drain()
 }
 
-// Shared holds state that must be created once per world and handed to all
-// ranks — the parameter servers of the PS strategies. Collective strategies
-// need no shared state beyond the transport.
-type Shared struct {
-	sparseEmb *ps.ShardedSparse
-	denseEmb  *ps.Dense
-	trunkSrvs map[string]*ps.Dense
-}
+// Shared is the per-world state handed to every NewWorker call of a job.
+// Every strategy keeps its server state on its ranks, so it is empty; it
+// stays for the callers that still pass it.
+type Shared struct{}
 
 // Logical operation names: every collective of a step runs under one of
 // these through the Communicator, which gives each op its own collision-free
@@ -211,7 +205,8 @@ const (
 	// OpEmbData is the pooled-activation AlltoAll ("Emb Data", Figure 5).
 	OpEmbData = "emb/data"
 	// OpEmbGrad is the embedding-gradient exchange — AlltoAll for EmbRace,
-	// AllGather/AllReduce for the Horovod baselines.
+	// AllGather/AllReduce for the Horovod baselines, the push to the row
+	// owners for Parallax.
 	OpEmbGrad = "emb/grad"
 	// OpEmbDelayed is the background delayed-gradient AlltoAll (§4.2.2).
 	OpEmbDelayed = "emb/delayed"
@@ -221,9 +216,18 @@ const (
 	OpEmbPrior = "emb/prior"
 	// OpNextBatch gathers the prefetched next-batch token ids (Algorithm 1).
 	OpNextBatch = "emb/next-batch"
-	// OpGatherEmb reassembles the full embedding table from column shards;
-	// it runs outside the step loop, always at step 0.
+	// OpGatherEmb reassembles the full embedding table from column shards
+	// (EmbRace) or row owners (Parallax); it runs outside the step loop,
+	// always at step 0.
 	OpGatherEmb = "emb/gather-table"
+	// OpPSPullReq / OpPSPullRows are Parallax's pull: each rank asks the
+	// owners for the rows its batch reads, and the owners reply with their
+	// values.
+	OpPSPullReq  = "ps/pull-req"
+	OpPSPullRows = "ps/pull-rows"
+	// OpPSDense is BytePS's push and pull of every parameter: one ring pass
+	// over the embedding table and the trunk.
+	OpPSDense = "ps/dense"
 	// OpStats gathers per-rank step metrics at rank 0.
 	OpStats = "trainer/stats"
 	// OpTrunk is the dense-gradient AllReduce of the whole trunk (or the
@@ -264,8 +268,9 @@ const (
 	// SpanEmbUpdate / SpanPriorUpdate are the embedding optimizer calls.
 	SpanEmbUpdate   = "opt/emb"
 	SpanPriorUpdate = "opt/prior"
-	// SpanPSPush / SpanPSPull are the parameter-server round trips of the
-	// PS strategies.
+	// SpanPSPush / SpanPSPull are the PS strategies' exchanges with the
+	// server shards: the gradient push with its update, and the parameter
+	// pull.
 	SpanPSPush = "ps/push"
 	SpanPSPull = "ps/pull"
 	// SpanTrunk is the trunk's dense AllReduce-and-update (exchangeTrunk).
@@ -351,9 +356,19 @@ func NewDenseShards(cm *collective.Communicator, kind OptimizerKind, lr float32,
 }
 
 // Step sums grads (one per parameter, in NewDenseShards order) across ranks
-// under (op, step) and applies them. grads are consumed: only this rank's
-// chunk of each ends summed.
+// under (op, step) and applies them: Push, then Pull. grads are consumed:
+// only this rank's chunk of each ends summed.
 func (d *DenseShards) Step(op string, step int, grads ...*tensor.Dense) error {
+	if err := d.Push(op, step, grads...); err != nil {
+		return err
+	}
+	return d.Pull(op, step)
+}
+
+// Push reduce-scatters grads under (op, step) and applies this rank's summed
+// chunk of each to its chunk of the parameter. Until Pull, only that chunk
+// of every parameter is current.
+func (d *DenseShards) Push(op string, step int, grads ...*tensor.Dense) error {
 	bufs := make([][]float32, len(grads))
 	for i, g := range grads {
 		bufs[i] = g.Data()
@@ -366,6 +381,12 @@ func (d *DenseShards) Step(op string, step int, grads ...*tensor.Dense) error {
 			return fmt.Errorf("%s update: %w", d.names[i], err)
 		}
 	}
+	return nil
+}
+
+// Pull all-gathers every rank's updated chunk of every parameter under
+// (op, step).
+func (d *DenseShards) Pull(op string, step int) error {
 	return d.cm.AllGatherBlocks(op, step, d.params...)
 }
 
@@ -383,51 +404,16 @@ func exchangeTrunk(rec *trace.Recorder, track trace.Track, shards *DenseShards, 
 	return nil
 }
 
-// NewShared creates the shared (server-side) state a strategy needs for a
-// world of `workers` ranks. The returned Shared is passed to every
-// NewWorker call of the job.
+// NewShared validates cfg for the named strategy in a world of `workers`
+// ranks and returns the Shared to pass to every NewWorker call of the job.
 func NewShared(name Name, cfg Config, workers int) (*Shared, error) {
 	if err := cfg.Validate(workers); err != nil {
 		return nil, err
 	}
-	servers := cfg.PSServers
-	if servers == 0 {
-		servers = 1
-	}
-	sh := &Shared{}
-	switch name {
-	case Parallax:
-		// The servers own the authoritative embedding, row-sharded across
-		// S concurrent shards, seeded identically to the workers' replicas.
-		m := newInitialModel(cfg)
-		srv, err := ps.NewShardedSparse(m.Emb.Table,
-			func(p *tensor.Dense) optim.Optimizer { return newOptimizer(cfg, p) },
-			workers, servers)
-		if err != nil {
-			return nil, err
-		}
-		sh.sparseEmb = srv
-	case BytePS:
-		m := newInitialModel(cfg)
-		srv, err := ps.NewDense(m.Emb.Table, newOptimizer(cfg, m.Emb.Table), workers)
-		if err != nil {
-			return nil, err
-		}
-		sh.denseEmb = srv
-		sh.trunkSrvs = make(map[string]*ps.Dense, 4)
-		for _, p := range m.Trunk.Params() {
-			ds, err := ps.NewDense(p.Tensor, newOptimizer(cfg, p.Tensor), workers)
-			if err != nil {
-				return nil, err
-			}
-			sh.trunkSrvs[p.Name] = ds
-		}
-	case HorovodAllReduce, HorovodAllGather, EmbRace:
-		// No server-side state.
-	default:
+	if !slices.Contains(AllNames(), name) {
 		return nil, fmt.Errorf("strategies: unknown strategy %q", name)
 	}
-	return sh, nil
+	return &Shared{}, nil
 }
 
 // NewWorker creates rank `cm.Rank()`'s worker for the named strategy. All
@@ -435,12 +421,9 @@ func NewShared(name Name, cfg Config, workers int) (*Shared, error) {
 // when configured, chunked pipelining and per-op traffic attribution).
 // Options thread per-rank extras — a trace.Recorder via WithRecorder — that
 // cannot live in the job-wide Config.
-func NewWorker(name Name, cm *collective.Communicator, cfg Config, sh *Shared, opts ...WorkerOption) (Worker, error) {
+func NewWorker(name Name, cm *collective.Communicator, cfg Config, _ *Shared, opts ...WorkerOption) (Worker, error) {
 	if err := cfg.Validate(cm.Size()); err != nil {
 		return nil, err
-	}
-	if sh == nil {
-		sh = &Shared{}
 	}
 	var extras workerExtras
 	for _, o := range opts {
@@ -463,15 +446,9 @@ func NewWorker(name Name, cm *collective.Communicator, cfg Config, sh *Shared, o
 	case HorovodAllGather:
 		return newAllGatherWorker(cm, cfg, rec), nil
 	case Parallax:
-		if sh.sparseEmb == nil {
-			return nil, fmt.Errorf("strategies: parallax needs shared sparse PS state")
-		}
-		return newParallaxWorker(cm, cfg, sh.sparseEmb, rec), nil
+		return newParallaxWorker(cm, cfg, rec), nil
 	case BytePS:
-		if sh.denseEmb == nil || sh.trunkSrvs == nil {
-			return nil, fmt.Errorf("strategies: byteps needs shared dense PS state")
-		}
-		return newBytePSWorker(cm, cfg, sh, rec), nil
+		return newBytePSWorker(cm, cfg, rec), nil
 	case EmbRace:
 		return newEmbRaceWorker(cm, cfg, rec, extras.embShard), nil
 	default:

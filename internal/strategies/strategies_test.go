@@ -17,7 +17,6 @@ func validConfig() Config {
 		Hidden:    4,
 		Optimizer: OptSGD,
 		LR:        0.1,
-		PSServers: 1,
 	}
 }
 
@@ -36,7 +35,6 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.Optimizer = "rmsprop" }, 4},
 		{func(c *Config) {}, 0},
 		{func(c *Config) { c.EmbDim = 10 }, 4}, // not divisible
-		{func(c *Config) { c.PSServers = -1 }, 4},
 	}
 	for i, tc := range cases {
 		c := validConfig()
@@ -66,23 +64,8 @@ func TestAllNamesCoverFiveStrategies(t *testing.T) {
 func TestNewSharedPerStrategy(t *testing.T) {
 	cfg := validConfig()
 	for _, name := range AllNames() {
-		sh, err := NewShared(name, cfg, 4)
-		if err != nil {
+		if _, err := NewShared(name, cfg, 4); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		switch name {
-		case Parallax:
-			if sh.sparseEmb == nil {
-				t.Fatal("parallax needs a sparse server")
-			}
-		case BytePS:
-			if sh.denseEmb == nil || len(sh.trunkSrvs) != 4 {
-				t.Fatal("byteps needs dense servers")
-			}
-		default:
-			if sh.sparseEmb != nil || sh.denseEmb != nil {
-				t.Fatalf("%s should have no server state", name)
-			}
 		}
 	}
 	if _, err := NewShared("nope", cfg, 4); err == nil {
@@ -101,16 +84,12 @@ func TestNewWorkerValidation(t *testing.T) {
 		if _, err := NewWorker("nope", collective.NewCommunicator(tr), cfg, nil); err == nil {
 			t.Error("expected unknown-strategy error")
 		}
-		// PS strategies need their shared state.
-		if _, err := NewWorker(Parallax, collective.NewCommunicator(tr), cfg, nil); err == nil {
-			t.Error("parallax must demand shared state")
-		}
-		if _, err := NewWorker(BytePS, collective.NewCommunicator(tr), cfg, &Shared{}); err == nil {
-			t.Error("byteps must demand shared state")
-		}
-		// Collective strategies tolerate nil shared state.
-		if _, err := NewWorker(HorovodAllGather, collective.NewCommunicator(tr), cfg, nil); err != nil {
-			t.Errorf("allgather: %v", err)
+		// Every strategy keeps its state on the ranks: nil shared state is
+		// fine.
+		for _, name := range []Name{HorovodAllGather, Parallax, BytePS} {
+			if _, err := NewWorker(name, collective.NewCommunicator(tr), cfg, nil); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 		return nil
 	})
@@ -160,7 +139,7 @@ func TestEmbRaceStepMatchesLocalModel(t *testing.T) {
 		err := comm.RunRanks(1, func(tr comm.Transport) error {
 			w, err := NewWorker(HorovodAllGather, collective.NewCommunicator(tr), Config{
 				Seed: cfg.Seed, Vocab: cfg.Vocab, EmbDim: cfg.EmbDim, Hidden: cfg.Hidden,
-				Optimizer: OptSGD, LR: cfg.LR, PSServers: 1,
+				Optimizer: OptSGD, LR: cfg.LR,
 			}, nil)
 			if err != nil {
 				return err

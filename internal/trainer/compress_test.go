@@ -27,7 +27,6 @@ func compressJob(workers int, seed int64) Job {
 			Optimizer: strategies.OptAdam,
 			LR:        0.05,
 			Sched:     strategies.Sched2D,
-			PSServers: 1,
 		},
 		Data: data.Config{
 			VocabSize:      40,

@@ -188,10 +188,6 @@ func (j ElasticJob) validate() error {
 	if j.Trace {
 		return fmt.Errorf("trainer: elastic supervision does not record traces; drop Trace")
 	}
-	switch j.Strategy {
-	case strategies.Parallax, strategies.BytePS:
-		return fmt.Errorf("trainer: %s pins shared parameter servers to a fixed world; elastic supervision supports the collective strategies", j.Strategy)
-	}
 	return nil
 }
 
@@ -244,11 +240,7 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 			base:      base,
 			clock:     clock,
 		}
-		shared, err := strategies.NewShared(job.Strategy, job.Model, workers)
-		if err != nil {
-			return res, err
-		}
-		out := runEpoch(spec, spec.strategyRank(shared), &chaosW)
+		out := runEpoch(spec, spec.strategyRank(), &chaosW)
 
 		res.Comm = res.Comm.Add(out.res.Comm)
 		res.addCommPerOp(out.res.CommPerOp)

@@ -222,6 +222,41 @@ func TestElasticShrinkAllReduceStrategy(t *testing.T) {
 	sameResult(t, "allreduce shrink", ref, &res.Result)
 }
 
+// The parameter-server baselines shrink like the replicated-table ones: the
+// survivors restore the full table, and their server shards re-form over the
+// smaller world (BytePS's ring chunks, Parallax's row owners). The crash hits
+// an exchange only the baseline issues.
+func TestElasticShrinkParameterServerStrategies(t *testing.T) {
+	for _, tc := range []struct {
+		name strategies.Name
+		op   string
+	}{
+		{strategies.BytePS, strategies.OpPSDense},
+		{strategies.Parallax, strategies.OpPSPullRows},
+	} {
+		job := elasticJob(4, 12)
+		job.Strategy = tc.name
+		job.Model.Optimizer = strategies.OptAdam
+		job.Model.LR = 0.01
+		plan := CrashPlan(elasticSeeds(1)[0], 3, 4)
+		plan.Rules[0].Match = CrashAt(tc.op, 4)
+		job.Chaos = &plan
+
+		res, err := runElasticWithGuard(t, job)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Recoveries != 1 || len(res.Epochs) != 3 || res.Epochs[1].Workers != 3 {
+			t.Fatalf("%s: recoveries %d, epochs %+v; want one shrink to 3 and a rejoin", tc.name, res.Recoveries, res.Epochs)
+		}
+		if c := res.Epochs[0].Crashed; len(c) != 1 || c[0] != 3 {
+			t.Fatalf("%s: crashed = %v, want [3]", tc.name, c)
+		}
+		ref := stitchedReference(t, job, res.Epochs)
+		sameResult(t, string(tc.name)+" shrink", ref, &res.Result)
+	}
+}
+
 // Without Rejoin the run finishes at the shrunk size: two epochs, the
 // second completing on W-1 ranks.
 func TestElasticShrinkWithoutRejoin(t *testing.T) {
@@ -281,8 +316,6 @@ func TestElasticValidation(t *testing.T) {
 	}{
 		{"over tcp", func(j *ElasticJob) { j.OverTCP = true }},
 		{"trace", func(j *ElasticJob) { j.Trace = true }},
-		{"parameter server", func(j *ElasticJob) { j.Strategy = strategies.Parallax }},
-		{"byteps", func(j *ElasticJob) { j.Strategy = strategies.BytePS }},
 		{"bad base job", func(j *ElasticJob) { j.Workers = 0 }},
 	}
 	for _, tc := range cases {

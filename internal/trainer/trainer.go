@@ -237,23 +237,18 @@ func Run(job Job) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
-	shared, err := strategies.NewShared(job.Strategy, job.Model, job.Workers)
-	if err != nil {
-		return nil, err
-	}
 	spec := epochSpec{job: job, workers: job.Workers}
-	out := runEpoch(spec, spec.strategyRank(shared), nil)
+	out := runEpoch(spec, spec.strategyRank(), nil)
 	return out.res, out.err
 }
 
 // RunWorker runs one rank of a multi-process job over a caller-provided
 // transport (typically a comm.TCPNode in its own OS process, started by
-// embrace.TrainRank). Parameter-server strategies need process-shared
-// server state and are rejected; the collective strategies (Horovod
-// AllReduce/AllGather, EmbRace) are fully peer-to-peer and supported. The
-// returned Result carries this rank's view: only rank 0 aggregates losses
-// and final parameters. Like Run, a fault returns the partial Result
-// alongside the error.
+// embrace.TrainRank). Every strategy runs this way: the parameter-server
+// baselines keep their server shards on the ranks, so all five are
+// peer-to-peer. The returned Result carries this rank's view: only rank 0
+// aggregates losses and final parameters. Like Run, a fault returns the
+// partial Result alongside the error.
 func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -261,13 +256,9 @@ func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	if t.Size() != job.Workers {
 		return nil, fmt.Errorf("trainer: transport world %d != job workers %d", t.Size(), job.Workers)
 	}
-	switch job.Strategy {
-	case strategies.Parallax, strategies.BytePS:
-		return nil, fmt.Errorf("trainer: %s needs process-shared parameter servers; use Run for single-process jobs", job.Strategy)
-	}
 	spec := epochSpec{job: job, workers: job.Workers}
 	out := &epochOutcome{res: newResult(job.Steps)}
-	err := rankLoop(spec, t, spec.strategyRank(nil), out)
+	err := rankLoop(spec, t, spec.strategyRank(), out)
 	return out.res, err
 }
 
@@ -424,7 +415,7 @@ func runEpoch(spec epochSpec, setup setupFunc, keep **comm.ChaosWorld) *epochOut
 // follows the same ColumnWise tiling the remap plan describes); the
 // replicated-table strategies restore the full table. Trunk parameters
 // warm-start everywhere.
-func (s epochSpec) strategyRank(shared *strategies.Shared) setupFunc {
+func (s epochSpec) strategyRank() setupFunc {
 	return func(cm *collective.Communicator, tr *trace.Recorder) (stepper, batchStream, error) {
 		cfg := s.job.Model
 		opts := []strategies.WorkerOption{strategies.WithRecorder(tr)}
@@ -440,7 +431,7 @@ func (s epochSpec) strategyRank(shared *strategies.Shared) setupFunc {
 				cfg.InitEmbedding = s.base.Params["emb"]
 			}
 		}
-		w, err := strategies.NewWorker(s.job.Strategy, cm, cfg, shared, opts...)
+		w, err := strategies.NewWorker(s.job.Strategy, cm, cfg, nil, opts...)
 		if err != nil {
 			return nil, nil, err
 		}

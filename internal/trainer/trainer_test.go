@@ -22,7 +22,6 @@ func testJob(name strategies.Name, workers int) Job {
 			Hidden:    6,
 			Optimizer: strategies.OptSGD,
 			LR:        0.05,
-			PSServers: 2,
 		},
 		Data: data.Config{
 			VocabSize:      40,
@@ -318,19 +317,30 @@ func TestRunWorkerMatchesRun(t *testing.T) {
 }
 
 func TestRunWorkerRejectsPSStrategies(t *testing.T) {
-	j := testJob(strategies.Parallax, 2)
-	err := comm.RunRanks(2, func(tr comm.Transport) error {
-		if _, err := RunWorker(j, tr); err == nil {
-			return fmt.Errorf("expected PS rejection")
+	// The parameter-server baselines keep their server shards on the ranks,
+	// so they run one rank per process like every other strategy: RunWorker
+	// over a TCP world reproduces Run to the bit.
+	for _, name := range []strategies.Name{strategies.BytePS, strategies.Parallax} {
+		j := testJob(name, 4)
+		j.Model.Optimizer = strategies.OptAdam
+		ref, err := Run(j)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		results := make([]*Result, 4)
+		err = comm.RunRanksTCP(4, func(tr comm.Transport) error {
+			res, err := RunWorker(j, tr)
+			results[tr.Rank()] = res
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameResult(t, string(name)+" RunWorker", ref, results[0])
 	}
 	// World-size mismatch.
 	j2 := testJob(strategies.EmbRace, 4)
-	err = comm.RunRanks(2, func(tr comm.Transport) error {
+	err := comm.RunRanks(2, func(tr comm.Transport) error {
 		if _, err := RunWorker(j2, tr); err == nil {
 			return fmt.Errorf("expected size mismatch error")
 		}

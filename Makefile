@@ -83,7 +83,7 @@ kernels:
 ## background lane, overlapping the next step's compute — §4.2.2 measured
 ## rather than simulated.
 trace-demo:
-	$(GO) run ./cmd/embrace-train -steps 8 -seed 7 -trace trace.json
+	$(GO) run ./cmd/embrace-train -sched 2d -steps 8 -seed 7 -trace trace.json
 
 ## serve-demo: train a checkpoint, boot a 4-rank sharded inference
 ## deployment from it, and run the cache-on vs cache-off Zipf comparison

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	embrace-train -strategy embrace -sched 2d -workers 4 -steps 50 -adam
-//	embrace-train -steps 8 -seed 7 -trace trace.json   # per-phase table + Chrome trace
+//	embrace-train -sched 2d -steps 8 -seed 7 -trace trace.json   # per-phase table + Chrome trace
 //
 // With -peers every rank runs in its own OS process and the ranks mesh over
 // TCP; start one process per rank with the same peer list (any order):
@@ -14,9 +14,13 @@
 //	embrace-train -rank 1 -peers $P & embrace-train -rank 2 -peers $P &
 //	embrace-train -rank 3 -peers $P & embrace-train -rank 0 -peers $P
 //
-// Rank 0 prints the report; the others print completion only. Only the
-// peer-to-peer strategies (horovod-allreduce, horovod-allgather, embrace) run
-// multi-process.
+// Rank 0 prints the report; the others print completion only. Every
+// strategy runs multi-process: the parameter-server baselines host one
+// server shard per rank.
+//
+// -sched defaults to none, as embrace.TrainConfig does: measured on real
+// execution, 2D scheduling does not pay for its split and second exchange
+// (EXPERIMENTS.md); -sched 2d runs it for the Figure-9 comparison.
 package main
 
 import (
@@ -37,7 +41,7 @@ func main() {
 
 	var (
 		strategy = flag.String("strategy", "embrace", "byteps | horovod-allreduce | horovod-allgather | parallax | embrace")
-		sched    = flag.String("sched", "2d", "embrace scheduling: none | 2d")
+		sched    = flag.String("sched", "none", "embrace scheduling: none | 2d")
 		workers  = flag.Int("workers", 4, "number of ranks")
 		steps    = flag.Int("steps", 50, "training steps")
 		vocab    = flag.Int("vocab", 2000, "vocabulary size")

@@ -16,10 +16,14 @@ test:
 ## allocations). Arena lifetimes and collective-schedule divergence are
 ## caught at test time instead (poisoned recycled buffers, a default receive
 ## deadline). See DESIGN.md § Static analysis; `-json` emits the
-## machine-readable stream.
+## machine-readable stream. Last, the wire stays free of reflection: no
+## non-test file of internal/comm or internal/collective may import
+## encoding/gob or reflect (DESIGN.md § The TCP wire).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/embracevet ./...
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/comm ./internal/collective | grep -Ex 'encoding/gob|reflect'; then \
+		echo "lint: internal/comm or internal/collective imports encoding/gob or reflect" >&2; exit 1; fi
 
 ## check: lint the whole module and race-test everything (the Communicator's
 ## pooled buffers and pipelined ring segments are the code most exposed to

@@ -34,7 +34,7 @@ func runTrainingSteps(cms []*Communicator, from, to int) error {
 					errs[r] = err
 					return
 				}
-				if _, err := GatherVia(c, "stats", s, 0, float64(s)); err != nil {
+				if _, err := GatherVia(c, "stats", s, 0, s); err != nil {
 					errs[r] = err
 					return
 				}

@@ -16,20 +16,6 @@
 // (cmd/embracevet) keeps hand-numbered tags off the raw transport.
 package collective
 
-import (
-	"embrace/internal/comm"
-	"embrace/internal/tensor"
-)
-
-func init() {
-	// Tensor payloads ride the TCP transport's gob frame kind, which needs
-	// them registered; the in-process transport ignores registration.
-	comm.RegisterWireType(&tensor.Dense{})
-	comm.RegisterWireType(&tensor.Sparse{})
-	comm.RegisterWireType([]*tensor.Dense{})
-	comm.RegisterWireType([]*tensor.Sparse{})
-}
-
 // chunkBounds returns the [lo, hi) element range of chunk i when n elements
 // are split into `parts` nearly equal chunks (the ring AllReduce layout).
 func chunkBounds(n, parts, i int) (lo, hi int) {

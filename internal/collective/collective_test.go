@@ -153,12 +153,12 @@ func TestReduceScatterOwnChunk(t *testing.T) {
 func TestAllGatherOrderAndValues(t *testing.T) {
 	const n = 5
 	err := comm.RunRanks(n, func(tr comm.Transport) error {
-		got, err := AllGatherVia(NewCommunicator(tr), "test/allgather", 0, fmt.Sprintf("rank-%d", tr.Rank()))
+		got, err := AllGatherVia(NewCommunicator(tr), "test/allgather", 0, []byte(fmt.Sprintf("rank-%d", tr.Rank())))
 		if err != nil {
 			return err
 		}
 		for p, v := range got {
-			if v != fmt.Sprintf("rank-%d", p) {
+			if string(v) != fmt.Sprintf("rank-%d", p) {
 				return fmt.Errorf("slot %d = %q", p, v)
 			}
 		}
@@ -301,6 +301,54 @@ func TestSparseAllGatherEqualsSum(t *testing.T) {
 		}
 		if !got.ToDense().AllClose(want, 1e-4) {
 			return fmt.Errorf("rank %d: gathered sparse != dense sum", tr.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// SparseAllGather returns the rank-ordered concatenation of every rank's
+// tensor, bit for bit, in memory the next call does not touch; a rank whose
+// width differs, or that sends a row outside the table, fails the gather on
+// every rank.
+func TestSparseAllGatherConcatOwnedAndChecked(t *testing.T) {
+	const n = 3
+	locals := make([][]*tensor.Sparse, 2)
+	for call := range locals {
+		for r := 0; r < n; r++ {
+			locals[call] = append(locals[call], randShards(int64(call), r, 1, 16, 2)[0])
+		}
+	}
+	err := comm.RunRanks(n, func(tr comm.Transport) error {
+		c := NewCommunicator(tr)
+		var got []*tensor.Sparse
+		for call := range locals {
+			g, err := c.SparseAllGather("test/sparse-ag", call, locals[call][tr.Rank()])
+			if err != nil {
+				return err
+			}
+			got = append(got, g)
+		}
+		for call, g := range got {
+			want, err := tensor.Concat(locals[call]...)
+			if err != nil {
+				return err
+			}
+			if !sparseBitsEqual(want, g) {
+				return fmt.Errorf("rank %d: gather %d is not the concatenation of the rank tensors", tr.Rank(), call)
+			}
+		}
+		dim := 2 + tr.Rank()/2 // rank 2 is one column wider
+		local := &tensor.Sparse{NumRows: 16, Dim: dim, Indices: []int64{1}, Vals: make([]float32, dim)}
+		if _, err := c.SparseAllGather("test/sparse-ag-width", 0, local); err == nil {
+			return fmt.Errorf("rank %d: gather across widths 2 and 3 succeeded", tr.Rank())
+		}
+		row := int64(3 + 13*(tr.Rank()/2)) // rank 2 sends row 16 of a 16-row table
+		local = &tensor.Sparse{NumRows: 16, Dim: 2, Indices: []int64{row}, Vals: make([]float32, 2)}
+		if _, err := c.SparseAllGather("test/sparse-ag-rows", 0, local); err == nil {
+			return fmt.Errorf("rank %d: gather with row 16 of 16 succeeded", tr.Rank())
 		}
 		return nil
 	})

@@ -64,7 +64,7 @@ type Communicator struct {
 	recvs    map[streamKey]*recvStream
 
 	f32   bufPool[float32] // ring segments and raw sparse value streams
-	i64   bufPool[int64]   // raw sparse index streams
+	i64   bufPool[int64]   // sparse stream headers, with the raw path's indices
 	bytes bufPool[byte]    // encoded payloads of the compressed sparse exchanges
 }
 
@@ -298,6 +298,18 @@ func (p *bufPool[T]) get(n int) []T {
 		buf = make([]T, n)
 	}
 	return buf[:n]
+}
+
+// room returns an empty pooled buffer with capacity for at least n
+// elements, for a payload appended in place. Encoded payloads come back from
+// peers sized for the peers' shards, so a fresh buffer gets room for 2n and
+// serves the next, larger shard too.
+func (p *bufPool[T]) room(n int) []T {
+	buf := p.get(0)
+	if cap(buf) < n {
+		buf = make([]T, 0, 2*n)
+	}
+	return buf
 }
 
 // put recycles a buffer whose contents have been fully consumed.
@@ -876,11 +888,29 @@ func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T,
 // ---------------------------------------------------------------------------
 
 // SparseAllGather aggregates a row-sparse gradient: every rank contributes
-// its local sparse tensor and receives the concatenation of all of them.
+// its local sparse tensor and receives the concatenation of all of them in
+// rank order. It is AlltoAllSparse with local sent to every peer, into a
+// call-local arena, so the result is the caller's to keep. Every sender must
+// share local's width, and every row must lie inside local's NumRows.
 func (c *Communicator) SparseAllGather(op string, step int, local *tensor.Sparse) (*tensor.Sparse, error) {
-	parts, err := AllGatherVia(c, op, step, local)
-	if err != nil {
+	send := make([]*tensor.Sparse, c.t.Size())
+	for p := range send {
+		send[p] = local
+	}
+	var arena SparseShards
+	if err := c.AlltoAllSparse(op, step, send, &arena); err != nil {
 		return nil, err
 	}
-	return tensor.Concat(parts...)
+	for p, d := range arena.dims {
+		if int(d) != local.Dim {
+			return nil, fmt.Errorf("collective: sparse allgather: rank %d sent width %d, want %d", p, d, local.Dim)
+		}
+	}
+	merged := arena.Merged()
+	for _, row := range merged.Indices {
+		if row < 0 || row >= int64(local.NumRows) {
+			return nil, fmt.Errorf("collective: sparse allgather: row %d outside [0, %d)", row, local.NumRows)
+		}
+	}
+	return merged, nil
 }

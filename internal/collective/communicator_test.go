@@ -327,13 +327,13 @@ func TestCommunicatorGenericExchanges(t *testing.T) {
 				t.Errorf("rank %d alltoall slot %d = %v", r, p, v)
 			}
 		}
-		atRoot, err := GatherVia(c, "stats", 0, 0, int64(r))
+		atRoot, err := GatherVia(c, "stats", 0, 0, r)
 		if err != nil {
 			return err
 		}
 		if r == 0 {
 			for p, v := range atRoot {
-				if v != int64(p) {
+				if v != p {
 					t.Errorf("gather slot %d = %d", p, v)
 				}
 			}

@@ -5,17 +5,17 @@ import (
 	"math"
 	"time"
 
-	"embrace/internal/comm"
 	"embrace/internal/tensor"
 )
 
-// The sparse AlltoAll of the embedding gradients (§4.1): each peer stream is
-// sent as a length-prefixed header followed by the shard — raw index and
-// value slices drawn from the Communicator's buffer pools, or one encoded
-// payload when a SparseCodec is given — and every received stream is copied
-// or decoded straight into a caller-owned SparseShards arena. The arena's
-// backing arrays grow to a high-water mark and are then reused forever, so
-// the exchange allocates nothing in steady state.
+// The sparse AlltoAll of the embedding gradients (§4.1): each peer stream
+// opens with one []int64 frame, [rows, dim, indices…] — counts first, then
+// the indices, in a buffer drawn from the Communicator's pools — followed
+// by the values, or by one encoded payload when a SparseCodec is given (the
+// opening frame then carries only [rows, dim]). Every received stream is
+// copied or decoded straight into a caller-owned SparseShards arena. The
+// arena's backing arrays grow to a high-water mark and are then reused
+// forever, so the exchange allocates nothing in steady state.
 //
 // Streams ride sendRaw/recvRaw, so they inherit the seq-framing, duplicate
 // suppression, reorder parking and transient-send retry of every other
@@ -65,19 +65,6 @@ type SparseCodec interface {
 	DecodeShard(src []byte, rows, dim int, idx []int64, vals []float32) ([]int64, []float32, error)
 }
 
-// sparseStreamHeader announces one AlltoAllSparse peer stream: how many rows
-// follow and how many values each row carries (senders may hold different
-// column widths, e.g. a remainder-bearing column partition). Zero rows means
-// the shard messages are omitted entirely.
-type sparseStreamHeader struct {
-	Rows int32
-	Dim  int32
-}
-
-func init() {
-	comm.RegisterWireType(sparseStreamHeader{})
-}
-
 // SparseShards is the reusable receive arena of AlltoAllSparse. Shards are
 // stored back to back in sender order, so when every sender shares one column
 // width the arena itself is the concatenation tensor.Concat would have
@@ -96,8 +83,8 @@ type SparseShards struct {
 }
 
 // Merged returns the concatenation of all received shards in sender order —
-// bit-identical to tensor.Concat over AllToAllVia's results. Only
-// meaningful when every sender shares the receiver's column width.
+// bit-identical to tensor.Concat of the senders' shards. Only meaningful
+// when every sender shares the receiver's column width.
 //
 // aliases: the returned tensor is a view of the arena, valid until the next
 // exchange into it.
@@ -187,7 +174,7 @@ func sparseRawBytes(rows, dim int) int { return rows * (8 + 4*dim) }
 // non-empty peer stream ships as its raw index and value slices. Senders may
 // carry different column widths (each stream's header says its own); when
 // every sender matches the receiver's width the merged arena is bit-identical
-// to tensor.Concat over AllToAllVia's results. Per-sender views come from
+// to tensor.Concat of the senders' shards. Per-sender views come from
 // ShardView either way.
 //
 //embrace:hotpath
@@ -201,19 +188,21 @@ func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse
 // trusts it.
 type sparseHeaderError struct {
 	from      int
-	rows, dim int32
+	rows, dim int64
 }
 
 func (e sparseHeaderError) Error() string {
 	return fmt.Sprintf("collective: alltoallsparse header from rank %d: %d rows x dim %d", e.from, e.rows, e.dim)
 }
 
-// AlltoAllSparseCodec is the one sparse AlltoAll. Every peer gets a header
-// (row count and width), then — when non-empty — its shard: with a nil codec
-// the raw index and value slices in pooled wire buffers, otherwise one
-// encoded []byte payload from the byte pool. Ownership of the buffers travels
-// with the message; the receiver recycles them into its own pools. Each
-// received shard is copied (raw) or decoded (codec) straight into the arena.
+// AlltoAllSparseCodec is the one sparse AlltoAll. Every peer stream opens
+// with a pooled []int64 header, the row count and width, and — when non-empty
+// — carries its shard: with a nil codec the header goes on with the indices
+// and a pooled []float32 follows with the values; otherwise one encoded
+// []byte payload from the byte pool follows the bare header. Ownership of
+// the buffers travels with the message; the receiver recycles them into its
+// own pools. Each received shard is copied (raw) or decoded (codec) straight
+// into the arena.
 //
 // The self shard never touches the wire, the observer, the codec or the
 // pooled wire buffers: rank r's own rows are copied directly into the arena
@@ -235,24 +224,28 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	}
 	numRows, dim := send[r].NumRows, send[r].Dim
 
-	// Send phase: header, then the shard unless it is empty.
+	// Send phase: the header (with the indices on the raw path), then the
+	// values or the encoded shard unless the shard is empty.
 	for p := 0; p < n; p++ {
 		if p == r {
 			continue
 		}
 		sh := send[p]
-		if err := c.sendRaw(rt, p, sparseStreamHeader{Rows: int32(len(sh.Indices)), Dim: int32(sh.Dim)}); err != nil {
+		rows := len(sh.Indices)
+		var idx []int64
+		if codec == nil {
+			idx = sh.Indices
+		}
+		hdr := c.i64.get(2 + len(idx))
+		hdr[0], hdr[1] = int64(rows), int64(sh.Dim)
+		copy(hdr[2:], idx)
+		if err := c.sendRaw(rt, p, hdr); err != nil {
 			return fmt.Errorf("alltoallsparse header to %d: %w", p, err)
 		}
-		if len(sh.Indices) == 0 {
+		if rows == 0 {
 			continue
 		}
 		if codec == nil {
-			ibuf := c.i64.get(len(sh.Indices))
-			copy(ibuf, sh.Indices)
-			if err := c.sendRaw(rt, p, ibuf); err != nil {
-				return fmt.Errorf("alltoallsparse indices to %d: %w", p, err)
-			}
 			vbuf := c.f32.get(len(sh.Vals))
 			copy(vbuf, sh.Vals)
 			if err := c.sendRaw(rt, p, vbuf); err != nil {
@@ -264,9 +257,9 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if c.codecObs != nil {
 			start = time.Now()
 		}
-		wire := codec.AppendShard(c.bytes.get(0), sh.Indices, sh.Vals, sh.Dim, class)
+		wire := codec.AppendShard(c.bytes.room(sparseRawBytes(rows, sh.Dim)), sh.Indices, sh.Vals, sh.Dim, class)
 		if c.codecObs != nil {
-			c.codecObs.CodecOp(op, "encode", sparseRawBytes(len(sh.Indices), sh.Dim), len(wire), time.Since(start))
+			c.codecObs.CodecOp(op, "encode", sparseRawBytes(rows, sh.Dim), len(wire), time.Since(start))
 		}
 		if err := c.sendRaw(rt, p, wire); err != nil {
 			return fmt.Errorf("alltoallsparse payload to %d: %w", p, err)
@@ -286,26 +279,27 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if err != nil {
 			return fmt.Errorf("alltoallsparse header from %d: %w", p, err)
 		}
-		hdr, ok := payload.(sparseStreamHeader)
-		if !ok {
-			return fmt.Errorf("collective: alltoallsparse header type %T from rank %d", payload, p)
+		hdr, ok := payload.([]int64)
+		if !ok || len(hdr) < 2 {
+			return fmt.Errorf("collective: alltoallsparse header from rank %d is %T of length %d", p, payload, len(hdr))
 		}
-		if hdr.Rows < 0 || hdr.Dim < 0 || int64(hdr.Rows)*int64(hdr.Dim) > math.MaxInt32 {
-			return sparseHeaderError{from: p, rows: hdr.Rows, dim: hdr.Dim}
+		rows, dim, idx := hdr[0], hdr[1], hdr[2:]
+		if rows < 0 || dim < 0 || rows > math.MaxInt32 || dim > math.MaxInt32 || rows*dim > math.MaxInt32 {
+			return sparseHeaderError{from: p, rows: rows, dim: dim}
 		}
-		if hdr.Rows == 0 {
-			arena.appendShard(p, hdr.Dim, nil, nil)
+		wantIdx := rows // the raw path's header carries the indices
+		if codec != nil {
+			wantIdx = 0
+		}
+		if int64(len(idx)) != wantIdx {
+			return fmt.Errorf("collective: alltoallsparse header from rank %d: %d indices for %d rows", p, len(idx), rows)
+		}
+		if rows == 0 {
+			arena.appendShard(p, int32(dim), nil, nil)
+			c.i64.put(hdr)
 			continue
 		}
 		if codec == nil {
-			payload, err = c.recvRaw(rt, p)
-			if err != nil {
-				return fmt.Errorf("alltoallsparse indices from %d: %w", p, err)
-			}
-			idx, ok := payload.([]int64)
-			if !ok {
-				return fmt.Errorf("collective: alltoallsparse index type %T from rank %d", payload, p)
-			}
 			payload, err = c.recvRaw(rt, p)
 			if err != nil {
 				return fmt.Errorf("alltoallsparse values from %d: %w", p, err)
@@ -314,15 +308,16 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 			if !ok {
 				return fmt.Errorf("collective: alltoallsparse value type %T from rank %d", payload, p)
 			}
-			if len(idx) != int(hdr.Rows) || len(vals) != int(hdr.Rows)*int(hdr.Dim) {
-				return fmt.Errorf("collective: alltoallsparse stream from rank %d: %d indices, %d values, header %d rows x dim %d",
-					p, len(idx), len(vals), hdr.Rows, hdr.Dim)
+			if int64(len(vals)) != rows*dim {
+				return fmt.Errorf("collective: alltoallsparse stream from rank %d: %d values, header %d rows x dim %d",
+					p, len(vals), rows, dim)
 			}
-			arena.appendShard(p, hdr.Dim, idx, vals)
-			c.i64.put(idx)
+			arena.appendShard(p, int32(dim), idx, vals)
+			c.i64.put(hdr)
 			c.f32.put(vals)
 			continue
 		}
+		c.i64.put(hdr)
 		payload, err = c.recvRaw(rt, p)
 		if err != nil {
 			return fmt.Errorf("alltoallsparse payload from %d: %w", p, err)
@@ -335,11 +330,11 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if c.codecObs != nil {
 			start = time.Now()
 		}
-		if err := arena.appendDecoded(p, int(hdr.Rows), hdr.Dim, wire, codec); err != nil {
+		if err := arena.appendDecoded(p, int(rows), int32(dim), wire, codec); err != nil {
 			return fmt.Errorf("alltoallsparse decode from %d: %w", p, err)
 		}
 		if c.codecObs != nil {
-			c.codecObs.CodecOp(op, "decode", sparseRawBytes(int(hdr.Rows), int(hdr.Dim)), len(wire), time.Since(start))
+			c.codecObs.CodecOp(op, "decode", sparseRawBytes(int(rows), int(dim)), len(wire), time.Since(start))
 		}
 		c.bytes.put(wire)
 	}

@@ -57,18 +57,18 @@ func sparseBitsEqual(a, b *tensor.Sparse) bool {
 	return true
 }
 
-// runAlltoAllSparseEquivalence drives both exchanges on every rank of an
-// n-rank world and asserts the arena path is bit-identical to the generic
-// AllToAllVia + Concat path, shard by shard and merged.
+// runAlltoAllSparseEquivalence runs the exchange on every rank of an n-rank
+// world and asserts the arena is bit-identical, shard by shard and merged, to
+// what the senders built for this rank concatenated in sender order: the
+// result of the AllToAllVia + Concat path the arena replaced.
 func runAlltoAllSparseEquivalence(t *testing.T, n int, seed int64, run func(int, func(comm.Transport) error) error) {
 	t.Helper()
 	err := run(n, func(tr comm.Transport) error {
 		cm := NewCommunicator(tr)
 		send := randShards(seed, tr.Rank(), n, 64, 3)
-		// Two exchanges under distinct ops so tags cannot collide.
-		want, err := AllToAllVia(cm, "sparse/legacy", 0, send)
-		if err != nil {
-			return err
+		want := make([]*tensor.Sparse, n)
+		for p := range want {
+			want[p] = randShards(seed, p, n, 64, 3)[tr.Rank()]
 		}
 		wantMerged, err := tensor.Concat(want...)
 		if err != nil {
@@ -79,7 +79,7 @@ func runAlltoAllSparseEquivalence(t *testing.T, n int, seed int64, run func(int,
 			return err
 		}
 		if !sparseBitsEqual(wantMerged, arena.Merged()) {
-			return fmt.Errorf("rank %d: merged arena differs from Concat(AllToAllVia)", tr.Rank())
+			return fmt.Errorf("rank %d: merged arena differs from the senders' shards", tr.Rank())
 		}
 		var view tensor.Sparse
 		for p := 0; p < n; p++ {
@@ -134,12 +134,11 @@ func (o *byteCountObserver) Sent(op string, payload any, _ time.Duration) {
 	defer o.mu.Unlock()
 	o.sentMsgs++
 	switch p := payload.(type) {
-	case []int64:
-		o.sentRows += len(p)
+	case []int64: // [rows, dim, indices…]
+		o.headerCnt++
+		o.sentRows += len(p) - 2
 	case []float32:
 		o.sentVals += len(p)
-	case sparseStreamHeader:
-		o.headerCnt++
 	}
 }
 
@@ -184,8 +183,8 @@ func TestAlltoAllSparseSelfSendElided(t *testing.T) {
 			t.Errorf("rank %d: observed %d rows / %d vals on the wire, want %d / %d — self shard leaked into pack",
 				r, o.sentRows, o.sentVals, wantRows, wantVals)
 		}
-		if o.sentMsgs != (n-1)+2*wantStreams {
-			t.Errorf("rank %d: %d messages, want %d", r, o.sentMsgs, (n-1)+2*wantStreams)
+		if o.sentMsgs != (n-1)+wantStreams {
+			t.Errorf("rank %d: %d messages, want %d", r, o.sentMsgs, (n-1)+wantStreams)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func TestSparseAllGatherOverTCP(t *testing.T) {
 }
 
 func TestDenseTensorPayloadOverTCP(t *testing.T) {
-	// The EmbRace strategy ships *tensor.Dense through AlltoAll; the gob
-	// round trip must preserve shape and values.
+	// The EmbRace strategy ships *tensor.Dense through AlltoAll; the dense
+	// frame must preserve shape and values.
 	const n = 3
 	err := comm.RunRanksTCP(n, func(tr comm.Transport) error {
 		send := make([]*tensor.Dense, n)

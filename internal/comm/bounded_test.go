@@ -45,7 +45,7 @@ func runSteps(cms []*collective.Communicator, from, to int) error {
 					errs[r] = err
 					return
 				}
-				if _, err := collective.GatherVia(cm, "stats", s, 0, float64(s)); err != nil {
+				if _, err := collective.GatherVia(cm, "stats", s, 0, s); err != nil {
 					errs[r] = err
 					return
 				}

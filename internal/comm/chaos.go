@@ -372,6 +372,9 @@ type decision struct {
 // Send implements Transport: it decides this message's fate from the
 // stream's seeded generator, then performs the resulting deliveries.
 func (c *chaosTransport) Send(to, tag int, payload any) error {
+	if _, err := SizeOf(payload); err != nil {
+		return err
+	}
 	if c.core.empty {
 		return c.inner.Send(to, tag, payload)
 	}

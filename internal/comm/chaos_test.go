@@ -140,13 +140,13 @@ func TestChaosPartitionIsTypedAndTargeted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cw.Close()
-	if err := cw.Rank(0).Send(1, 1, "x"); !errors.Is(err, ErrPeerDown) {
+	if err := cw.Rank(0).Send(1, 1, 1); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("partitioned send err = %v, want ErrPeerDown", err)
 	}
-	if err := cw.Rank(0).Send(2, 1, "x"); err != nil {
+	if err := cw.Rank(0).Send(2, 1, 1); err != nil {
 		t.Fatalf("unpartitioned link failed: %v", err)
 	}
-	if err := cw.Rank(1).Send(0, 1, "x"); err != nil {
+	if err := cw.Rank(1).Send(0, 1, 1); err != nil {
 		t.Fatalf("reverse direction failed: %v", err)
 	}
 	if got := cw.Injected()[FaultPartition.String()]; got != 1 {
@@ -182,7 +182,7 @@ func TestChaosCrashKillsRankAndUnblocksPeers(t *testing.T) {
 	if err := s.Send(0, 1, 2); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("crashing send err = %v, want ErrPeerDown", err)
 	}
-	if err := s.Send(1, 1, "late"); !errors.Is(err, ErrPeerDown) {
+	if err := s.Send(1, 1, 3); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("post-crash send err = %v, want ErrPeerDown", err)
 	}
 	if _, err := s.Recv(0, 1); !errors.Is(err, ErrPeerDown) {

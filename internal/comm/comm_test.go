@@ -32,13 +32,13 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	w, _ := NewWorld(2)
 	defer w.Close()
 	go func() {
-		_ = w.Rank(0).Send(1, 7, "hello")
+		_ = w.Rank(0).Send(1, 7, []byte("hello"))
 	}()
 	got, err := w.Rank(1).Recv(0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "hello" {
+	if b, ok := got.([]byte); !ok || string(b) != "hello" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -70,12 +70,12 @@ func TestTagIsolation(t *testing.T) {
 	w, _ := NewWorld(2)
 	defer w.Close()
 	go func() {
-		_ = w.Rank(0).Send(1, 2, "tag2")
-		_ = w.Rank(0).Send(1, 1, "tag1")
+		_ = w.Rank(0).Send(1, 2, 2)
+		_ = w.Rank(0).Send(1, 1, 1)
 	}()
 	v1, _ := w.Rank(1).Recv(0, 1)
 	v2, _ := w.Rank(1).Recv(0, 2)
-	if v1 != "tag1" || v2 != "tag2" {
+	if v1 != 1 || v2 != 2 {
 		t.Fatalf("tags crossed: %v %v", v1, v2)
 	}
 }

@@ -195,10 +195,10 @@ func TestReadmitScopedToReceiveSide(t *testing.T) {
 	defer w.Close()
 
 	w.Rank(1).(Readmitter).Readmit(0) // never down: no-op
-	if err := w.Rank(0).Send(1, 1, "hi"); err != nil {
+	if err := w.Rank(0).Send(1, 1, 5); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := recvWithGuard(t, w.Rank(1), 0, 1); err != nil || v != "hi" {
+	if v, err := recvWithGuard(t, w.Rank(1), 0, 1); err != nil || v != 5 {
 		t.Fatalf("recv after no-op readmit: %v %v", v, err)
 	}
 

@@ -3,7 +3,8 @@
 // per Send. It exists to demonstrate that the collective algorithms are
 // wire-ready — nothing in internal/collective or internal/strategies knows
 // which fabric it runs on — and to exercise the serialization of every
-// payload the trainer moves (gradients, sparse tensors, token batches).
+// payload the trainer moves (gradients, sparse index and value streams,
+// activations, token batches).
 //
 // Topology: a full mesh. Rank i accepts connections from every lower rank
 // and dials every higher rank, so each unordered pair shares exactly one
@@ -14,7 +15,6 @@
 package comm
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -32,22 +32,6 @@ const (
 // helloTag marks the handshake: the first frame on a dialed connection,
 // carrying the dialer's rank.
 const helloTag = -1
-
-// RegisterWireType registers a concrete payload type for TCP transport.
-// Types sent through TCPWorld must be registered by all processes; the
-// common tensor and batch types are pre-registered by internal packages.
-// SeqFrame, []float32, []int64, [][]int64, []byte, int and struct{} have
-// frame kinds of their own and need no registration.
-func RegisterWireType(v any) {
-	gob.Register(v)
-}
-
-func init() {
-	RegisterWireType([][]float32{})
-	RegisterWireType([]int{})
-	RegisterWireType(0.0)
-	RegisterWireType("")
-}
 
 // TCPWorld is a set of ranks connected all-to-all over loopback TCP. It is
 // the single-process harness for the wire transport; the per-rank pieces
@@ -82,8 +66,7 @@ type tcpRank struct {
 // tcpConn is one duplex peer connection. Exactly one frame encoder and one
 // frame reader exist per connection for its whole lifetime — the handshake
 // uses the same streams as the frames, because a second reader on the same
-// socket would lose bytes buffered by the first, and each gob stream sends a
-// type's descriptor only once.
+// socket would lose bytes buffered by the first.
 type tcpConn struct {
 	conn  net.Conn
 	encMu sync.Mutex
@@ -93,7 +76,7 @@ type tcpConn struct {
 
 // newTCPConn wraps a socket with its lifetime encoder/reader pair.
 func newTCPConn(conn net.Conn) *tcpConn {
-	return &tcpConn{conn: conn, enc: newFrameEncoder(), dec: newFrameReader(conn)}
+	return &tcpConn{conn: conn, enc: &frameEncoder{}, dec: newFrameReader(conn)}
 }
 
 // send encodes payload as one frame into pooled scratch and writes it with
@@ -271,6 +254,9 @@ func (r *tcpRank) Size() int { return r.size }
 func (r *tcpRank) Send(to, tag int, payload any) error {
 	if to < 0 || to >= r.size {
 		return fmt.Errorf("%w: send to %d in world of %d", ErrRank, to, r.size)
+	}
+	if _, err := SizeOf(payload); err != nil {
+		return err
 	}
 	if to == r.id {
 		if !r.mail.deliver(r.id, tag, payload) {

@@ -60,7 +60,7 @@ func TestTCPTagIsolationAndFIFO(t *testing.T) {
 		for i := 0; i < n; i++ {
 			_ = w.Rank(0).Send(1, 5, i)
 		}
-		_ = w.Rank(0).Send(1, 9, "other-tag")
+		_ = w.Rank(0).Send(1, 9, -9)
 	}()
 	for i := 0; i < n; i++ {
 		v, err := w.Rank(1).Recv(0, 5)
@@ -71,7 +71,7 @@ func TestTCPTagIsolationAndFIFO(t *testing.T) {
 			t.Fatalf("out of order at %d: %v", i, v)
 		}
 	}
-	if v, _ := w.Rank(1).Recv(0, 9); v != "other-tag" {
+	if v, _ := w.Rank(1).Recv(0, 9); v != -9 {
 		t.Fatalf("tag crosstalk: %v", v)
 	}
 }
@@ -269,10 +269,10 @@ func TestNewTCPNodeDialRetry(t *testing.T) {
 	}
 	defer node0.Close()
 	defer node1.Close()
-	if err := node0.Send(1, 1, "late-join"); err != nil {
+	if err := node0.Send(1, 1, 99); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := node1.Recv(0, 1); v != "late-join" {
+	if v, _ := node1.Recv(0, 1); v != 99 {
 		t.Fatalf("got %v", v)
 	}
 }

@@ -2,15 +2,16 @@ package comm
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sync"
+
+	"embrace/internal/nn"
+	"embrace/internal/tensor"
 )
 
 // The TCP wire format. Every Send is one frame, written with one conn.Write:
@@ -27,14 +28,15 @@ import (
 //	kindBytes    n int64 | n bytes                ([]byte)
 //	kindInt      v int64                          (int)
 //	kindEmpty    nothing                          (struct{})
-//	kindGob      n int64 | n bytes of gob         (anything else)
+//	kindDense    d int64 | d × int64 dims | kindF32's body   (*tensor.Dense)
+//	kindStats    loss float64 bits | correct int64 | count int64   (nn.StepStats)
 //
 // A count of -1 is a nil slice, so nil and empty arrive as they were sent,
-// and floats travel as their bits, so every NaN payload survives. Payloads of
-// types comm cannot see (tensors, the sparse stream header, stats structs)
-// take kindGob: one gob stream per connection and direction, so each type
-// descriptor crosses once per connection. Those types must be registered
-// with RegisterWireType.
+// and floats travel as their bits, so every NaN payload survives. These
+// kinds are the whole payload set: SizeOf admits exactly these types, every
+// fabric's Send rejects anything else with ErrPayloadType, and a dense frame
+// is rebuilt through tensor.FromSlice, which rejects shapes its data cannot
+// fill.
 
 const (
 	kindSeq byte = iota + 1
@@ -44,17 +46,59 @@ const (
 	kindBytes
 	kindInt
 	kindEmpty
-	kindGob
+	_ // 8 is retired (it carried gob bodies) and reads as an unknown kind
+	kindDense
+	kindStats
 )
 
 // maxFrameBytes bounds one encoded frame. A reader rejects any declared
 // length that would take the frame past it before allocating for it.
 const maxFrameBytes = 1 << 30
 
+// ErrPayloadType is returned by every fabric's Send for a payload outside
+// the wire's payload set, so a payload the in-process fabric accepts cannot
+// fail on TCP.
+var ErrPayloadType = errors.New("comm: payload type has no wire kind")
+
 var (
 	errFrameSize = errors.New("comm: frame exceeds the maximum frame size")
-	errNestedSeq = errors.New("comm: SeqFrame nested in a SeqFrame")
+	errNestedSeq = fmt.Errorf("%w: SeqFrame nested in a SeqFrame", ErrPayloadType)
 )
+
+// SizeOf decides which payloads cross a fabric: it returns the payload bytes
+// of a member of the set, and ErrPayloadType for anything else. A SeqFrame
+// counts the payload it carries (its seq and step are framing, like the
+// tag); int and struct{} are control values and count zero.
+func SizeOf(payload any) (int64, error) {
+	switch v := payload.(type) {
+	case SeqFrame:
+		if _, nested := v.Payload.(SeqFrame); nested {
+			return 0, errNestedSeq
+		}
+		return SizeOf(v.Payload)
+	case []float32:
+		return int64(4 * len(v)), nil
+	case []int64:
+		return int64(8 * len(v)), nil
+	case [][]int64:
+		var n int64
+		for _, row := range v {
+			n += int64(8 * len(row))
+		}
+		return n, nil
+	case []byte:
+		return int64(len(v)), nil
+	case *tensor.Dense:
+		if v != nil {
+			return int64(v.SizeBytes()), nil
+		}
+	case nn.StepStats:
+		return 24, nil
+	case int, struct{}:
+		return 0, nil
+	}
+	return 0, fmt.Errorf("%w: %T", ErrPayloadType, payload)
+}
 
 var le = binary.LittleEndian
 
@@ -62,23 +106,9 @@ var le = binary.LittleEndian
 // body is read into, so no connection keeps a buffer of its own.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-// frameEncoder appends frames to buf. Its gob encoder writes into buf as
-// well, so a gob body lands inside its frame.
+// frameEncoder appends frames to buf.
 type frameEncoder struct {
 	buf []byte
-	gob *gob.Encoder
-}
-
-func newFrameEncoder() *frameEncoder {
-	e := &frameEncoder{}
-	e.gob = gob.NewEncoder(e)
-	return e
-}
-
-// Write implements io.Writer for the gob encoder.
-func (e *frameEncoder) Write(p []byte) (int, error) {
-	e.buf = append(e.buf, p...)
-	return len(p), nil
 }
 
 // frame appends the frame carrying payload under tag.
@@ -114,11 +144,7 @@ func (e *frameEncoder) value(payload any, inSeq bool) error {
 		return e.value(v.Payload, true)
 	case []float32:
 		e.buf = append(e.buf, kindF32)
-		e.count(v == nil, len(v))
-		b := e.grow(4 * len(v))
-		for i, x := range v {
-			le.PutUint32(b[4*i:], math.Float32bits(x))
-		}
+		e.float32s(v)
 	case []int64:
 		e.buf = append(e.buf, kindI64)
 		e.count(v == nil, len(v))
@@ -138,24 +164,33 @@ func (e *frameEncoder) value(payload any, inSeq bool) error {
 		e.buf = le.AppendUint64(append(e.buf, kindInt), uint64(v))
 	case struct{}:
 		e.buf = append(e.buf, kindEmpty)
+	case *tensor.Dense:
+		if v == nil {
+			return fmt.Errorf("%w: %T", ErrPayloadType, payload)
+		}
+		e.buf = append(e.buf, kindDense)
+		e.count(false, v.Dims())
+		for _, d := range v.Shape() {
+			e.buf = le.AppendUint64(e.buf, uint64(d))
+		}
+		e.float32s(v.Data())
+	case nn.StepStats:
+		e.buf = append(e.buf, kindStats)
+		e.buf = le.AppendUint64(e.buf, math.Float64bits(v.Loss))
+		e.buf = le.AppendUint64(e.buf, uint64(v.Correct))
+		e.buf = le.AppendUint64(e.buf, uint64(v.Count))
 	default:
-		return e.gobValue(payload)
+		return fmt.Errorf("%w: %T", ErrPayloadType, payload)
 	}
 	return nil
 }
 
-// gobValue appends a kindGob body. It is its own function because gob needs
-// the payload's address, which would move every payload of value to the
-// heap.
-func (e *frameEncoder) gobValue(payload any) error {
-	e.buf = append(e.buf, kindGob)
-	at := len(e.buf)
-	e.buf = le.AppendUint64(e.buf, 0)
-	if err := e.gob.Encode(&payload); err != nil {
-		return err
+func (e *frameEncoder) float32s(v []float32) {
+	e.count(v == nil, len(v))
+	b := e.grow(4 * len(v))
+	for i, x := range v {
+		le.PutUint32(b[4*i:], math.Float32bits(x))
 	}
-	le.PutUint64(e.buf[at:], uint64(len(e.buf)-at-8))
-	return nil
 }
 
 func (e *frameEncoder) int64s(v []int64) {
@@ -172,14 +207,10 @@ type frameReader struct {
 	left    int    // bytes the current frame may still take
 	scratch []byte // pooled; holds one body at a time
 	word    [8]byte
-	gobIn   bytes.Reader
-	gob     *gob.Decoder
 }
 
 func newFrameReader(r io.Reader) *frameReader {
-	fr := &frameReader{r: bufio.NewReader(r)}
-	fr.gob = gob.NewDecoder(&fr.gobIn)
-	return fr
+	return &frameReader{r: bufio.NewReader(r)}
 }
 
 // frame reads the next frame. It returns io.EOF only when the stream ends
@@ -288,6 +319,18 @@ func (fr *frameReader) int64s() ([]int64, error) {
 	return out, nil
 }
 
+func (fr *frameReader) float32s() ([]float32, error) {
+	b, isNil, err := fr.slice(4)
+	if err != nil || isNil {
+		return nil, err
+	}
+	out := make([]float32, len(b)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(le.Uint32(b[4*i:]))
+	}
+	return out, nil
+}
+
 func (fr *frameReader) value(inSeq bool) (any, error) {
 	if err := fr.take(1); err != nil {
 		return nil, err
@@ -315,15 +358,7 @@ func (fr *frameReader) value(inSeq bool) (any, error) {
 		}
 		return SeqFrame{Seq: seq, Step: int(step), Payload: inner}, nil
 	case kindF32:
-		b, isNil, err := fr.slice(4)
-		if err != nil || isNil {
-			return []float32(nil), err
-		}
-		out := make([]float32, len(b)/4)
-		for i := range out {
-			out[i] = math.Float32frombits(le.Uint32(b[4*i:]))
-		}
-		return out, nil
+		return fr.float32s()
 	case kindI64:
 		return fr.int64s()
 	case kindI64Rows:
@@ -352,23 +387,36 @@ func (fr *frameReader) value(inSeq bool) (any, error) {
 		return int(v), err
 	case kindEmpty:
 		return struct{}{}, nil
-	case kindGob:
-		b, isNil, err := fr.slice(1)
+	case kindDense:
+		n, isNil, err := fr.count(8)
 		if err != nil {
 			return nil, err
 		}
 		if isNil {
-			return nil, errors.New("comm: gob frame with a nil body")
+			return nil, errors.New("comm: dense frame with a nil shape")
 		}
-		fr.gobIn.Reset(b)
-		var v any
-		if err := fr.gob.Decode(&v); err != nil {
-			return nil, fmt.Errorf("comm: gob frame: %w", err)
+		// Dims are appended as they arrive, not allocated from n.
+		shape := make([]int, 0, min(n, 8))
+		for range n {
+			d, err := fr.int64()
+			if err != nil {
+				return nil, err
+			}
+			shape = append(shape, int(d))
 		}
-		if fr.gobIn.Len() != 0 {
-			return nil, fmt.Errorf("comm: gob frame: %d bytes after the value", fr.gobIn.Len())
+		data, err := fr.float32s()
+		if err != nil {
+			return nil, err
 		}
-		return v, nil
+		return tensor.FromSlice(data, shape...)
+	case kindStats:
+		var w [3]int64
+		for i := range w {
+			if w[i], err = fr.int64(); err != nil {
+				return nil, err
+			}
+		}
+		return nn.StepStats{Loss: math.Float64frombits(uint64(w[0])), Correct: int(w[1]), Count: int(w[2])}, nil
 	}
 	return nil, fmt.Errorf("comm: unknown frame kind %d", kind)
 }

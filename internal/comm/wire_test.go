@@ -7,24 +7,18 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"embrace/internal/nn"
+	"embrace/internal/tensor"
 )
-
-// wireProbe is a payload of a type comm has no frame kind for, so it takes
-// the gob kind.
-type wireProbe struct {
-	Name string
-	Vals []float64
-	N    int32
-}
-
-func init() { RegisterWireType(wireProbe{}) }
 
 // wireCases are payloads of every frame kind with the values a lossy wire
 // would get wrong: NaN payloads, signed zeros, infinities, nil against empty
-// slices, ragged and empty rows.
+// slices, ragged and empty rows, empty and 0-d shapes, negative counts.
 func wireCases() []struct {
 	name    string
 	payload any
@@ -55,10 +49,23 @@ func wireCases() []struct {
 		{"int", math.MinInt64},
 		{"int zero", 0},
 		{"empty struct", struct{}{}},
-		{"gob struct", wireProbe{Name: "p", Vals: []float64{1.5, math.Inf(-1)}, N: -3}},
-		{"gob string", "other-tag"},
-		{"gob nil", nil},
+		{"dense specials", dense(f32(0x7f800001, 0xffc12345, 0x80000000, 0x7f800000, 1, 0x3fc00000), 2, 3)},
+		{"dense 0-d", dense(f32(0xffc00001))},
+		{"dense empty", tensor.NewDense(0)},
+		{"dense empty rows", tensor.NewDense(3, 0)},
+		{"dense nil data", dense(nil, 0, 4)},
+		{"stats NaN loss", nn.StepStats{Loss: math.Float64frombits(0x7ff8dead0000beef), Correct: 3, Count: 7}},
+		{"stats negative counts", nn.StepStats{Loss: math.Copysign(0, -1), Correct: math.MinInt64, Count: -1}},
 	}
+}
+
+// dense wraps data in a tensor of the given shape.
+func dense(data []float32, shape ...int) *tensor.Dense {
+	d, err := tensor.FromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // sameBits reports whether a and b have the same dynamic type and the same
@@ -82,6 +89,12 @@ func sameBits(a, b any) bool {
 			}
 		}
 		return true
+	case *tensor.Dense:
+		y := b.(*tensor.Dense)
+		return slices.Equal(x.Shape(), y.Shape()) && sameBits(x.Data(), y.Data())
+	case nn.StepStats:
+		y := b.(nn.StepStats)
+		return math.Float64bits(x.Loss) == math.Float64bits(y.Loss) && x.Correct == y.Correct && x.Count == y.Count
 	}
 	return reflect.DeepEqual(a, b)
 }
@@ -123,6 +136,42 @@ func TestTCPWireMatchesMailbox(t *testing.T) {
 	}
 }
 
+// A payload outside the wire's set fails at Send with ErrPayloadType on
+// every fabric, so none of them carries what another cannot.
+func TestSendRejectsPayloadOutsideTheSet(t *testing.T) {
+	mail, err := NewWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mail.Close()
+	chaos, err := NewChaosWorld(2, MaskableChaosPlan(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaos.Close()
+	tcp, err := NewTCPWorld(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	fabrics := []struct {
+		name string
+		w    interface{ Rank(int) Transport }
+	}{{"mailbox", mail}, {"chaos", chaos}, {"tcp", tcp}}
+	for _, p := range []any{
+		int64(7), 1.5, "ctl", nil, struct{ N int }{3},
+		(*tensor.Dense)(nil), []int{1}, SeqFrame{Payload: "ctl"},
+	} {
+		for _, f := range fabrics {
+			for _, to := range []int{0, 1} {
+				if err := f.w.Rank(0).Send(to, 1, p); !errors.Is(err, ErrPayloadType) {
+					t.Errorf("%s: send %T to rank %d: err = %v, want ErrPayloadType", f.name, p, to, err)
+				}
+			}
+		}
+	}
+}
+
 func TestTCPSendRejectsNestedSeqFrame(t *testing.T) {
 	w, err := NewTCPWorld(2)
 	if err != nil {
@@ -146,7 +195,7 @@ func TestTCPSendRejectsNestedSeqFrame(t *testing.T) {
 // send them.
 func encodeFrame(t testing.TB, tag int, payload any) []byte {
 	t.Helper()
-	e := newFrameEncoder()
+	var e frameEncoder
 	if err := e.frame(tag, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -243,22 +292,20 @@ func TestTCPReaderFailureMarksPeerDown(t *testing.T) {
 }
 
 // Heap bounds of FuzzReadFrame: reading one frame may allocate a constant
-// plus fuzzAllocPerByte bytes per input byte. A gob body may also cost up to
-// the 10 MB encoding/gob allocates ahead for a declared slice before the
-// bytes behind it run out, so gob frames get a larger constant.
+// plus fuzzAllocPerByte bytes per input byte.
 const (
 	fuzzAllocBase    = 64 << 10
-	fuzzAllocBaseGob = 16 << 20
 	fuzzAllocPerByte = 8
 )
 
 // FuzzReadFrame feeds the frame reader bytes it did not write. The seed
 // corpus in testdata/fuzz/FuzzReadFrame holds a valid frame of every kind,
-// truncations of them, unknown kinds, nested SeqFrames and 2^40 lengths.
-// Reading must never panic; a frame read without error must re-encode to
-// exactly the bytes read (gob bodies, whose encoding is not unique, must
-// reach a fixed point instead); and the heap may grow by at most a constant
-// plus a multiple of the input length.
+// truncations of them, unknown kinds (the retired gob kind 8 among them,
+// with the gob-era frames), nested SeqFrames, 2^40 lengths, and dense frames
+// whose shape wraps, goes negative or does not match the data. Reading must
+// never panic; a frame read without error must re-encode to exactly the
+// bytes read; and the heap may grow by at most a constant plus a multiple of
+// the input length.
 //
 // Run it with: go test ./internal/comm -run '^$' -fuzz FuzzReadFrame -fuzztime 20s
 func FuzzReadFrame(f *testing.F) {
@@ -270,40 +317,16 @@ func FuzzReadFrame(f *testing.F) {
 		tag, payload, err := fr.frame()
 		runtime.ReadMemStats(&after)
 
-		// The kind sits after the 8-byte tag; a SeqFrame's inner kind after
-		// its kind byte, seq and step.
-		kindAt := func(i int) byte {
-			if i < len(data) {
-				return data[i]
-			}
-			return 0
-		}
-		isGob := kindAt(8) == kindGob || (kindAt(8) == kindSeq && kindAt(25) == kindGob)
 		limit := uint64(fuzzAllocBase + fuzzAllocPerByte*len(data))
-		if isGob {
-			limit += fuzzAllocBaseGob
-		}
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > limit {
 			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), grown, limit)
 		}
 		if err != nil {
 			return
 		}
-
-		enc := encodeFrame(t, tag, payload)
-		if !isGob {
-			read := data[:len(data)-fr.r.Buffered()-in.Len()]
-			if !bytes.Equal(enc, read) {
-				t.Fatalf("frame %x re-encodes to %x", read, enc)
-			}
-			return
-		}
-		tag2, payload2, err := newFrameReader(bytes.NewReader(enc)).frame()
-		if err != nil {
-			t.Fatalf("re-encoded gob frame %x does not read: %v", enc, err)
-		}
-		if enc2 := encodeFrame(t, tag2, payload2); !bytes.Equal(enc, enc2) {
-			t.Fatalf("gob frame re-encodes to %x, then to %x", enc, enc2)
+		read := data[:len(data)-fr.r.Buffered()-in.Len()]
+		if enc := encodeFrame(t, tag, payload); !bytes.Equal(enc, read) {
+			t.Fatalf("frame %x re-encodes to %x", read, enc)
 		}
 	})
 }

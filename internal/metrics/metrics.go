@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"embrace/internal/comm"
-	"embrace/internal/nn"
-	"embrace/internal/tensor"
 )
 
 // Stats is a snapshot of one rank's communication counters.
@@ -96,49 +94,12 @@ func (m *Transport) Stats() Stats {
 	}
 }
 
-// PayloadSize estimates the wire size of the payload types the training
-// stack sends. Unknown types count as zero (control messages).
+// PayloadSize is the payload's size in bytes as comm.SizeOf reports it:
+// framing and control values count zero, and so does a payload outside the
+// wire's set, which no fabric would have carried.
 func PayloadSize(payload any) int64 {
-	switch v := payload.(type) {
-	case comm.SeqFrame:
-		// Sequence envelope added by collective.Communicator: size the
-		// payload it carries (the sequence number and step are framing
-		// overhead, like the tag, and deliberately excluded).
-		return PayloadSize(v.Payload)
-	case []float32:
-		return int64(len(v) * tensor.BytesPerElem)
-	case *tensor.Dense:
-		return int64(v.SizeBytes())
-	case *tensor.Sparse:
-		return int64(v.SizeBytes())
-	case []*tensor.Dense:
-		var n int64
-		for _, d := range v {
-			n += int64(d.SizeBytes())
-		}
-		return n
-	case []*tensor.Sparse:
-		var n int64
-		for _, s := range v {
-			n += int64(s.SizeBytes())
-		}
-		return n
-	case []int64:
-		return int64(len(v) * 8)
-	case []byte:
-		// Encoded sparse-exchange wire payloads: what actually hit the wire.
-		return int64(len(v))
-	case [][]int64:
-		var n int64
-		for _, row := range v {
-			n += int64(len(row) * 8)
-		}
-		return n
-	case nn.StepStats:
-		return 24
-	default:
-		return 0
-	}
+	n, _ := comm.SizeOf(payload)
+	return n
 }
 
 // Compile-time check.

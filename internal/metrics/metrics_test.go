@@ -9,6 +9,8 @@ import (
 	"embrace/internal/tensor"
 )
 
+// PayloadSize sizes the wire's payload set; control values and payloads
+// outside the set (which no fabric carries) count zero.
 func TestPayloadSize(t *testing.T) {
 	d := tensor.NewDense(3, 2)
 	s, _ := tensor.NewSparse(10, 2, []int64{1, 2}, make([]float32, 4))
@@ -18,14 +20,16 @@ func TestPayloadSize(t *testing.T) {
 	}{
 		{[]float32{1, 2, 3}, 12},
 		{d, 24},
-		{s, 2*8 + 4*4},
-		{[]*tensor.Dense{d, d}, 48},
-		{[]*tensor.Sparse{s}, 2*8 + 4*4},
 		{[]int64{1, 2}, 16},
 		{[][]int64{{1}, {2, 3}}, 24},
+		{[]byte{1, 2, 3}, 3},
 		{nn.StepStats{}, 24},
-		{"control", 0},
+		{comm.SeqFrame{Seq: 9, Payload: d}, 24},
 		{42, 0},
+		{struct{}{}, 0},
+		{"control", 0},
+		{s, 0},
+		{[]*tensor.Dense{d, d}, 0},
 	}
 	for i, c := range cases {
 		if got := PayloadSize(c.payload); got != c.want {
@@ -139,9 +143,11 @@ func TestOpRecorderAttributesTrafficPerOp(t *testing.T) {
 		if dense.PayloadBytes < wantBytes*9/10 || dense.PayloadBytes > wantBytes*11/10 {
 			t.Fatalf("rank %d dense bytes = %d, want ~%d", r, dense.PayloadBytes, wantBytes)
 		}
+		// Per peer, one [rows, dim, index] header and one value frame.
 		sparse := per["emb/grad"]
-		if sparse.Messages != n-1 {
-			t.Fatalf("rank %d sparse messages = %d, want %d", r, sparse.Messages, n-1)
+		if sparse.Messages != 2*(n-1) || sparse.PayloadBytes != (3*8+2*4)*(n-1) {
+			t.Fatalf("rank %d sparse traffic = %d messages / %d bytes, want %d / %d",
+				r, sparse.Messages, sparse.PayloadBytes, 2*(n-1), (3*8+2*4)*(n-1))
 		}
 		total := rec.Total()
 		if total.Messages != dense.Messages+sparse.Messages {

@@ -42,15 +42,20 @@ func NewDense(shape ...int) *Dense {
 }
 
 // FromSlice wraps data in a dense tensor of the given shape. The slice is
-// used directly, not copied. It returns an error if the element count does
-// not match the shape.
+// used directly, not copied. It returns an error if a dimension is negative,
+// the element count overflows an int, or it does not match len(data). Wire
+// and checkpoint decoders build tensors through it, so the shape may be
+// hostile; the errors name the shape's length, never the shape itself.
 func FromSlice(data []float32, shape ...int) (*Dense, error) {
 	n := 1
-	for _, d := range shape {
+	for i, d := range shape {
+		if d < 0 || d != 0 && n > math.MaxInt/d {
+			return nil, fmt.Errorf("tensor: dimension %d of %d (%d) is negative or overflows the element count", i, len(shape), d)
+		}
 		n *= d
 	}
 	if n != len(data) {
-		return nil, fmt.Errorf("tensor: shape %v wants %d elements, got %d", shape, n, len(data))
+		return nil, fmt.Errorf("tensor: %d-dimension shape wants %d elements, got %d", len(shape), n, len(data))
 	}
 	return &Dense{shape: append([]int(nil), shape...), data: data}, nil
 }

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +32,35 @@ func TestFromSlice(t *testing.T) {
 	}
 	if _, err := FromSlice([]float32{1, 2}, 3); err == nil {
 		t.Fatal("expected error for mismatched slice length")
+	}
+}
+
+// Wire frames and checkpoints build tensors through FromSlice and
+// Dense.GobDecode, so hostile shapes must be rejected there, not panic later
+// in Row or a column shard: element counts that overflow int and wrap to the
+// data length, negative sizes, and data that does not fill the shape.
+func TestFromSliceRejectsHostileShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		data  []float32
+		shape []int
+	}{
+		{"element count wraps to 0", nil, []int{1 << 32, 1 << 32}},
+		{"negative dimension", nil, []int{-1, 0}},
+		{"two negatives make a positive", make([]float32, 4), []int{-2, -2}},
+		{"data longer than the shape", make([]float32, 7), []int{2, 3}},
+		{"data shorter than the shape", make([]float32, 5), []int{2, 3}},
+	} {
+		if _, err := FromSlice(tc.data, tc.shape...); err == nil {
+			t.Errorf("%s: FromSlice accepted it", tc.name)
+		}
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(denseWire{Shape: tc.shape, Data: tc.data}); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Dense).GobDecode(body.Bytes()); err == nil {
+			t.Errorf("%s: GobDecode accepted it", tc.name)
+		}
 	}
 }
 

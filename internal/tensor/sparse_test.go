@@ -323,76 +323,3 @@ func TestGobRoundTripDense(t *testing.T) {
 		t.Fatalf("round trip mismatch: %v", got.Shape())
 	}
 }
-
-func TestGobRoundTripSparsePreservesCoalesced(t *testing.T) {
-	s := mustSparse(t, 10, 2, []int64{3, 3, 1}, []float32{1, 2, 3, 4, 5, 6})
-	c := s.Coalesce()
-	for _, in := range []*Sparse{s, c} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-			t.Fatal(err)
-		}
-		var got Sparse
-		if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		if got.IsCoalesced() != in.IsCoalesced() {
-			t.Fatal("coalesced flag not preserved")
-		}
-		if !got.ToDense().AllClose(in.ToDense(), 0) {
-			t.Fatal("values not preserved")
-		}
-	}
-}
-
-func TestGobDecodeRejectsCorrupt(t *testing.T) {
-	// A sparse tensor claiming more values than indices*dim must fail.
-	bad := sparseWireForTest(5, 2, []int64{1}, []float32{1, 2, 3})
-	var got Sparse
-	if err := got.GobDecode(bad); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-	badIdx := sparseWireForTest(5, 2, []int64{9}, []float32{1, 2})
-	if err := got.GobDecode(badIdx); err == nil {
-		t.Fatal("expected range error")
-	}
-}
-
-// Hostile shapes must be rejected at decode time, not panic later in
-// ToDense or a column shard: element counts that overflow int and wrap to
-// the (empty) data length, and negative sizes.
-func TestGobDecodeRejectsHostileShapes(t *testing.T) {
-	var dense bytes.Buffer
-	_ = gob.NewEncoder(&dense).Encode(denseWire{Shape: []int{1 << 32, 1 << 32}})
-	cases := []struct {
-		name string
-		dec  func() error
-	}{
-		{"dense element count wraps to 0", func() error { return new(Dense).GobDecode(dense.Bytes()) }},
-		{"sparse negative rows", func() error {
-			return new(Sparse).GobDecode(sparseWireForTest(-1, 2, nil, nil))
-		}},
-		{"sparse indices*dim wraps to 0", func() error {
-			return new(Sparse).GobDecode(sparseWireForTest(8, 1<<62, []int64{0, 1, 2, 3}, nil))
-		}},
-	}
-	for _, tc := range cases {
-		if err := tc.dec(); err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
-		}
-	}
-}
-
-// sparseWireForTest builds raw gob bytes for a (possibly invalid) sparse
-// tensor, bypassing NewSparse validation.
-func sparseWireForTest(rows, dim int, idx []int64, vals []float32) []byte {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(struct {
-		NumRows   int
-		Dim       int
-		Indices   []int64
-		Vals      []float32
-		Coalesced bool
-	}{rows, dim, idx, vals, false})
-	return buf.Bytes()
-}

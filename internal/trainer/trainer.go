@@ -168,11 +168,6 @@ func WindowsTargets(b *data.Batch, window int) ([][]int64, []int64) {
 	return windows, targets
 }
 
-func init() {
-	// Per-step metrics cross the wire when training over TCP.
-	comm.RegisterWireType(nn.StepStats{})
-}
-
 // FaultError attributes an unmaskable communication fault to where it
 // surfaced: which rank observed it, at which training step, in which phase of
 // the step. The underlying transport error (comm.ErrPeerDown, comm.ErrTimeout,

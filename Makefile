@@ -18,12 +18,16 @@ test:
 ## deadline). See DESIGN.md § Static analysis; `-json` emits the
 ## machine-readable stream. Last, the wire stays free of reflection: no
 ## non-test file of internal/comm or internal/collective may import
-## encoding/gob or reflect (DESIGN.md § The TCP wire).
+## encoding/gob or reflect (DESIGN.md § The TCP wire); and the sparse wire
+## codecs stay out of every product path: no package but ./benchmark may
+## import internal/compress (DESIGN.md §12).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/embracevet ./...
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/comm ./internal/collective | grep -Ex 'encoding/gob|reflect'; then \
 		echo "lint: internal/comm or internal/collective imports encoding/gob or reflect" >&2; exit 1; fi
+	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^embrace/benchmark:' | grep -E ' embrace/internal/compress( |$$)'; then \
+		echo "lint: only ./benchmark may import embrace/internal/compress" >&2; exit 1; fi
 
 ## check: lint the whole module and race-test everything (the Communicator's
 ## pooled buffers and pipelined ring segments are the code most exposed to
@@ -50,9 +54,9 @@ chaos:
 ## ELASTIC_recovery.json for CI to archive. CHAOS_SEED offsets the seeds.
 elastic:
 	EMBRACE_CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -timeout 10m -count=1 \
-		-run 'Elastic|Salvage|FaultAttribution|FaultErrors|Readmit|Leave|Epoch|ColumnShard|Remap|MaskedBytes|CompressionRatio' \
+		-run 'Elastic|Salvage|FaultAttribution|FaultErrors|Readmit|Leave|Epoch|ColumnShard|Remap' \
 		./internal/comm ./internal/collective ./internal/trainer \
-		./internal/partition ./internal/checkpoint ./internal/metrics
+		./internal/partition ./internal/checkpoint
 	$(GO) run ./cmd/embrace-train -elastic -workers 4 -dim 12 -steps 9 \
 		-ckpt-every 3 -rejoin -rejoin-after 2 -crash-rank 3 -crash-step 4 \
 		-chaos-seed $(CHAOS_SEED) -adam=false -elastic-report ELASTIC_recovery.json

@@ -55,9 +55,6 @@ func main() {
 		ckpt     = flag.String("checkpoint", "", "save final parameters to this file")
 		resume   = flag.String("resume", "", "warm-start from a checkpoint written with the same configuration")
 		every    = flag.Int("every", 5, "print loss every N steps")
-		comp     = flag.String("compress", "", "embedding AlltoAll wire codec: \"\" | lossless | lossy")
-		epsP     = flag.Float64("eps-prior", 0, "lossy codec error bound for prior rows (0 = default 1e-4)")
-		epsD     = flag.Float64("eps-delayed", 0, "lossy codec error bound for delayed rows (0 = default 1e-3)")
 
 		chaosSeed   = flag.Int64("chaos-seed", 0, "train over a seeded fault-injecting transport (0 = off)")
 		elastic     = flag.Bool("elastic", false, "run under the elastic supervisor: crash -> shrink -> resume (DESIGN.md §13)")
@@ -89,9 +86,6 @@ func main() {
 		OverTCP:                *overTCP,
 		CheckpointPath:         *ckpt,
 		ResumeFrom:             *resume,
-		Compress:               *comp,
-		CompressEpsPrior:       float32(*epsP),
-		CompressEpsDelayed:     float32(*epsD),
 		ChaosSeed:              *chaosSeed,
 		Elastic:                *elastic,
 		ElasticCheckpointEvery: *ckptEvery,
@@ -149,17 +143,6 @@ func main() {
 	}
 	fmt.Printf("final PPL %.2f over %d trained tokens\n", res.FinalPPL, res.TokensTrained)
 	fmt.Printf("communication: %.2f MB in %d messages\n", float64(res.CommBytes)/1e6, res.CommMessages)
-	var raw, wire int64
-	for _, t := range res.CommPerOp {
-		if t.RawBytes > 0 {
-			raw += t.RawBytes
-			wire += t.PayloadBytes
-		}
-	}
-	if raw > 0 {
-		fmt.Printf("compression (%s): %.2f MB raw -> %.2f MB wire (%.2fx)\n",
-			*comp, float64(raw)/1e6, float64(wire)/1e6, float64(raw)/float64(wire))
-	}
 	if *tracePath != "" {
 		phases := make([]string, 0, len(res.PhaseSeconds))
 		for name := range res.PhaseSeconds {

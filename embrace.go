@@ -31,9 +31,7 @@ import (
 	"slices"
 
 	"embrace/internal/checkpoint"
-	"embrace/internal/collective"
 	"embrace/internal/comm"
-	"embrace/internal/compress"
 	"embrace/internal/data"
 	"embrace/internal/experiments"
 	"embrace/internal/metrics"
@@ -274,17 +272,6 @@ type TrainConfig struct {
 	// chrome://tracing). The per-phase time breakdown lands in
 	// TrainResult.PhaseSeconds.
 	TracePath string
-	// Compress selects the wire codec for EmbRace's embedding-gradient
-	// AlltoAll (DESIGN.md §12; baselines ignore it). "" ships raw
-	// index/value streams; "lossless" delta-varint encodes row ids and keeps
-	// training bit-identical; "lossy" adds dual-level error-bounded value
-	// quantization — prior rows get CompressEpsPrior, delayed rows
-	// CompressEpsDelayed.
-	Compress string
-	// CompressEpsPrior and CompressEpsDelayed bound the per-element
-	// absolute error of the lossy codec's prior and delayed rows. Zero
-	// values pick 1e-4 and 1e-3. Ignored unless Compress is "lossy".
-	CompressEpsPrior, CompressEpsDelayed float32
 	// Elastic runs the job under the self-healing supervisor (DESIGN.md
 	// §13): on an attributed rank crash the run rolls back to its last
 	// in-memory snapshot, shrinks the world by the dead ranks (redistributing
@@ -354,34 +341,8 @@ type TrainResult struct {
 type ElasticEpoch = trainer.EpochInfo
 
 // OpTraffic is the measured traffic of one logical collective operation,
-// summed over ranks. With a wire codec, RawBytes/WireBytes is the op's
-// compression ratio.
+// summed over ranks.
 type OpTraffic = metrics.OpStats
-
-// sparseCodecFor resolves a codec mode name from TrainConfig/ServeConfig
-// into the collective-side codec. Empty mode means no compression.
-func sparseCodecFor(mode string, epsPrior, epsDelayed float32) (collective.SparseCodec, error) {
-	switch mode {
-	case "":
-		return nil, nil
-	case "lossless":
-		return compress.DeltaRaw{}, nil
-	case "lossy":
-		if epsPrior == 0 {
-			epsPrior = 1e-4
-		}
-		if epsDelayed == 0 {
-			epsDelayed = 1e-3
-		}
-		dq, err := compress.NewDualQuant(epsPrior, epsDelayed)
-		if err != nil {
-			return nil, err
-		}
-		return dq, nil
-	default:
-		return nil, fmt.Errorf("embrace: unknown compression mode %q (want \"\", \"lossless\" or \"lossy\")", mode)
-	}
-}
 
 // job is the one place a training job is built from a TrainConfig. An
 // unknown strategy is rejected where the trainer builds its workers.
@@ -418,10 +379,6 @@ func (c TrainConfig) job() (trainer.Job, error) {
 	if lr == 0 {
 		lr = 0.01
 	}
-	codec, err := sparseCodecFor(c.Compress, c.CompressEpsPrior, c.CompressEpsDelayed)
-	if err != nil {
-		return trainer.Job{}, err
-	}
 	job := trainer.Job{
 		Strategy: name,
 		Workers:  c.Workers,
@@ -435,7 +392,6 @@ func (c TrainConfig) job() (trainer.Job, error) {
 			Optimizer: opt,
 			LR:        lr,
 			Sched:     sched,
-			Codec:     codec,
 		},
 		Data: data.Config{
 			VocabSize:      vocab,

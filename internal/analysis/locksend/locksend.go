@@ -43,7 +43,7 @@ var (
 	collectiveMethods = map[string]bool{
 		"AllReduce": true, "AllReduceBlocks": true, "ReduceScatterBlocks": true,
 		"AllGatherBlocks": true, "Barrier": true, "SparseAllGather": true,
-		"AlltoAllSparse": true, "AlltoAllSparseCodec": true,
+		"AlltoAllSparse": true,
 	}
 	collectiveFuncs = map[string]bool{"AllGatherVia": true, "AllToAllVia": true, "GatherVia": true}
 )

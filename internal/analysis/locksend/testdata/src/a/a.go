@@ -39,7 +39,7 @@ func (s *server) readLockHeld() {
 func (s *server) sparseHeld(send [][]int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.c.AlltoAllSparseCodec("emb/grad", 0, send, nil, 0) // want `blocking Communicator\.AlltoAllSparseCodec while "s\.mu" is locked`
+	return s.c.AlltoAllSparse("emb/grad", 0, send, nil) // want `blocking Communicator\.AlltoAllSparse while "s\.mu" is locked`
 }
 
 // releaseFirst is the approved pattern: copy what you need under the lock,

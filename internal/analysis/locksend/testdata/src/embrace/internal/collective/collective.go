@@ -19,8 +19,8 @@ func (c *Communicator) AllReduce(op string, step int, buf []float64) {}
 // Barrier blocks until every rank participates.
 func (c *Communicator) Barrier(op string, step int) {}
 
-// AlltoAllSparseCodec blocks until every peer's shard has arrived.
-func (c *Communicator) AlltoAllSparseCodec(op string, step int, send [][]int64, codec any, class int) error {
+// AlltoAllSparse blocks until every peer's shard has arrived.
+func (c *Communicator) AlltoAllSparse(op string, step int, send [][]int64, arena any) error {
 	return nil
 }
 

@@ -30,7 +30,7 @@ func runTrainingSteps(cms []*Communicator, from, to int) error {
 				for p := range send {
 					send[p] = &tensor.Sparse{NumRows: 16, Dim: 2, Indices: []int64{int64(s % 16)}, Vals: []float32{a[0], b[0]}}
 				}
-				if err := c.AlltoAllSparseCodec("sparse", s, send, &arena, nil, RowsWhole); err != nil {
+				if err := c.AlltoAllSparse("sparse", s, send, &arena); err != nil {
 					errs[r] = err
 					return
 				}

@@ -53,7 +53,6 @@ type Communicator struct {
 	epoch      int // world epoch; offsets every tag into its own plane
 	obs        Observer
 	faults     FaultObserver // c.obs, when it also counts faults
-	codecObs   CodecObserver // c.obs, when it also times codec work
 
 	mu      sync.Mutex
 	ops     map[string]int64 // op name -> slot in the tag space
@@ -63,9 +62,8 @@ type Communicator struct {
 	sends    map[streamKey]*sendStream
 	recvs    map[streamKey]*recvStream
 
-	f32   bufPool[float32] // ring segments and raw sparse value streams
-	i64   bufPool[int64]   // sparse stream headers, with the raw path's indices
-	bytes bufPool[byte]    // encoded payloads of the compressed sparse exchanges
+	f32 bufPool[float32] // ring segments and sparse value streams
+	i64 bufPool[int64]   // sparse stream headers with their indices
 }
 
 // ErrStepMismatch is returned by a receive whose next in-order frame on its
@@ -95,20 +93,6 @@ type FaultObserver interface {
 	// Communicator absorbed it (true) or surfaced an error (false). kind is
 	// one of "duplicate", "reorder", "transient", "peer-down", "timeout".
 	Fault(op string, kind string, masked bool)
-}
-
-// CodecObserver is the optional extension of Observer for wire-codec
-// accounting. When the installed Observer also implements it, the
-// Communicator reports every shard it encodes or decodes during a compressed
-// sparse exchange: how many bytes the raw index/value streams would have
-// occupied, how many actually hit the wire, and how long the codec ran.
-// metrics.OpRecorder derives per-op compression ratios from it and
-// trace.Recorder turns the durations into encode/decode spans.
-type CodecObserver interface {
-	// CodecOp is called once per encoded or decoded peer shard of op. phase
-	// is "encode" or "decode"; rawBytes is the uncompressed index+value
-	// footprint, wireBytes the encoded payload length.
-	CodecOp(op, phase string, rawBytes, wireBytes int, d time.Duration)
 }
 
 // Tag-space layout: tags are epoch<<epochShift + tagBase + opSlot. The base
@@ -167,13 +151,11 @@ func NewCommunicator(t comm.Transport, opts ...Option) *Communicator {
 		recvs: make(map[streamKey]*recvStream),
 		f32:   bufPool[float32]{poison: poisonF32},
 		i64:   bufPool[int64]{poison: poisonI64},
-		bytes: bufPool[byte]{poison: poisonByte},
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.faults, _ = c.obs.(FaultObserver)
-	c.codecObs, _ = c.obs.(CodecObserver)
 	return c
 }
 
@@ -276,13 +258,12 @@ type bufPool[T any] struct {
 	poison T
 }
 
-// Poison values of recycled memory in test binaries: a NaN for values, a
-// negative row id for indices, and a byte pattern for encoded payloads.
+// Poison values of recycled memory in test binaries: a NaN for values and a
+// negative row id for indices.
 var (
 	poisonRecycled = testing.Testing()
 	poisonF32      = math.Float32frombits(0x7fc0dead)
 	poisonI64      = int64(math.MinInt64 + 0xdead)
-	poisonByte     = byte(0xa5)
 )
 
 // get returns a scratch buffer of length n, reusing pooled memory.
@@ -298,18 +279,6 @@ func (p *bufPool[T]) get(n int) []T {
 		buf = make([]T, n)
 	}
 	return buf[:n]
-}
-
-// room returns an empty pooled buffer with capacity for at least n
-// elements, for a payload appended in place. Encoded payloads come back from
-// peers sized for the peers' shards, so a fresh buffer gets room for 2n and
-// serves the next, larger shard too.
-func (p *bufPool[T]) room(n int) []T {
-	buf := p.get(0)
-	if cap(buf) < n {
-		buf = make([]T, 0, 2*n)
-	}
-	return buf
 }
 
 // put recycles a buffer whose contents have been fully consumed.
@@ -891,7 +860,8 @@ func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T,
 // its local sparse tensor and receives the concatenation of all of them in
 // rank order. It is AlltoAllSparse with local sent to every peer, into a
 // call-local arena, so the result is the caller's to keep. Every sender must
-// share local's width, and every row must lie inside local's NumRows.
+// share local's width, and every row must lie inside local's NumRows (the
+// exchange checks the rows).
 func (c *Communicator) SparseAllGather(op string, step int, local *tensor.Sparse) (*tensor.Sparse, error) {
 	send := make([]*tensor.Sparse, c.t.Size())
 	for p := range send {
@@ -906,11 +876,5 @@ func (c *Communicator) SparseAllGather(op string, step int, local *tensor.Sparse
 			return nil, fmt.Errorf("collective: sparse allgather: rank %d sent width %d, want %d", p, d, local.Dim)
 		}
 	}
-	merged := arena.Merged()
-	for _, row := range merged.Indices {
-		if row < 0 || row >= int64(local.NumRows) {
-			return nil, fmt.Errorf("collective: sparse allgather: row %d outside [0, %d)", row, local.NumRows)
-		}
-	}
-	return merged, nil
+	return arena.Merged(), nil
 }

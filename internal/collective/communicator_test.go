@@ -91,7 +91,7 @@ func TestCommunicatorStepsPastOldCeiling(t *testing.T) {
 			send[p] = &tensor.Sparse{NumRows: 8, Dim: 1, Indices: []int64{int64(tr.Rank())}, Vals: []float32{1}}
 		}
 		var arena SparseShards
-		if err := c.AlltoAllSparseCodec("sparse", step, send, &arena, nil, RowsWhole); err != nil {
+		if err := c.AlltoAllSparse("sparse", step, send, &arena); err != nil {
 			return err
 		}
 		if got := arena.Merged().Indices; len(got) != n {

@@ -9,7 +9,6 @@ import "time"
 type multiObserver struct {
 	obs    []Observer
 	faults []FaultObserver
-	codecs []CodecObserver
 }
 
 // MultiObserver combines observers into one. Nil entries are dropped; with
@@ -24,9 +23,6 @@ func MultiObserver(os ...Observer) Observer {
 		m.obs = append(m.obs, o)
 		if f, ok := o.(FaultObserver); ok {
 			m.faults = append(m.faults, f)
-		}
-		if cc, ok := o.(CodecObserver); ok {
-			m.codecs = append(m.codecs, cc)
 		}
 	}
 	switch len(m.obs) {
@@ -60,17 +56,8 @@ func (m *multiObserver) Fault(op string, kind string, masked bool) {
 	}
 }
 
-// CodecOp implements CodecObserver, forwarding to the members that account
-// codec work.
-func (m *multiObserver) CodecOp(op, phase string, rawBytes, wireBytes int, d time.Duration) {
-	for _, cc := range m.codecs {
-		cc.CodecOp(op, phase, rawBytes, wireBytes, d)
-	}
-}
-
 // Compile-time checks.
 var (
 	_ Observer      = (*multiObserver)(nil)
 	_ FaultObserver = (*multiObserver)(nil)
-	_ CodecObserver = (*multiObserver)(nil)
 )

@@ -34,14 +34,6 @@ func TestRecycledBuffersArePoisoned(t *testing.T) {
 			t.Fatalf("recycled index %d reads %d, want poison", i, v)
 		}
 	}
-
-	wire := append(cm.bytes.get(0), "payload"...)
-	cm.bytes.put(wire)
-	for i, v := range wire[:cap(wire)] {
-		if v != poisonByte {
-			t.Fatalf("recycled byte %d reads %#x, want poison", i, v)
-		}
-	}
 }
 
 // A ShardView or Merged view held across the next AlltoAllSparse into the

@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"embrace/internal/tensor"
 )
@@ -11,11 +10,10 @@ import (
 // The sparse AlltoAll of the embedding gradients (§4.1): each peer stream
 // opens with one []int64 frame, [rows, dim, indices…] — counts first, then
 // the indices, in a buffer drawn from the Communicator's pools — followed
-// by the values, or by one encoded payload when a SparseCodec is given (the
-// opening frame then carries only [rows, dim]). Every received stream is
-// copied or decoded straight into a caller-owned SparseShards arena. The
-// arena's backing arrays grow to a high-water mark and are then reused
-// forever, so the exchange allocates nothing in steady state.
+// by the values. Every received stream is copied straight into a
+// caller-owned SparseShards arena, whose backing arrays grow to a high-water
+// mark and are then reused forever, so the exchange allocates nothing in
+// steady state.
 //
 // Streams ride sendRaw/recvRaw, so they inherit the seq-framing, duplicate
 // suppression, reorder parking and transient-send retry of every other
@@ -42,10 +40,9 @@ const (
 )
 
 // SparseCodec compresses one peer shard of a sparse exchange into a wire
-// payload and back. It is declared here, next to the exchange that uses it,
-// so internal/compress can provide implementations without an import cycle
-// (compress imports collective for RowClass) — the same structural-interface
-// move that lets trace.Recorder satisfy Observer.
+// payload and back. No exchange uses one: the interface and RowClass stay
+// only because the benchmark's per-row codec probes (internal/compress)
+// are written against them.
 //
 // Both methods are append-style and must not allocate in steady state: dst
 // and the decode targets come from pooled or arena-backed memory that grows
@@ -130,62 +127,29 @@ func (a *SparseShards) reset(n, numRows, dim int) {
 	a.merged.NumRows, a.merged.Dim = numRows, dim
 }
 
-// appendShard copies one received (or self) stream into the arena.
+// appendShard copies one received (or self) stream into the arena. Every
+// row id must lie in [0, NumRows) of the receiver's table: ids come from the
+// wire, and one out of range would otherwise pass the exchange and panic in
+// the coalesce or the optimizer's row update.
 //
 //embrace:hotpath
-func (a *SparseShards) appendShard(p int, dim int32, idx []int64, vals []float32) {
+func (a *SparseShards) appendShard(p int, dim int32, idx []int64, vals []float32) error {
+	for _, row := range idx {
+		if uint64(row) >= uint64(a.merged.NumRows) {
+			return fmt.Errorf("collective: alltoallsparse stream from rank %d: row %d outside [0, %d)", p, row, a.merged.NumRows)
+		}
+	}
 	a.merged.Indices = append(a.merged.Indices, idx...)
 	a.merged.Vals = append(a.merged.Vals, vals...)
-	a.ends[p] = len(a.merged.Indices)
-	a.vends[p] = len(a.merged.Vals)
-	a.dims[p] = dim
-}
-
-// appendDecoded decodes one received wire payload straight onto the arena's
-// backing arrays — the codec's decode scratch IS the arena, so the
-// compressed path keeps the zero-steady-state-allocation property of the raw
-// one.
-//
-//embrace:hotpath
-func (a *SparseShards) appendDecoded(p int, rows int, dim int32, src []byte, codec SparseCodec) error {
-	lo, vlo := len(a.merged.Indices), len(a.merged.Vals)
-	idx, vals, err := codec.DecodeShard(src, rows, int(dim), a.merged.Indices, a.merged.Vals)
-	if err != nil {
-		return err
-	}
-	if len(idx)-lo != rows || len(vals)-vlo != rows*int(dim) {
-		return fmt.Errorf("collective: codec %s decoded %d rows, %d values; header %d rows x dim %d",
-			codec.Name(), len(idx)-lo, len(vals)-vlo, rows, dim)
-	}
-	a.merged.Indices = idx
-	a.merged.Vals = vals
 	a.ends[p] = len(a.merged.Indices)
 	a.vends[p] = len(a.merged.Vals)
 	a.dims[p] = dim
 	return nil
 }
 
-// sparseRawBytes is the uncompressed wire footprint of a shard: 8 bytes per
-// index, 4 per value — what AlltoAllSparse would have shipped.
-func sparseRawBytes(rows, dim int) int { return rows * (8 + 4*dim) }
-
-// AlltoAllSparse routes shard send[p] to rank p and fills arena with the
-// received shards in sender order: AlltoAllSparseCodec with no codec, so every
-// non-empty peer stream ships as its raw index and value slices. Senders may
-// carry different column widths (each stream's header says its own); when
-// every sender matches the receiver's width the merged arena is bit-identical
-// to tensor.Concat of the senders' shards. Per-sender views come from
-// ShardView either way.
-//
-//embrace:hotpath
-func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse, arena *SparseShards) error {
-	return c.AlltoAllSparseCodec(op, step, send, arena, nil, RowsWhole)
-}
-
 // sparseHeaderError reports a peer stream header no shard can carry: a
 // negative row count or width, or more values than an int32 can count. The
-// header arrives from the wire, so it is checked before either payload kind
-// trusts it.
+// header arrives from the wire, so it is checked before anything trusts it.
 type sparseHeaderError struct {
 	from      int
 	rows, dim int64
@@ -195,25 +159,24 @@ func (e sparseHeaderError) Error() string {
 	return fmt.Sprintf("collective: alltoallsparse header from rank %d: %d rows x dim %d", e.from, e.rows, e.dim)
 }
 
-// AlltoAllSparseCodec is the one sparse AlltoAll. Every peer stream opens
-// with a pooled []int64 header, the row count and width, and — when non-empty
-// — carries its shard: with a nil codec the header goes on with the indices
-// and a pooled []float32 follows with the values; otherwise one encoded
-// []byte payload from the byte pool follows the bare header. Ownership of
-// the buffers travels with the message; the receiver recycles them into its
-// own pools. Each received shard is copied (raw) or decoded (codec) straight
-// into the arena.
+// AlltoAllSparse routes shard send[p] to rank p and fills arena with the
+// received shards in sender order. Every peer stream opens with a pooled
+// []int64 header, [rows, dim, indices…]; a non-empty one goes on with a
+// pooled []float32 of its values. Ownership of the buffers travels with the
+// message: the receiver copies each stream into the arena and recycles them
+// into its own pools. Senders may carry different column widths (each
+// stream's header says its own); when every sender matches the receiver's
+// width the merged arena is bit-identical to tensor.Concat of the senders'
+// shards. Per-sender views come from ShardView either way. Every row id, the
+// self shard's included, must lie in [0, NumRows) of send[rank]; a stream
+// that breaks this fails the exchange with an error naming its sender.
 //
-// The self shard never touches the wire, the observer, the codec or the
-// pooled wire buffers: rank r's own rows are copied directly into the arena
-// at sender position r (self-send elision), so a lossy codec never quantizes
-// them. class tells dual-level codecs which error bound applies to every row
-// of this exchange. When the Communicator's observer implements
-// CodecObserver, each encoded and decoded shard is reported with its raw vs
-// wire footprint and codec latency.
+// The self shard never touches the wire, the observer or the pooled wire
+// buffers: rank r's own rows are copied directly into the arena at sender
+// position r (self-send elision).
 //
 //embrace:hotpath
-func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.Sparse, arena *SparseShards, codec SparseCodec, class RowClass) error {
+func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse, arena *SparseShards) error {
 	n, r := c.t.Size(), c.t.Rank()
 	if len(send) != n {
 		return fmt.Errorf("collective: alltoallsparse wants %d send parts, got %d", n, len(send))
@@ -224,45 +187,26 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	}
 	numRows, dim := send[r].NumRows, send[r].Dim
 
-	// Send phase: the header (with the indices on the raw path), then the
-	// values or the encoded shard unless the shard is empty.
+	// Send phase: the header with the indices, then the values unless the
+	// shard is empty.
 	for p := 0; p < n; p++ {
 		if p == r {
 			continue
 		}
 		sh := send[p]
-		rows := len(sh.Indices)
-		var idx []int64
-		if codec == nil {
-			idx = sh.Indices
-		}
-		hdr := c.i64.get(2 + len(idx))
-		hdr[0], hdr[1] = int64(rows), int64(sh.Dim)
-		copy(hdr[2:], idx)
+		hdr := c.i64.get(2 + len(sh.Indices))
+		hdr[0], hdr[1] = int64(len(sh.Indices)), int64(sh.Dim)
+		copy(hdr[2:], sh.Indices)
 		if err := c.sendRaw(rt, p, hdr); err != nil {
 			return fmt.Errorf("alltoallsparse header to %d: %w", p, err)
 		}
-		if rows == 0 {
+		if len(sh.Indices) == 0 {
 			continue
 		}
-		if codec == nil {
-			vbuf := c.f32.get(len(sh.Vals))
-			copy(vbuf, sh.Vals)
-			if err := c.sendRaw(rt, p, vbuf); err != nil {
-				return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
-			}
-			continue
-		}
-		var start time.Time
-		if c.codecObs != nil {
-			start = time.Now()
-		}
-		wire := codec.AppendShard(c.bytes.room(sparseRawBytes(rows, sh.Dim)), sh.Indices, sh.Vals, sh.Dim, class)
-		if c.codecObs != nil {
-			c.codecObs.CodecOp(op, "encode", sparseRawBytes(rows, sh.Dim), len(wire), time.Since(start))
-		}
-		if err := c.sendRaw(rt, p, wire); err != nil {
-			return fmt.Errorf("alltoallsparse payload to %d: %w", p, err)
+		vbuf := c.f32.get(len(sh.Vals))
+		copy(vbuf, sh.Vals)
+		if err := c.sendRaw(rt, p, vbuf); err != nil {
+			return fmt.Errorf("alltoallsparse values to %d: %w", p, err)
 		}
 	}
 
@@ -272,7 +216,9 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	arena.reset(n, numRows, dim)
 	for p := 0; p < n; p++ {
 		if p == r {
-			arena.appendShard(p, int32(send[r].Dim), send[r].Indices, send[r].Vals)
+			if err := arena.appendShard(p, int32(send[r].Dim), send[r].Indices, send[r].Vals); err != nil {
+				return err
+			}
 			continue
 		}
 		payload, err := c.recvRaw(rt, p)
@@ -287,56 +233,28 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 		if rows < 0 || dim < 0 || rows > math.MaxInt32 || dim > math.MaxInt32 || rows*dim > math.MaxInt32 {
 			return sparseHeaderError{from: p, rows: rows, dim: dim}
 		}
-		wantIdx := rows // the raw path's header carries the indices
-		if codec != nil {
-			wantIdx = 0
-		}
-		if int64(len(idx)) != wantIdx {
+		if int64(len(idx)) != rows {
 			return fmt.Errorf("collective: alltoallsparse header from rank %d: %d indices for %d rows", p, len(idx), rows)
 		}
-		if rows == 0 {
-			arena.appendShard(p, int32(dim), nil, nil)
-			c.i64.put(hdr)
-			continue
-		}
-		if codec == nil {
+		var vals []float32
+		if rows > 0 {
 			payload, err = c.recvRaw(rt, p)
 			if err != nil {
 				return fmt.Errorf("alltoallsparse values from %d: %w", p, err)
 			}
-			vals, ok := payload.([]float32)
-			if !ok {
+			if vals, ok = payload.([]float32); !ok {
 				return fmt.Errorf("collective: alltoallsparse value type %T from rank %d", payload, p)
 			}
 			if int64(len(vals)) != rows*dim {
 				return fmt.Errorf("collective: alltoallsparse stream from rank %d: %d values, header %d rows x dim %d",
 					p, len(vals), rows, dim)
 			}
-			arena.appendShard(p, int32(dim), idx, vals)
-			c.i64.put(hdr)
-			c.f32.put(vals)
-			continue
+		}
+		if err := arena.appendShard(p, int32(dim), idx, vals); err != nil {
+			return err
 		}
 		c.i64.put(hdr)
-		payload, err = c.recvRaw(rt, p)
-		if err != nil {
-			return fmt.Errorf("alltoallsparse payload from %d: %w", p, err)
-		}
-		wire, ok := payload.([]byte)
-		if !ok {
-			return fmt.Errorf("collective: alltoallsparse payload type %T from rank %d", payload, p)
-		}
-		var start time.Time
-		if c.codecObs != nil {
-			start = time.Now()
-		}
-		if err := arena.appendDecoded(p, int(rows), int32(dim), wire, codec); err != nil {
-			return fmt.Errorf("alltoallsparse decode from %d: %w", p, err)
-		}
-		if c.codecObs != nil {
-			c.codecObs.CodecOp(op, "decode", sparseRawBytes(int(rows), int(dim)), len(wire), time.Since(start))
-		}
-		c.bytes.put(wire)
+		c.f32.put(vals)
 	}
 	return nil
 }

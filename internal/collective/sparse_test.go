@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,5 +214,114 @@ func TestAlltoAllSparseSteadyStateAllocs(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Steady-state alloc budget for a two-rank exchange: with pools and arenas
+// warm, GC parked and no receive deadline (whose timer would allocate
+// whenever a receive blocks), the exchange allocates its frames' interface
+// boxes and whatever the buffer pools fail to recycle. Each rank sends its
+// peer a header frame and one value frame, and each frame boxes a SeqFrame
+// and its payload: frameBoxes allocations per op over both ranks. Each
+// frame's buffer is one pooled get. Under the race detector sync.Pool drops
+// a quarter of its Puts at random; a dropped buffer costs two allocations to
+// replace (container and slice) and a dropped spare container one, so a get
+// costs 0.75 allocations on average there and none otherwise. The budget
+// allows one per get, so a count averaged over 50 runs stays inside it on
+// both builds.
+func TestAlltoAllSparseTwoRankSteadyStateAllocs(t *testing.T) {
+	const frameBoxes, pooledGets = 2 * 2 * 2, 2 * 2
+	const budget = frameBoxes + pooledGets
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, warm, runs = 2, 3, 50
+	var got float64
+	err := comm.RunRanks(n, func(tr comm.Transport) error {
+		tr.(comm.TimeoutSetter).SetRecvTimeout(0)
+		cm := NewCommunicator(tr)
+		send := randShards(77, tr.Rank(), n, 128, 4)
+		var arena SparseShards
+		step := 0
+		do := func() {
+			if err := cm.AlltoAllSparse("sparse/allocs2", step, send, &arena); err != nil {
+				panic(err)
+			}
+			step++
+		}
+		if tr.Rank() == 0 {
+			for i := 0; i < warm; i++ {
+				do()
+			}
+			got = testing.AllocsPerRun(runs, do)
+			return nil
+		}
+		// AllocsPerRun performs one warm-up call plus `runs` measured
+		// calls; stay in lockstep with rank 0.
+		for i := 0; i < warm+1+runs; i++ {
+			do()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > budget {
+		t.Errorf("exchange makes %v allocs/op, budget %d", got, budget)
+	}
+}
+
+// A hostile peer can neither crash the exchange nor slip a row past it:
+// rank 1 hand-sends rank 0 a stream whose header has a negative width, a
+// negative row count or a value count past int32, or a well-formed stream
+// whose one row lies outside rank 0's table (row NumRows, row -1). Rank 0
+// must return an error naming rank 1, not panic and not accept the rows. An
+// empty stream with a bad width ({0, -1}, {0, 2^40}) passes every later
+// check, so only the header's range check stands between it and the
+// arena's widths. The two ranks run different code, so each gets its own
+// goroutine rather than a rank branch.
+func TestAlltoAllSparseRejectsHostileHeader(t *testing.T) {
+	const rows, dim = 16, 2
+	for _, stream := range [][]any{
+		{[]int64{1, -1}}, {[]int64{-1, 2}}, {[]int64{1 << 20, 1 << 12}}, {[]int64{0, -1}}, {[]int64{0, 1 << 40}},
+		{[]int64{1, dim, rows}, make([]float32, dim)}, {[]int64{1, dim, -1}, make([]float32, dim)},
+	} {
+		// The receiver may recycle (and so poison) what it was sent: name
+		// the stream before it is sent.
+		name := fmt.Sprint(stream[0])
+		w, err := comm.NewWorld(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := func(cm *Communicator, arena *SparseShards) error {
+			return cm.AlltoAllSparse("hostile/warm", 0, randShards(3, cm.Rank(), 2, rows, dim), arena)
+		}
+		hostile := make(chan error, 1)
+		go func() {
+			cm := NewCommunicator(w.Rank(1))
+			var arena SparseShards
+			if err := warm(cm, &arena); err != nil {
+				hostile <- err
+				return
+			}
+			for _, frame := range stream {
+				if err := cm.Send("hostile", 0, 0, frame); err != nil {
+					hostile <- err
+					return
+				}
+			}
+			hostile <- nil
+		}()
+		cm := NewCommunicator(w.Rank(0))
+		var arena SparseShards
+		if err := warm(cm, &arena); err != nil {
+			t.Fatal(err)
+		}
+		err = cm.AlltoAllSparse("hostile", 0, randShards(3, 0, 2, rows, dim), &arena)
+		if err == nil || !strings.Contains(err.Error(), "rank 1") {
+			t.Errorf("stream %s: got %v, want an error naming rank 1", name, err)
+		}
+		if err := <-hostile; err != nil {
+			t.Errorf("stream %s: hostile peer: %v", name, err)
+		}
+		w.Close()
 	}
 }

@@ -41,7 +41,7 @@ func runSteps(cms []*collective.Communicator, from, to int) error {
 				for p := range send {
 					send[p] = &tensor.Sparse{NumRows: 16, Dim: 2, Indices: []int64{int64(s % 16)}, Vals: []float32{a[0], b[0]}}
 				}
-				if err := cm.AlltoAllSparseCodec("sparse", s, send, &arena, nil, collective.RowsWhole); err != nil {
+				if err := cm.AlltoAllSparse("sparse", s, send, &arena); err != nil {
 					errs[r] = err
 					return
 				}

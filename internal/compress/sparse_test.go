@@ -5,13 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"testing"
 	"testing/quick"
 
 	"embrace/internal/collective"
-	"embrace/internal/comm"
-	"embrace/internal/tensor"
 )
 
 // shardSample is a random sparse shard for the property tests: ragged row
@@ -293,262 +290,6 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, do); n != 0 {
 			t.Errorf("%s: steady-state encode+decode allocates %v times per op", codec.Name(), n)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Exchange integration: AlltoAllSparseCodec against the raw exchange.
-// ---------------------------------------------------------------------------
-
-// codecShards builds rank r's deterministic send shards. Every shard sent by
-// rank r carries r's column width — ragged when widths differ per rank, the
-// remainder-bearing column-partition case.
-func codecShards(seed int64, r, n, rows int, dims []int) []*tensor.Sparse {
-	rng := rand.New(rand.NewSource(seed + int64(r)*2029))
-	out := make([]*tensor.Sparse, n)
-	dim := dims[r]
-	for p := 0; p < n; p++ {
-		nnz := rng.Intn(9)
-		if rng.Intn(4) == 0 {
-			nnz = 0
-		}
-		idx := make([]int64, nnz)
-		vals := make([]float32, nnz*dim)
-		for i := range idx {
-			idx[i] = rng.Int63n(int64(rows))
-		}
-		for i := range vals {
-			switch rng.Intn(16) {
-			case 0:
-				vals[i] = float32(math.NaN())
-			case 1:
-				vals[i] = float32(math.Inf(1))
-			default:
-				vals[i] = (rng.Float32()*2 - 1) * 0.2
-			}
-		}
-		s, err := tensor.NewSparse(rows, dim, idx, vals)
-		if err != nil {
-			panic(err)
-		}
-		out[p] = s
-	}
-	return out
-}
-
-// runCodecExchangeEquivalence drives the raw and codec exchanges on every
-// rank and checks shard-by-shard agreement: bit-identical for lossless
-// codecs, index-exact and epsilon-bounded for lossy ones (self shards are
-// bit-identical either way — they never touch the wire).
-func runCodecExchangeEquivalence(t *testing.T, n int, seed int64, dims []int, codec SparseCodec, maxErr float64, run func(int, func(comm.Transport) error) error) {
-	t.Helper()
-	err := run(n, func(tr comm.Transport) error {
-		cm := collective.NewCommunicator(tr)
-		r := tr.Rank()
-		send := codecShards(seed, r, n, 64, dims)
-		var raw, enc collective.SparseShards
-		if err := cm.AlltoAllSparse("codec/raw", 0, send, &raw); err != nil {
-			return err
-		}
-		if err := cm.AlltoAllSparseCodec("codec/enc", 0, send, &enc, codec, collective.RowsWhole); err != nil {
-			return err
-		}
-		var rv, ev tensor.Sparse
-		for p := 0; p < n; p++ {
-			raw.ShardView(p, &rv)
-			enc.ShardView(p, &ev)
-			if len(rv.Indices) != len(ev.Indices) || len(rv.Vals) != len(ev.Vals) || rv.Dim != ev.Dim {
-				return fmt.Errorf("rank %d shard %d: shape mismatch", r, p)
-			}
-			for i := range rv.Indices {
-				if rv.Indices[i] != ev.Indices[i] {
-					return fmt.Errorf("rank %d shard %d: index %d differs", r, p, i)
-				}
-			}
-			exact := codec.Lossless() || p == r
-			for i := range rv.Vals {
-				a, b := rv.Vals[i], ev.Vals[i]
-				if exact || math.IsNaN(float64(a)) || math.IsInf(float64(a), 0) {
-					if math.Float32bits(a) != math.Float32bits(b) {
-						return fmt.Errorf("rank %d shard %d: value %d bits differ (%v vs %v)", r, p, i, a, b)
-					}
-					continue
-				}
-				if diff := math.Abs(float64(a) - float64(b)); diff > maxErr {
-					return fmt.Errorf("rank %d shard %d: value %d error %g exceeds %g", r, p, i, diff, maxErr)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func uniformDims(n, dim int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = dim
-	}
-	return out
-}
-
-func raggedDims(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = 2 + i%3 // widths 2, 3, 4 — a remainder-bearing partition
-	}
-	return out
-}
-
-func TestAlltoAllSparseCodecMatchesRawExchange(t *testing.T) {
-	q := mustDualQuant(t, 1e-4, 1e-3)
-	for _, n := range []int{1, 2, 3, 4} {
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, dims := range [][]int{uniformDims(n, 3), raggedDims(n)} {
-				runCodecExchangeEquivalence(t, n, seed, dims, DeltaRaw{}, 0, comm.RunRanks)
-				runCodecExchangeEquivalence(t, n, seed, dims, q, float64(q.EpsPrior)*(1+1e-6), comm.RunRanks)
-			}
-		}
-	}
-}
-
-// The codec path inherits the seq-framed self-healing point-to-point, so
-// every maskable chaos plan leaves the compressed exchange bit-identical to
-// the raw one (lossless) or within the same epsilon (lossy).
-func TestAlltoAllSparseCodecUnderChaos(t *testing.T) {
-	q := mustDualQuant(t, 1e-4, 1e-3)
-	for _, n := range []int{2, 3, 4} {
-		for seed := int64(1); seed <= 3; seed++ {
-			run := func(n int, fn func(comm.Transport) error) error {
-				return comm.RunRanksChaos(n, comm.MaskableChaosPlan(seed), fn)
-			}
-			runCodecExchangeEquivalence(t, n, seed+40, raggedDims(n), DeltaRaw{}, 0, run)
-			runCodecExchangeEquivalence(t, n, seed+40, uniformDims(n, 4), q, float64(q.EpsPrior)*(1+1e-6), run)
-		}
-	}
-}
-
-// A hostile peer cannot crash the exchange: rank 1 hand-sends rank 0 a
-// header with a negative width, a negative row count, or a value count past
-// int32, followed by a raw-flagged DualQuant row. Rank 0 must return an
-// error, not panic, on the raw path and under both codecs. An empty stream
-// with a bad width ({0, -1}, {0, 2^40}) passes every later check, so only
-// the header's range check stands between it and the arena's widths. The two ranks run
-// different code, so each gets its own goroutine rather than a rank branch.
-func TestAlltoAllSparseRejectsHostileHeader(t *testing.T) {
-	q := mustDualQuant(t, 1e-4, 1e-3)
-	for _, codec := range []SparseCodec{nil, DeltaRaw{}, q} {
-		for _, bad := range [][2]int64{{1, -1}, {-1, 2}, {1 << 20, 1 << 12}, {0, -1}, {0, 1 << 40}} {
-			w, err := comm.NewWorld(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm := func(cm *collective.Communicator, arena *collective.SparseShards) error {
-				send := codecShards(3, cm.Rank(), 2, 16, uniformDims(2, 2))
-				return cm.AlltoAllSparseCodec("hostile/warm", 0, send, arena, codec, collective.RowsWhole)
-			}
-			hostile := make(chan error, 1)
-			go func() {
-				cm := collective.NewCommunicator(w.Rank(1))
-				var arena collective.SparseShards
-				if err := warm(cm, &arena); err != nil {
-					hostile <- err
-					return
-				}
-				// A stream opens with [rows, dim, indices…]: hostile
-				// counts, no indices.
-				if err := cm.Send("hostile", 0, 0, []int64{bad[0], bad[1]}); err != nil {
-					hostile <- err
-					return
-				}
-				hostile <- cm.Send("hostile", 0, 0, hostileDualQuantRow)
-			}()
-			cm := collective.NewCommunicator(w.Rank(0))
-			var arena collective.SparseShards
-			if err := warm(cm, &arena); err != nil {
-				t.Fatal(err)
-			}
-			send := codecShards(3, 0, 2, 16, uniformDims(2, 2))
-			if err := cm.AlltoAllSparseCodec("hostile", 0, send, &arena, codec, collective.RowsWhole); err == nil {
-				t.Errorf("codec %v: header rows %d x dim %d accepted", codec, bad[0], bad[1])
-			}
-			if err := <-hostile; err != nil {
-				t.Errorf("codec %v: hostile peer: %v", codec, err)
-			}
-			w.Close()
-		}
-	}
-}
-
-func TestAlltoAllSparseCodecOverTCP(t *testing.T) {
-	runCodecExchangeEquivalence(t, 3, 99, uniformDims(3, 3), DeltaRaw{}, 0, comm.RunRanksTCP)
-}
-
-// Steady-state alloc budget for the compressed exchange, the raw exchange's
-// discipline extended to the codec path: with pools and arenas warm, GC
-// parked and no receive deadline (whose timer would allocate whenever a
-// receive blocks), a two-rank exchange allocates its frames' interface boxes
-// and whatever the buffer pools fail to recycle. Each rank sends its peer a
-// header frame and one payload frame (the values on the raw path, the
-// encoded shard on the codec path), and each frame boxes a SeqFrame and its
-// payload: frameBoxes allocations per op over both ranks. Each frame's
-// buffer is one pooled get. Under the race detector sync.Pool drops a
-// quarter of its Puts at random; a dropped buffer costs two allocations to
-// replace (container and slice) and a dropped spare container one, so a get
-// costs 0.75 allocations on average there and none otherwise. The budget
-// allows one per get, so a count averaged over 50 runs stays inside it on
-// both builds. The codec path must hold it, as the raw path does.
-func TestAlltoAllSparseCodecSteadyStateAllocs(t *testing.T) {
-	const frameBoxes, pooledGets = 2 * 2 * 2, 2 * 2
-	const budget = frameBoxes + pooledGets
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const n, warm, runs = 2, 3, 50
-	measure := func(codec SparseCodec) float64 {
-		var got float64
-		err := comm.RunRanks(n, func(tr comm.Transport) error {
-			tr.(comm.TimeoutSetter).SetRecvTimeout(0)
-			cm := collective.NewCommunicator(tr)
-			send := codecShards(77, tr.Rank(), n, 128, uniformDims(n, 4))
-			var arena collective.SparseShards
-			step := 0
-			do := func() {
-				if err := cm.AlltoAllSparseCodec("codec/allocs", step, send, &arena, codec, collective.RowsWhole); err != nil {
-					panic(err)
-				}
-				step++
-			}
-			if tr.Rank() == 0 {
-				for i := 0; i < warm; i++ {
-					do()
-				}
-				got = testing.AllocsPerRun(runs, do)
-				return nil
-			}
-			// AllocsPerRun performs one warm-up call plus `runs` measured
-			// calls; stay in lockstep with rank 0.
-			for i := 0; i < warm+1+runs; i++ {
-				do()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	rawAllocs := measure(nil)
-	if rawAllocs > budget {
-		t.Errorf("raw exchange makes %v allocs/op, budget %d", rawAllocs, budget)
-	}
-	q := mustDualQuant(t, 1e-4, 1e-3)
-	for _, codec := range []SparseCodec{DeltaRaw{}, q} {
-		if got := measure(codec); got > budget {
-			t.Errorf("%s: compressed exchange makes %v allocs/op, budget %d (raw path %v) — codec path must not regress", codec.Name(), got, budget, rawAllocs)
-		} else {
-			t.Logf("%s: %v allocs/op (raw %v)", codec.Name(), got, rawAllocs)
 		}
 	}
 }

@@ -123,39 +123,6 @@ type OpStats struct {
 	// FaultsMasked and FaultsFatal count communication faults the op
 	// absorbed and surfaced, respectively (see Stats).
 	FaultsMasked, FaultsFatal int64
-	// RawBytes and WireBytes account the op's sparse wire codec, when one is
-	// installed: RawBytes is what the raw index/value streams would have
-	// occupied, WireBytes what the encoded payloads actually did (the same
-	// bytes PayloadBytes sees). Zero when the op runs uncompressed.
-	RawBytes, WireBytes int64
-	// EncodeSeconds and DecodeSeconds are wall-clock time inside the codec.
-	EncodeSeconds, DecodeSeconds float64
-}
-
-// CompressionRatio returns RawBytes/WireBytes — how many times smaller the
-// codec made the op's sparse streams. The WireBytes == 0 guard (no codec
-// work recorded, or an all-empty exchange whose shards encoded to zero
-// bytes) returns the neutral 1 rather than dividing by zero. Ratios below 1
-// are real, not clamped: a codec can inflate a tiny payload (header
-// overhead on a 1-row shard), and the report should show it.
-func (s OpStats) CompressionRatio() float64 {
-	if s.WireBytes == 0 {
-		return 1
-	}
-	return float64(s.RawBytes) / float64(s.WireBytes)
-}
-
-// MaskedBytes returns the bytes the codec kept off the wire, clamped at
-// zero: when the codec inflates a payload (DeltaRaw's per-shard header on a
-// 1-row shard exceeds the row it frames), the wire carried MORE than raw
-// and no bytes were masked — a negative "savings" here would corrupt the
-// aggregate totals reports sum it into. The inflation itself stays visible
-// as CompressionRatio < 1 and WireBytes > RawBytes.
-func (s OpStats) MaskedBytes() int64 {
-	if s.WireBytes >= s.RawBytes {
-		return 0
-	}
-	return s.RawBytes - s.WireBytes
 }
 
 // Add returns the element-wise sum of two per-op snapshots. Blocked-time
@@ -163,18 +130,14 @@ func (s OpStats) MaskedBytes() int64 {
 // are those of the pooled observations.
 func (s OpStats) Add(o OpStats) OpStats {
 	return OpStats{
-		Messages:      s.Messages + o.Messages,
-		PayloadBytes:  s.PayloadBytes + o.PayloadBytes,
-		SendSeconds:   s.SendSeconds + o.SendSeconds,
-		RecvSeconds:   s.RecvSeconds + o.RecvSeconds,
-		SendBlocked:   MergeHistograms(s.SendBlocked, o.SendBlocked),
-		RecvBlocked:   MergeHistograms(s.RecvBlocked, o.RecvBlocked),
-		FaultsMasked:  s.FaultsMasked + o.FaultsMasked,
-		FaultsFatal:   s.FaultsFatal + o.FaultsFatal,
-		RawBytes:      s.RawBytes + o.RawBytes,
-		WireBytes:     s.WireBytes + o.WireBytes,
-		EncodeSeconds: s.EncodeSeconds + o.EncodeSeconds,
-		DecodeSeconds: s.DecodeSeconds + o.DecodeSeconds,
+		Messages:     s.Messages + o.Messages,
+		PayloadBytes: s.PayloadBytes + o.PayloadBytes,
+		SendSeconds:  s.SendSeconds + o.SendSeconds,
+		RecvSeconds:  s.RecvSeconds + o.RecvSeconds,
+		SendBlocked:  MergeHistograms(s.SendBlocked, o.SendBlocked),
+		RecvBlocked:  MergeHistograms(s.RecvBlocked, o.RecvBlocked),
+		FaultsMasked: s.FaultsMasked + o.FaultsMasked,
+		FaultsFatal:  s.FaultsFatal + o.FaultsFatal,
 	}
 }
 
@@ -226,25 +189,6 @@ func (r *OpRecorder) Received(op string, payload any, blocked time.Duration) {
 		s.RecvBlocked = NewHistogram()
 	}
 	s.RecvBlocked.Observe(blocked.Seconds())
-	r.mu.Unlock()
-}
-
-// CodecOp implements collective.CodecObserver: one encoded or decoded peer
-// shard of op, with its uncompressed footprint, wire length and codec
-// latency. Raw/wire bytes are counted on the encode side only (both ends of
-// a link would otherwise double-count the same payload); decode contributes
-// its latency.
-func (r *OpRecorder) CodecOp(op, phase string, rawBytes, wireBytes int, d time.Duration) {
-	r.mu.Lock()
-	s := r.get(op)
-	switch phase {
-	case "encode":
-		s.RawBytes += int64(rawBytes)
-		s.WireBytes += int64(wireBytes)
-		s.EncodeSeconds += d.Seconds()
-	case "decode":
-		s.DecodeSeconds += d.Seconds()
-	}
 	r.mu.Unlock()
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"embrace/internal/comm"
-	"embrace/internal/compress"
 	"embrace/internal/nn"
 )
 
@@ -66,47 +65,6 @@ func TestServingUnderChaos(t *testing.T) {
 	}
 	if !anyInjected {
 		t.Fatal("no faults were injected across any seed — the chaos plans exercised nothing")
-	}
-}
-
-// TestServingCompressedUnderChaos layers the lossless wire codec on top of
-// the chaotic fabric: the inter-rank row-fetch AlltoAll ships delta-varint
-// compressed shards, and responses stay bit-identical to the fault-free,
-// uncompressed reference under every maskable plan and both partitions.
-func TestServingCompressedUnderChaos(t *testing.T) {
-	m := nn.NewModel(24, testVocab, testDim, testHid)
-	ref := reference{m}
-	ck := ckptOf(m, 1)
-
-	for _, seed := range []int64{1, 2, 3} {
-		for _, part := range []string{PartRowHash, PartColumn} {
-			plan := comm.MaskableChaosPlan(seed)
-			c, err := New(ck, Config{
-				Ranks:       4,
-				Partition:   part,
-				CacheRows:   0,
-				MaxBatch:    4,
-				BatchWindow: 200 * time.Microsecond,
-				Chaos:       &plan,
-				Codec:       compress.DeltaRaw{},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ids := range requestSet() {
-				got, err := c.Lookup(context.Background(), ids)
-				if err != nil {
-					t.Fatalf("seed %d %s: lookup %v: %v", seed, part, ids, err)
-				}
-				if !rowsEqual(got, ref.lookup(ids)) {
-					t.Fatalf("seed %d %s: compressed lookup %v diverged", seed, part, ids)
-				}
-			}
-			if err := c.Err(); err != nil {
-				t.Fatalf("seed %d %s: cluster error: %v", seed, part, err)
-			}
-			c.Close()
-		}
 	}
 }
 

@@ -106,11 +106,6 @@ type Config struct {
 	Trace bool
 	// TraceClock overrides the trace clock (tests); nil uses wall time.
 	TraceClock trace.Clock
-	// Codec, when non-nil, compresses the row-fetch AlltoAll wire streams
-	// between ranks (DESIGN.md §12). Lossless codecs keep responses
-	// bit-identical to the raw wire; lossy ones would perturb served
-	// embeddings and are rejected by the facade.
-	Codec collective.SparseCodec
 }
 
 // withDefaults fills unset fields.
@@ -764,7 +759,7 @@ func (c *Cluster) exchange(n *node, reqLists [][]int64) (*collective.SparseShard
 	}
 	n.rs.mu.RUnlock()
 	c.packed.Add(int64(packed))
-	if err := n.cm.AlltoAllSparseCodec("serve/rows", st, n.sendPtrs, &n.arena, c.cfg.Codec, collective.RowsWhole); err != nil {
+	if err := n.cm.AlltoAllSparse("serve/rows", st, n.sendPtrs, &n.arena); err != nil {
 		return nil, err
 	}
 	return &n.arena, nil

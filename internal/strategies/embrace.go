@@ -265,7 +265,7 @@ func (w *embraceWorker) exchangeDelayed(step int) error {
 	h := &w.hot
 	sp := w.rec.Begin(trace.TrackBackground, SpanDelayedExchange, step)
 	defer sp.End()
-	if err := w.cm.AlltoAllSparseCodec(OpEmbDelayed, step, h.delayedPtrs, &h.bgArena, w.cfg.Codec, collective.RowsDelayed); err != nil {
+	if err := w.cm.AlltoAllSparse(OpEmbDelayed, step, h.delayedPtrs, &h.bgArena); err != nil {
 		return err
 	}
 	h.bgArena.Merged().CoalesceInto(&h.bgCoal, &h.bgSort)
@@ -362,7 +362,7 @@ func (w *embraceWorker) exchangeEmbGrad(step int, windows [][]int64, gradPooled 
 	// the update is bit-identical, it just reuses last step's buffers.
 	if w.cfg.Sched != Sched2D {
 		sp := w.rec.Begin(trace.TrackCompute, SpanEmbExchange, step)
-		if err := w.cm.AlltoAllSparseCodec(OpEmbGrad, step, local, &h.arena, w.cfg.Codec, collective.RowsWhole); err != nil {
+		if err := w.cm.AlltoAllSparse(OpEmbGrad, step, local, &h.arena); err != nil {
 			return fmt.Errorf("embedding grad alltoall: %w", err)
 		}
 		raw := h.arena.Merged().CoalesceInto(&h.coal, &h.sort)
@@ -409,7 +409,7 @@ func (w *embraceWorker) exchangeEmbGrad(step int, windows [][]int64, gradPooled 
 	}
 	sp.End()
 	sp = w.rec.Begin(trace.TrackCompute, SpanPriorExchange, step)
-	if err := w.cm.AlltoAllSparseCodec(OpEmbGrad, step, h.priorPtrs, &h.arena, w.cfg.Codec, collective.RowsPrior); err != nil {
+	if err := w.cm.AlltoAllSparse(OpEmbGrad, step, h.priorPtrs, &h.arena); err != nil {
 		return fmt.Errorf("prior grad alltoall: %w", err)
 	}
 	prior := h.arena.Merged().CoalesceInto(&h.coal, &h.sort)

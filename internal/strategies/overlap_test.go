@@ -2,6 +2,7 @@ package strategies
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -177,6 +178,25 @@ func TestLateHarvestEqualsEarlyHarvest(t *testing.T) {
 			label := fmt.Sprintf("%s n=%d late vs early harvest", opt, n)
 			assertTrainingEqual(t, label, wantLosses, gotLosses, wantEmb, gotEmb)
 			assertTrainingEqual(t, label+", trunk", nil, nil, wantTrunk, gotTrunk)
+		}
+	}
+}
+
+// assertTrainingEqual compares two runEmbRaceTraining outcomes bit for bit —
+// every rank's loss history and the rank-0 full embedding.
+func assertTrainingEqual(t *testing.T, label string, wantLosses, gotLosses [][]float64, wantEmb, gotEmb interface{ Data() []float32 }) {
+	t.Helper()
+	for r := range wantLosses {
+		for s := range wantLosses[r] {
+			if math.Float64bits(gotLosses[r][s]) != math.Float64bits(wantLosses[r][s]) {
+				t.Fatalf("%s: rank=%d step=%d: loss %v vs %v", label, r, s, gotLosses[r][s], wantLosses[r][s])
+			}
+		}
+	}
+	wd, gd := wantEmb.Data(), gotEmb.Data()
+	for i := range wd {
+		if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
+			t.Fatalf("%s: embedding diverged at element %d: %v vs %v", label, i, gd[i], wd[i])
 		}
 	}
 }

@@ -108,14 +108,6 @@ type Config struct {
 	// InitTrunk keys follow Trunk.Params ("w1", "b1", "w2", "b2").
 	InitEmbedding *tensor.Dense
 	InitTrunk     map[string]*tensor.Dense
-	// Codec, when non-nil, compresses the embedding-gradient AlltoAll
-	// streams of the EmbRace strategy (whole, prior and delayed exchanges;
-	// baselines ignore it). Under Sched2D the prior exchange is encoded with
-	// the prior row class and the background delayed exchange with the
-	// delayed one, so dual-level codecs apply their tighter bound where it
-	// matters. Lossless codecs keep training bit-identical to the raw wire;
-	// lossy ones trade a per-element error bound for wire bytes.
-	Codec collective.SparseCodec
 }
 
 // Validate reports configuration errors. workers is the world size the

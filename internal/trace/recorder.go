@@ -274,15 +274,3 @@ func (r *Recorder) Received(op string, _ any, blocked time.Duration) {
 	}
 	r.Record(r.trackOf(op), op, -1, blocked)
 }
-
-// CodecOp implements collective.CodecObserver: one span per encoded or
-// decoded sparse shard, on the same track as the op's transfers so codec
-// time reads in context with the wire time it bought down. Span names are
-// "codec/encode:<op>" / "codec/decode:<op>", keeping PhaseSeconds
-// aggregation per op and per phase.
-func (r *Recorder) CodecOp(op, phase string, _, _ int, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Record(r.trackOf(op), "codec/"+phase+":"+op, -1, d)
-}

@@ -332,7 +332,7 @@ func TestRunWorkerMatchesRun(t *testing.T) {
 	}
 }
 
-func TestRunWorkerRejectsPSStrategies(t *testing.T) {
+func TestPSStrategiesRunWorkerOverTCPMatchesRun(t *testing.T) {
 	// The parameter-server baselines keep their server shards on the ranks,
 	// so they run one rank per process like every other strategy: RunWorker
 	// over a TCP world reproduces Run to the bit.

@@ -2,7 +2,6 @@ package embrace
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"embrace/internal/checkpoint"
@@ -62,14 +61,9 @@ type ServeConfig struct {
 	// fault-injecting fabric (see TrainConfig.ChaosSeed); the self-healing
 	// collectives keep responses bit-identical.
 	ChaosSeed int64
-	// Compress selects the wire codec for the inter-rank row-fetch AlltoAll:
-	// "" ships raw index/value streams, "lossless" delta-varint encodes them
-	// and keeps responses bit-identical. "lossy" is rejected — serving must
-	// return the checkpoint's exact rows.
-	Compress string
 }
 
-func (c ServeConfig) internal() (serve.Config, error) {
+func (c ServeConfig) internal() serve.Config {
 	cfg := serve.Config{
 		Ranks:       c.Ranks,
 		Drivers:     c.Drivers,
@@ -81,19 +75,11 @@ func (c ServeConfig) internal() (serve.Config, error) {
 		QueueDepth:  c.QueueDepth,
 		TCP:         c.TCP,
 	}
-	codec, err := sparseCodecFor(c.Compress, 0, 0)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	if codec != nil && !codec.Lossless() {
-		return serve.Config{}, fmt.Errorf("embrace: serving requires a lossless compression mode, got %q", c.Compress)
-	}
-	cfg.Codec = codec
 	if c.ChaosSeed != 0 {
 		plan := comm.MaskableChaosPlan(c.ChaosSeed)
 		cfg.Chaos = &plan
 	}
-	return cfg, nil
+	return cfg
 }
 
 // Server is a live multi-rank inference deployment. Lookup and Predict are
@@ -111,11 +97,7 @@ func Serve(checkpointPath string, cfg ServeConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	icfg, err := cfg.internal()
-	if err != nil {
-		return nil, err
-	}
-	c, err := serve.New(ck, icfg)
+	c, err := serve.New(ck, cfg.internal())
 	if err != nil {
 		return nil, err
 	}

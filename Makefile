@@ -16,16 +16,20 @@ test:
 ## allocations). Arena lifetimes and collective-schedule divergence are
 ## caught at test time instead (poisoned recycled buffers, a default receive
 ## deadline). See DESIGN.md § Static analysis; `-json` emits the
-## machine-readable stream. Last, the wire stays free of reflection: no
-## non-test file of internal/comm or internal/collective may import
-## encoding/gob or reflect (DESIGN.md § The TCP wire); and the sparse wire
-## codecs stay out of every product path: no package but ./benchmark may
-## import internal/compress (DESIGN.md §12).
+## machine-readable stream. Then the import guards, written here only (CI's
+## lint job runs this target): no non-test file of the module depends on
+## encoding/gob, since the wire package is the one byte format (DESIGN.md
+## § The wire format); no non-test file of internal/wire, internal/comm or
+## internal/collective imports reflect, since the wire's value set is
+## closed; and the sparse wire codecs stay out of every product path: no
+## package but ./benchmark may import internal/compress (DESIGN.md §12).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/embracevet ./...
-	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/comm ./internal/collective | grep -Ex 'encoding/gob|reflect'; then \
-		echo "lint: internal/comm or internal/collective imports encoding/gob or reflect" >&2; exit 1; fi
+	@if $(GO) list -deps ./... | grep -x 'encoding/gob'; then \
+		echo "lint: a non-test file of the module depends on encoding/gob" >&2; exit 1; fi
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/wire ./internal/comm ./internal/collective | grep -x 'reflect'; then \
+		echo "lint: internal/wire, internal/comm or internal/collective imports reflect" >&2; exit 1; fi
 	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^embrace/benchmark:' | grep -E ' embrace/internal/compress( |$$)'; then \
 		echo "lint: only ./benchmark may import embrace/internal/compress" >&2; exit 1; fi
 

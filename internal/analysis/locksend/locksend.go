@@ -222,7 +222,7 @@ func classifyBlocking(pass *analysis.Pass, call *ast.CallExpr, transport *types.
 	case strings.HasSuffix(path, "internal/comm") && recv.Obj().Name() == "Transport":
 		return "Transport." + fn.Name(), true
 	case transport != nil && (types.Implements(recv, transport) || types.Implements(types.NewPointer(recv), transport)):
-		// metrics.Transport, comm.TCPNode, test doubles.
+		// comm.TCPNode, the chaos transport, test doubles.
 		return recv.Obj().Name() + "." + fn.Name(), true
 	}
 	return "", false

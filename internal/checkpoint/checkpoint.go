@@ -1,37 +1,60 @@
 // Package checkpoint serializes training state — parameters and optimizer
-// internals — so long sparse-model runs can stop and resume exactly. The
-// format is self-contained gob with a version header and a CRC-sealed body;
-// a resumed run is bit-identical to an uninterrupted one (tested), and a
-// truncated or bit-flipped file is rejected with ErrCorrupt instead of
-// whatever confusion a raw gob decoder would produce.
+// internals — so long sparse-model runs can stop and resume exactly. A file
+// (format 3) is a run of values in the wire package's format, sealed with
+// its length and a CRC:
+//
+//	magic "embrace-checkpoint" | version int64 (3) | body length int64 | body | CRC-32 of body uint32
+//	body = []int64{step, params, optims}
+//	       params × ([]byte name | *tensor.Dense)                          in name order
+//	       optims × ([]byte name | []byte kind | []int64{step} | tensors)  in name order
+//
+// where "sgd" carries no tensor, "adagrad" its accumulator and "adam" its
+// two moments. Floats travel as their bits and maps in name order, so a
+// snapshot reloads bit-equal and always saves to the same bytes, and a
+// resumed run is bit-identical to an uninterrupted one (tested). Damage
+// fails with ErrCorrupt; another format version, the gob files of formats
+// 1 and 2 among them, with ErrVersion.
 package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 
 	"embrace/internal/optim"
 	"embrace/internal/partition"
 	"embrace/internal/tensor"
+	"embrace/internal/wire"
 )
 
-// version is bumped on incompatible format changes. Version 2 seals the body
-// in a checksummed envelope (see sealed).
-const version = 2
-
-// magic guards against feeding arbitrary files to Load.
-const magic = "embrace-checkpoint"
+const (
+	// version is bumped on incompatible format changes. Format 3 replaced
+	// format 2's gob body with wire values; no converter exists.
+	version = 3
+	// magic guards against feeding arbitrary files to Load.
+	magic = "embrace-checkpoint"
+	// prefixLen is the magic, the version and the body length.
+	prefixLen = len(magic) + 16
+	// gobHeader begins every format 1 and 2 file: gob's definition of the
+	// header struct those formats led with.
+	gobHeader = "*\xff\x91\x03\x01\x01\x06header"
+)
 
 // ErrCorrupt marks a checkpoint file that is damaged — truncated, bit-flipped,
 // or structurally inconsistent. Callers distinguish it (errors.Is) from
 // "wrong file" or I/O errors to decide between falling back to an older
 // snapshot and failing loudly.
 var ErrCorrupt = errors.New("corrupt checkpoint")
+
+// ErrVersion marks an intact checkpoint of a format version this build does
+// not read.
+var ErrVersion = errors.New("unsupported checkpoint format version")
 
 // Checkpoint is a complete training snapshot.
 type Checkpoint struct {
@@ -44,81 +67,210 @@ type Checkpoint struct {
 	Optim map[string]optim.State
 }
 
-// header leads every serialized checkpoint.
-type header struct {
-	Magic   string
-	Version int
-}
+var le = binary.LittleEndian
 
-// sealed wraps the gob-encoded Checkpoint body with a checksum. Nesting the
-// body as one opaque byte field keeps the outer decoder from over-reading the
-// stream and lets Load verify integrity before interpreting a single field —
-// a flipped bit fails the CRC instead of surfacing as a cryptic gob error or,
-// worse, silently corrupted weights.
-type sealed struct {
-	Body []byte
-	CRC  uint32
-}
-
-// Save writes the checkpoint to w.
+// Save writes the checkpoint to w. It refuses a checkpoint that fails
+// Validate, since Load would reject its file.
 func Save(w io.Writer, c *Checkpoint) error {
-	if c == nil {
-		return fmt.Errorf("checkpoint: nil checkpoint")
+	if err := c.Validate(); err != nil {
+		return err
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(c); err != nil {
-		return fmt.Errorf("checkpoint: encoding body: %w", err)
+	vals := []any{[]int64{int64(c.Step), int64(len(c.Params)), int64(len(c.Optim))}}
+	for _, name := range sortedKeys(c.Params) {
+		vals = append(vals, []byte(name), c.Params[name])
 	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: magic, Version: version}); err != nil {
-		return fmt.Errorf("checkpoint: writing header: %w", err)
+	for _, name := range sortedKeys(c.Optim) {
+		st := c.Optim[name]
+		vals = append(vals, []byte(name), []byte(st.Kind), []int64{int64(st.Step)})
+		slots, _ := stateSlots(&st)
+		for _, s := range slots {
+			vals = append(vals, *s.t)
+		}
 	}
-	env := sealed{Body: body.Bytes(), CRC: crc32.ChecksumIEEE(body.Bytes())}
-	if err := enc.Encode(env); err != nil {
-		return fmt.Errorf("checkpoint: writing body: %w", err)
+	size := prefixLen + 4
+	for _, v := range vals {
+		n, _ := wire.SizeOf(v) // only a capacity hint; Value reports a non-member
+		size += int(n) + 64    // a kind byte, counts and up to six dims
+	}
+	e := wire.Encoder{Buf: make([]byte, prefixLen, size)}
+	copy(e.Buf, magic)
+	le.PutUint64(e.Buf[len(magic):], version)
+	for _, v := range vals {
+		if err := e.Value(v); err != nil {
+			return fmt.Errorf("checkpoint: encoding: %w", err)
+		}
+	}
+	body := e.Buf[prefixLen:]
+	le.PutUint64(e.Buf[len(magic)+8:], uint64(len(body)))
+	e.Buf = le.AppendUint32(e.Buf, crc32.ChecksumIEEE(body))
+	if _, err := w.Write(e.Buf); err != nil {
+		return fmt.Errorf("checkpoint: writing: %w", err)
 	}
 	return nil
 }
 
-// Load reads a checkpoint from r, verifying the header, the body checksum,
-// and the structural consistency of the snapshot (see Validate). Damage is
-// reported as an error wrapping ErrCorrupt with a description of what failed,
-// never a raw gob decode error.
+// sortedKeys returns the keys of m in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// slot is one tensor an optimizer kind carries.
+type slot struct {
+	name string
+	t    **tensor.Dense
+}
+
+// stateSlots returns the tensors st's kind carries, in file order, and
+// false for an unknown kind.
+func stateSlots(st *optim.State) ([]slot, bool) {
+	switch st.Kind {
+	case "sgd":
+		return nil, true
+	case "adagrad":
+		return []slot{{"adagrad accumulator", &st.Accum}}, true
+	case "adam":
+		return []slot{{"adam first moment", &st.M}, {"adam second moment", &st.V}}, true
+	}
+	return nil, false
+}
+
+// Load reads a checkpoint from r, verifying the prefix, the body checksum,
+// and the structural consistency of the snapshot (see Validate). The body
+// is decoded as it streams in, under a budget of its declared length, so
+// memory grows only with bytes that arrive; the CRC is checked before the
+// snapshot is returned.
 func Load(r io.Reader) (*Checkpoint, error) {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
+	var prefix [prefixLen]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w: unreadable header (truncated or not a checkpoint): %v", ErrCorrupt, err)
 	}
-	if h.Magic != magic {
-		return nil, fmt.Errorf("checkpoint: not a checkpoint file (magic %q)", h.Magic)
+	switch {
+	case bytes.HasPrefix(prefix[:], []byte(gobHeader)):
+		return nil, fmt.Errorf("checkpoint: %w: a gob file of version 1 or 2 (want %d); there is no converter", ErrVersion, version)
+	case string(prefix[:len(magic)]) != magic:
+		return nil, fmt.Errorf("checkpoint: %w: not a checkpoint file (magic %q)", ErrCorrupt, prefix[:len(magic)])
 	}
-	if h.Version != version {
-		return nil, fmt.Errorf("checkpoint: version %d unsupported (want %d)", h.Version, version)
+	if v := le.Uint64(prefix[len(magic):]); v != version {
+		return nil, fmt.Errorf("checkpoint: %w: version %d (want %d)", ErrVersion, v, version)
 	}
-	var env sealed
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w: body truncated: %v", ErrCorrupt, err)
+	// bufio never reads past the limit, so the CRC trailer stays in r and
+	// the hash sees exactly the body. A negative length leaves no budget.
+	n := int64(le.Uint64(prefix[len(magic)+8:]))
+	sum := crc32.NewIEEE()
+	fr := wire.NewReader(io.TeeReader(io.LimitReader(r, n), sum))
+	fr.Left = int(n)
+	c, err := decode(fr)
+	switch {
+	case err == io.EOF:
+		err = io.ErrUnexpectedEOF
+	case err == nil && fr.Left != 0:
+		err = fmt.Errorf("the values end %d bytes before the declared body length", fr.Left)
 	}
-	if got := crc32.ChecksumIEEE(env.Body); got != env.CRC {
-		return nil, fmt.Errorf("checkpoint: %w: body checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, env.CRC)
-	}
-	var c Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(env.Body)).Decode(&c); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w: undecodable body: %v", ErrCorrupt, err)
+	}
+	var crc [4]byte
+	if _, err := io.ReadFull(r, crc[:]); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w: checksum truncated: %v", ErrCorrupt, err)
+	}
+	if got, want := sum.Sum32(), le.Uint32(crc[:]); got != want {
+		return nil, fmt.Errorf("checkpoint: %w: body checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
+}
+
+// decoder reads a body's values, keeping the first error; once one is set,
+// every further read yields a zero value.
+type decoder struct {
+	fr   *wire.Reader
+	err  error
+	last string // the previous entry's name
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+// get reads one value, which must be a T.
+func get[T any](d *decoder) (t T) {
+	if d.err != nil {
+		return t
+	}
+	v, err := d.fr.Value()
+	if err != nil {
+		d.err = err
+		return t
+	}
+	t, ok := v.(T)
+	if !ok {
+		d.fail("value %T, want %T", v, t)
+	}
+	return t
+}
+
+// name reads an entry's name; after a section's first, each must follow the
+// one before in name order.
+func (d *decoder) name(first bool) string {
+	name := string(get[[]byte](d))
+	if !first && name <= d.last {
+		d.fail("name %q does not follow %q", name, d.last)
+	}
+	d.last = name
+	return name
+}
+
+// decode reads the body's values. Maps grow as entries arrive, never from
+// the counts the header declares.
+func decode(fr *wire.Reader) (*Checkpoint, error) {
+	d := &decoder{fr: fr}
+	head := get[[]int64](d)
+	if d.err == nil && (len(head) != 3 || head[1] < 0 || head[2] < 0) {
+		d.fail("header %v, want [step params optims]", head)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	c := &Checkpoint{Step: int(head[0]), Params: map[string]*tensor.Dense{}, Optim: map[string]optim.State{}}
+	for i := int64(0); i < head[1] && d.err == nil; i++ {
+		name := d.name(i == 0)
+		c.Params[name] = get[*tensor.Dense](d)
+	}
+	for i := int64(0); i < head[2] && d.err == nil; i++ {
+		name := d.name(i == 0)
+		st := optim.State{Kind: string(get[[]byte](d))}
+		if step := get[[]int64](d); len(step) == 1 {
+			st.Step = int(step[0])
+		} else {
+			d.fail("optimizer state %q: step %v, want one word", name, step)
+		}
+		slots, ok := stateSlots(&st)
+		if !ok {
+			d.fail("optimizer state %q: unknown kind %q", name, st.Kind)
+		}
+		for _, s := range slots {
+			*s.t = get[*tensor.Dense](d)
+		}
+		c.Optim[name] = st
+	}
+	return c, d.err
 }
 
 // Validate checks the snapshot's internal consistency: every parameter tensor
 // is present and non-empty, and every optimizer-state entry names an existing
 // parameter whose shape agrees with the state it carries (Adam moments and
 // Adagrad accumulators must match their parameter element-for-element).
-// Load calls this; Reload paths that receive an in-memory Checkpoint should
-// too, before swapping it in.
+// Save and Load call this; Reload paths that receive an in-memory
+// Checkpoint should too, before swapping it in.
 func (c *Checkpoint) Validate() error {
 	if c == nil {
 		return fmt.Errorf("checkpoint: nil checkpoint")
@@ -136,25 +288,15 @@ func (c *Checkpoint) Validate() error {
 		if !ok {
 			return fmt.Errorf("checkpoint: %w: optimizer state for %q has no matching param", ErrCorrupt, name)
 		}
-		switch st.Kind {
-		case "sgd":
-			// Stateless; nothing to check.
-		case "adagrad":
-			if st.Accum == nil || st.Accum.Len() != p.Len() {
-				return fmt.Errorf("checkpoint: %w: adagrad accumulator for %q has %d elems, param has %d",
-					ErrCorrupt, name, accLen(st.Accum), p.Len())
-			}
-		case "adam":
-			if st.M == nil || st.M.Len() != p.Len() {
-				return fmt.Errorf("checkpoint: %w: adam first moment for %q has %d elems, param has %d",
-					ErrCorrupt, name, accLen(st.M), p.Len())
-			}
-			if st.V == nil || st.V.Len() != p.Len() {
-				return fmt.Errorf("checkpoint: %w: adam second moment for %q has %d elems, param has %d",
-					ErrCorrupt, name, accLen(st.V), p.Len())
-			}
-		default:
+		slots, known := stateSlots(&st)
+		if !known {
 			return fmt.Errorf("checkpoint: %w: unknown optimizer kind %q for %q", ErrCorrupt, st.Kind, name)
+		}
+		for _, s := range slots {
+			if *s.t == nil || (*s.t).Len() != p.Len() {
+				return fmt.Errorf("checkpoint: %w: %s for %q has %d elems, param has %d",
+					ErrCorrupt, s.name, name, accLen(*s.t), p.Len())
+			}
 		}
 	}
 	return nil
@@ -199,11 +341,11 @@ func accLen(d *tensor.Dense) int {
 	return d.Len()
 }
 
-// SaveFile writes the checkpoint to path atomically (write to a temp file in
-// the same directory, then rename), so a crash mid-save never corrupts an
-// existing checkpoint.
+// SaveFile writes the checkpoint to path atomically: it writes a temp file
+// in the same directory, syncs it, then renames it over path, so a crash
+// mid-save never corrupts an existing checkpoint.
 func SaveFile(path string, c *Checkpoint) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: temp file: %w", err)
 	}
@@ -211,6 +353,10 @@ func SaveFile(path string, c *Checkpoint) error {
 	if err := Save(tmp, c); err != nil {
 		tmp.Close()
 		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("checkpoint: syncing temp file: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("checkpoint: closing temp file: %w", err)
@@ -229,13 +375,4 @@ func LoadFile(path string) (*Checkpoint, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
 }

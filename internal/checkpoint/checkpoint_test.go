@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -65,11 +66,73 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// Floats are saved as their bits: signalling and negative NaN payloads,
+// negative zero, the infinities and a subnormal reload bit-equal, in the
+// parameters and in the optimizer state.
+func TestSaveLoadPreservesBits(t *testing.T) {
+	bits := []uint32{0x7f800001, 0xffc00001, 0x80000000, 0x7f800000, 0xff800000, 0x00000001}
+	vals := make([]float32, len(bits))
+	for i, b := range bits {
+		vals[i] = math.Float32frombits(b)
+	}
+	p, err := tensor.FromSlice(vals, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := &Checkpoint{
+		Step:   3,
+		Params: map[string]*tensor.Dense{"emb": p},
+		Optim:  map[string]optim.State{"emb": {Kind: "adam", M: p.Clone(), V: p.Clone(), Step: 3}},
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCheckpoint(ckpt, got) {
+		for i, v := range got.Params["emb"].Data() {
+			t.Logf("elem %d: saved %08x, loaded %08x", i, bits[i], math.Float32bits(v))
+		}
+		t.Fatal("float bits changed across Save and Load")
+	}
+}
+
+// The same snapshot saves to the same bytes, however often it is saved and
+// in whatever order its maps were built.
+func TestSaveIsDeterministic(t *testing.T) {
+	c, raw := fixture(t)
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := Save(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("save %d differs from the first", i)
+		}
+	}
+	for _, order := range [][]string{{"w1", "emb"}, {"emb", "w1"}} {
+		re := &Checkpoint{Step: c.Step, Params: map[string]*tensor.Dense{}, Optim: c.Optim}
+		for _, name := range order {
+			re.Params[name] = c.Params[name]
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, re); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("params inserted in order %v save differently", order)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
 		t.Fatal("expected error")
 	}
-	// Valid gob but wrong magic.
+	// An intact file whose magic is damaged.
 	var buf bytes.Buffer
 	if err := Save(&buf, &Checkpoint{Step: 1}); err != nil {
 		t.Fatal(err)

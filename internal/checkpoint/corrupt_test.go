@@ -2,9 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -42,7 +42,7 @@ func fixture(t *testing.T) (*Checkpoint, []byte) {
 func TestLoadRejectsTruncation(t *testing.T) {
 	_, raw := fixture(t)
 	// Cutting the stream anywhere must produce a descriptive ErrCorrupt, not
-	// a raw gob error and never a silently partial checkpoint.
+	// a raw decode error and never a silently partial checkpoint.
 	for _, n := range []int{0, 1, 10, len(raw) / 4, len(raw) / 2, len(raw) - 1} {
 		_, err := Load(bytes.NewReader(raw[:n]))
 		if err == nil {
@@ -60,7 +60,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 func TestLoadRejectsBitFlips(t *testing.T) {
 	_, raw := fixture(t)
 	// Flip single bits well inside the sealed body: the CRC must catch every
-	// one. (Header flips are caught separately by magic/version checks.)
+	// one. (Prefix flips are caught separately by the magic and version checks.)
 	for _, off := range []int{len(raw) / 3, len(raw) / 2, 2 * len(raw) / 3, len(raw) - 2} {
 		bad := append([]byte(nil), raw...)
 		bad[off] ^= 0x01
@@ -78,25 +78,37 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// A file of another format version is a format mismatch, not file damage:
+// it fails with ErrVersion, never ErrCorrupt. testdata/v2.ckpt is a gob file
+// of format 2, which this build no longer reads.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(header{Magic: magic, Version: version + 1}); err != nil {
+	_, raw := fixture(t)
+	next := append([]byte(nil), raw...)
+	le.PutUint64(next[len(magic):], version+1)
+	v2, err := os.ReadFile("testdata/v2.ckpt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
-	}
-	// Wrong version is a format mismatch, not file damage.
-	if errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version mismatch misreported as corruption: %v", err)
+	for name, file := range map[string][]byte{"next version": next, "format 2": v2} {
+		_, err := Load(bytes.NewReader(file))
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version") {
+			t.Errorf("%s: want an ErrVersion error, got %v", name, err)
+		}
+		if errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: version mismatch misreported as corruption: %v", name, err)
+		}
 	}
 }
 
-func TestValidateShapeAgreement(t *testing.T) {
+// validateCases are snapshots Validate must reject, with a fragment of the
+// error each must give.
+func validateCases() []struct {
+	name string
+	ckpt Checkpoint
+	want string
+} {
 	p := tensor.Full(1, 8)
-	cases := []struct {
+	return []struct {
 		name string
 		ckpt Checkpoint
 		want string
@@ -144,7 +156,10 @@ func TestValidateShapeAgreement(t *testing.T) {
 			want: "unknown optimizer kind",
 		},
 	}
-	for _, tc := range cases {
+}
+
+func TestValidateShapeAgreement(t *testing.T) {
+	for _, tc := range validateCases() {
 		err := tc.ckpt.Validate()
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
@@ -153,7 +168,8 @@ func TestValidateShapeAgreement(t *testing.T) {
 			t.Fatalf("%s: error %v (want ErrCorrupt containing %q)", tc.name, err, tc.want)
 		}
 	}
-	// A consistent snapshot passes, including through Save/Load.
+	// A consistent snapshot passes.
+	p := tensor.Full(1, 8)
 	good := Checkpoint{
 		Params: map[string]*tensor.Dense{"emb": p},
 		Optim:  map[string]optim.State{"emb": {Kind: "adam", M: tensor.NewDense(8), V: tensor.NewDense(8)}},
@@ -164,18 +180,29 @@ func TestValidateShapeAgreement(t *testing.T) {
 }
 
 // TestLoadValidates proves a structurally inconsistent snapshot is rejected
-// at Load even when its bytes are intact (checksum passes).
+// at Load even when its bytes are intact (checksum passes), and that Save
+// refuses to write it.
 func TestLoadValidates(t *testing.T) {
 	bad := &Checkpoint{
 		Params: map[string]*tensor.Dense{"emb": tensor.NewDense(8)},
 		Optim:  map[string]optim.State{"emb": {Kind: "adam", M: tensor.NewDense(4), V: tensor.NewDense(8)}},
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, bad); err != nil {
-		t.Fatal(err)
+	if err := Save(new(bytes.Buffer), bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Save wrote an inconsistent snapshot: %v", err)
 	}
-	_, err := Load(&buf)
-	if err == nil || !errors.Is(err, ErrCorrupt) {
+	raw := sealed(t, nil, []int64{0, 1, 1}, []byte("emb"), bad.Params["emb"],
+		[]byte("emb"), []byte("adam"), []int64{0}, bad.Optim["emb"].M, bad.Optim["emb"].V)
+	if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("inconsistent snapshot loaded: %v", err)
+	}
+}
+
+// Save refuses every checkpoint Validate rejects, so every file it writes
+// loads.
+func TestSaveRefusesWhatLoadRejects(t *testing.T) {
+	for _, tc := range validateCases() {
+		if err := Save(new(bytes.Buffer), &tc.ckpt); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Save error %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }

@@ -2,25 +2,51 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"embrace/internal/tensor"
+	"embrace/internal/wire"
+)
+
+// Heap bounds of FuzzLoad: loading one file may allocate a constant plus
+// fuzzAllocPerByte bytes per input byte. The constant is the wire reader's
+// 4 KiB bufio buffer, its first 4 KiB scratch step and Load's fixed values,
+// well under 64 KiB. Per input byte: the scratch a body is read into grows
+// by doubling, so it holds at most twice the bytes that have arrived, and
+// each decoded slice is one more copy of them (3 bytes). A map entry costs
+// at least 34 input bytes (a 9-byte name value and a 25-byte dense value of
+// one empty dimension) and about 200 bytes of heap (its name and string,
+// the Dense and its shape, a map slot and its share of the map's doubling;
+// measured at 4.7 bytes per input byte over 20,000 entries), so under 6.
+// 3 + 6 is rounded up to 16 for allocator size classes.
+const (
+	fuzzAllocBase    = 64 << 10
+	fuzzAllocPerByte = 16
 )
 
 // FuzzLoad feeds Load bytes it did not write. The seed corpus in
 // testdata/fuzz/FuzzLoad holds a valid checkpoint, truncations and a bit
-// flip of it, and intact envelopes around hostile parameter shapes (see
-// hostileShape). Load must never panic; a checkpoint it accepts must re-Save
-// to bytes that Load back equal, and must column-shard every 2-D parameter
-// for worlds of 1, 2 and 3 shards.
+// flip of it, intact files around hostile parameter shapes (see
+// hostileShape), 2^40 counts in the header, a value and the body length,
+// and the format 2 fixture. Load must never panic and its heap may grow by
+// at most a constant plus a multiple of the input length; a checkpoint it
+// accepts must re-Save to bytes that Load back equal, and must column-shard
+// every 2-D parameter for worlds of 1, 2 and 3 shards.
 //
 // Run it with: go test ./internal/checkpoint -run '^$' -fuzz FuzzLoad -fuzztime 20s
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		c, err := Load(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		limit := uint64(fuzzAllocBase + fuzzAllocPerByte*len(raw))
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > limit {
+			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(raw), grown, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -50,7 +76,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// TestLoadRejectsHostileShapes covers the shapes a sealed, checksum-valid
+// TestLoadRejectsHostileShapes covers the shapes an intact, checksum-valid
 // file can still lie about: an element count that overflows int and wraps
 // to the empty data it carries, and an empty tensor whose row count alone
 // would keep ColumnShard looping.
@@ -62,39 +88,36 @@ func TestLoadRejectsHostileShapes(t *testing.T) {
 	}
 }
 
-// hostileDense gob-encodes as a tensor.Dense of any shape with no data,
-// bypassing the constructors that would refuse it.
-type hostileDense struct{ shape []int }
-
-func (h *hostileDense) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Shape []int
-		Data  []float32
-	}{Shape: h.shape})
-	return buf.Bytes(), err
+// sealed returns an intact checkpoint file whose body is vals encoded in
+// order, with patch applied to the body before it is checksummed.
+func sealed(t testing.TB, patch func(body []byte), vals ...any) []byte {
+	t.Helper()
+	var e wire.Encoder
+	for _, v := range vals {
+		if err := e.Value(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if patch != nil {
+		patch(e.Buf)
+	}
+	out := append([]byte(magic), make([]byte, 16)...)
+	le.PutUint64(out[len(magic):], version)
+	le.PutUint64(out[len(magic)+8:], uint64(len(e.Buf)))
+	out = append(out, e.Buf...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(e.Buf))
 }
 
 // hostileShape returns an intact, checksummed checkpoint file whose one
-// parameter "emb" claims shape and carries no data.
+// parameter "emb" claims shape (two dims) and carries no data: a [0 0]
+// tensor whose dims are rewritten before sealing.
 func hostileShape(t testing.TB, shape []int) []byte {
 	t.Helper()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(struct {
-		Step   int
-		Params map[string]*hostileDense
-	}{Step: 1, Params: map[string]*hostileDense{"emb": {shape: shape}}}); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	enc := gob.NewEncoder(&out)
-	if err := enc.Encode(header{Magic: magic, Version: version}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(sealed{Body: body.Bytes(), CRC: crc32.ChecksumIEEE(body.Bytes())}); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return sealed(t, func(body []byte) {
+		// The dense value ends the body: dims, then an empty data count.
+		le.PutUint64(body[len(body)-24:], uint64(shape[0]))
+		le.PutUint64(body[len(body)-16:], uint64(shape[1]))
+	}, []int64{1, 1, 0}, []byte("emb"), tensor.NewDense(0, 0))
 }
 
 // sameCheckpoint compares two snapshots to the float bit, so NaN weights

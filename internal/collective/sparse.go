@@ -87,9 +87,6 @@ type SparseShards struct {
 // exchange into it.
 func (a *SparseShards) Merged() *tensor.Sparse { return &a.merged }
 
-// Senders returns the number of shards held (the world size of the exchange).
-func (a *SparseShards) Senders() int { return len(a.ends) }
-
 // ShardView makes dst a view of sender p's rows inside the arena. No data is
 // copied; dst shares the arena's backing arrays and is valid until the next
 // exchange into the arena.

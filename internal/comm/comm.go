@@ -29,7 +29,8 @@ type Transport interface {
 	Size() int
 	// Send delivers payload to rank `to` under `tag`. It blocks only on
 	// backpressure, never on the receiver being absent. A payload outside
-	// the set SizeOf admits fails with ErrPayloadType on every fabric.
+	// the wire's value set, bare or in one SeqFrame, fails with
+	// wire.ErrPayloadType on every fabric.
 	Send(to, tag int, payload any) error
 	// Recv blocks until a payload sent to this rank by `from` under `tag`
 	// arrives, and returns it.
@@ -97,7 +98,7 @@ type Readmitter interface {
 // message for, and the payload. The transport treats it as an opaque
 // payload; the receiving Communicator uses Seq to drop duplicated frames and
 // reorder delayed ones and checks Step against its own, the chaos transport
-// reads Step into FaultPoint, and SizeOf unwraps it when sizing traffic.
+// reads Step into FaultPoint, and metrics unwraps it when sizing traffic.
 // Exported so every layer agrees on the one envelope type; the TCP wire
 // gives it a frame kind of its own.
 type SeqFrame struct {
@@ -429,7 +430,7 @@ func (r *rank) Send(to, tag int, payload any) error {
 	if to < 0 || to >= r.world.size {
 		return fmt.Errorf("%w: send to %d in world of %d", ErrRank, to, r.world.size)
 	}
-	if _, err := SizeOf(payload); err != nil {
+	if err := checkPayload(payload); err != nil {
 		return err
 	}
 	if !r.world.ranks[to].mail.deliver(r.id, tag, payload) {

@@ -1,5 +1,5 @@
 // TCP transport: the same Transport contract as the in-process world, but
-// carried over real sockets in the binary frames of wire.go, one conn.Write
+// carried over real sockets in the binary frames of frame.go, one conn.Write
 // per Send. It exists to demonstrate that the collective algorithms are
 // wire-ready — nothing in internal/collective or internal/strategies knows
 // which fabric it runs on — and to exercise the serialization of every
@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"embrace/internal/wire"
 )
 
 // Dial retry schedule for meshes whose processes start at different times:
@@ -70,13 +72,13 @@ type tcpRank struct {
 type tcpConn struct {
 	conn  net.Conn
 	encMu sync.Mutex
-	enc   *frameEncoder
-	dec   *frameReader
+	enc   *wire.Encoder
+	dec   *wire.Reader
 }
 
 // newTCPConn wraps a socket with its lifetime encoder/reader pair.
 func newTCPConn(conn net.Conn) *tcpConn {
-	return &tcpConn{conn: conn, enc: &frameEncoder{}, dec: newFrameReader(conn)}
+	return &tcpConn{conn: conn, enc: &wire.Encoder{}, dec: wire.NewReader(conn)}
 }
 
 // send encodes payload as one frame into pooled scratch and writes it with
@@ -84,16 +86,16 @@ func newTCPConn(conn net.Conn) *tcpConn {
 func (c *tcpConn) send(tag int, payload any) error {
 	p := framePool.Get().(*[]byte)
 	c.encMu.Lock()
-	c.enc.buf = (*p)[:0]
-	err := c.enc.frame(tag, payload)
-	if err == nil && len(c.enc.buf) > maxFrameBytes {
-		err = errFrameSize
+	c.enc.Buf = (*p)[:0]
+	err := encodeFrame(c.enc, tag, payload)
+	if err == nil && len(c.enc.Buf) > wire.MaxFrameBytes {
+		err = wire.ErrFrameSize
 	}
 	if err == nil {
-		_, err = c.conn.Write(c.enc.buf)
+		_, err = c.conn.Write(c.enc.Buf)
 	}
-	*p = c.enc.buf[:0]
-	c.enc.buf = nil
+	*p = c.enc.Buf[:0]
+	c.enc.Buf = nil
 	c.encMu.Unlock()
 	framePool.Put(p)
 	return err
@@ -186,7 +188,7 @@ func (r *tcpRank) connectMesh(addrs []string) error {
 				return fmt.Errorf("comm: rank %d accept: %w", r.id, err)
 			}
 			tc := newTCPConn(conn)
-			tag, v, err := tc.dec.frame()
+			tag, v, err := readFrame(tc.dec)
 			if err != nil {
 				return fmt.Errorf("comm: rank %d handshake: %w", r.id, err)
 			}
@@ -224,7 +226,7 @@ func (r *tcpRank) startReaders() {
 		go func(peer int, c *tcpConn) {
 			defer r.wg.Done()
 			for {
-				tag, payload, err := c.dec.frame()
+				tag, payload, err := readFrame(c.dec)
 				if err != nil {
 					// Connection closed or broken, or the peer sent bytes
 					// that are not a frame. During a local shutdown the
@@ -255,7 +257,7 @@ func (r *tcpRank) Send(to, tag int, payload any) error {
 	if to < 0 || to >= r.size {
 		return fmt.Errorf("%w: send to %d in world of %d", ErrRank, to, r.size)
 	}
-	if _, err := SizeOf(payload); err != nil {
+	if err := checkPayload(payload); err != nil {
 		return err
 	}
 	if to == r.id {

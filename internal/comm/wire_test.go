@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
@@ -14,6 +15,7 @@ import (
 
 	"embrace/internal/nn"
 	"embrace/internal/tensor"
+	"embrace/internal/wire"
 )
 
 // wireCases are payloads of every frame kind with the values a lossy wire
@@ -164,7 +166,7 @@ func TestSendRejectsPayloadOutsideTheSet(t *testing.T) {
 	} {
 		for _, f := range fabrics {
 			for _, to := range []int{0, 1} {
-				if err := f.w.Rank(0).Send(to, 1, p); !errors.Is(err, ErrPayloadType) {
+				if err := f.w.Rank(0).Send(to, 1, p); !errors.Is(err, wire.ErrPayloadType) {
 					t.Errorf("%s: send %T to rank %d: err = %v, want ErrPayloadType", f.name, p, to, err)
 				}
 			}
@@ -191,28 +193,28 @@ func TestTCPSendRejectsNestedSeqFrame(t *testing.T) {
 	}
 }
 
-// encodeFrame returns the bytes of one frame as a fresh connection would
+// frameBytes returns the bytes of one frame as a fresh connection would
 // send them.
-func encodeFrame(t testing.TB, tag int, payload any) []byte {
+func frameBytes(t testing.TB, tag int, payload any) []byte {
 	t.Helper()
-	var e frameEncoder
-	if err := e.frame(tag, payload); err != nil {
+	var e wire.Encoder
+	if err := encodeFrame(&e, tag, payload); err != nil {
 		t.Fatal(err)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // A peer that sends bytes no frame can be made of is marked down at once:
 // its receivers fail with ErrPeerDown instead of waiting for a timeout, and
 // the rest of the mesh keeps working.
 func TestTCPReaderFailureMarksPeerDown(t *testing.T) {
-	oversize := append(le.AppendUint64(nil, 5), kindF32)
-	oversize = le.AppendUint64(oversize, 1<<40)
+	oversize := frameBytes(t, 5, []float32{})
+	binary.LittleEndian.PutUint64(oversize[9:], 1<<40)
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 	}{
-		{"unknown kind", append(le.AppendUint64(nil, 5), 0xee)},
+		{"unknown kind", append(binary.LittleEndian.AppendUint64(nil, 5), 0xee)},
 		{"oversize length", oversize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,7 +246,7 @@ func TestTCPReaderFailureMarksPeerDown(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				if _, err := c.Write(encodeFrame(t, helloTag, 0)); err != nil {
+				if _, err := c.Write(frameBytes(t, helloTag, 0)); err != nil {
 					t.Fatal(err)
 				}
 				raw[i] = c
@@ -281,7 +283,7 @@ func TestTCPReaderFailureMarksPeerDown(t *testing.T) {
 			if v, err := nodes[2].Recv(1, 1); err != nil || v != 42 {
 				t.Fatalf("link 1-2: got %v, %v", v, err)
 			}
-			if _, err := raw[2].Write(encodeFrame(t, 3, []int64{7})); err != nil {
+			if _, err := raw[2].Write(frameBytes(t, 3, []int64{7})); err != nil {
 				t.Fatal(err)
 			}
 			if v, err := nodes[2].Recv(0, 3); err != nil || !sameBits(v, []int64{7}) {
@@ -311,10 +313,10 @@ const (
 func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.NewReader(data)
-		fr := newFrameReader(in)
+		fr := wire.NewReader(in)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tag, payload, err := fr.frame()
+		tag, payload, err := readFrame(fr)
 		runtime.ReadMemStats(&after)
 
 		limit := uint64(fuzzAllocBase + fuzzAllocPerByte*len(data))
@@ -324,8 +326,8 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		read := data[:len(data)-fr.r.Buffered()-in.Len()]
-		if enc := encodeFrame(t, tag, payload); !bytes.Equal(enc, read) {
+		read := data[:wire.MaxFrameBytes-fr.Left]
+		if enc := frameBytes(t, tag, payload); !bytes.Equal(enc, read) {
 			t.Fatalf("frame %x re-encodes to %x", read, enc)
 		}
 	})

@@ -117,19 +117,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the average observed value, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Quantile returns an estimate of the q-th quantile (q in [0,1]) in seconds.
 // The estimate is the lower bound of the bucket holding the q-th observation,
 // clamped to the exact observed min/max, so the relative error is bounded by

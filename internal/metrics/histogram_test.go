@@ -20,7 +20,7 @@ func exactQuantile(sorted []float64, q float64) float64 {
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	vals := []float64{0.001, 0.002, 0.003, 0.010, 0.100}

@@ -1,18 +1,18 @@
-// Package metrics instruments a comm.Transport with traffic and blocking
-// accounting. Wrapping a rank's transport costs nothing in the strategies —
-// they see the same interface — and yields the real-execution counterpart of
-// the paper's communication analysis: how many bytes each strategy actually
-// moved and how long each rank spent blocked in communication. The
+// Package metrics accounts a rank's traffic and blocking per logical
+// operation. An OpRecorder, given to a collective.Communicator as its
+// Observer, yields the real-execution counterpart of the paper's
+// communication analysis: how many bytes each strategy actually moved and
+// how long each rank spent blocked in communication. The
 // cross-strategy byte comparisons (EmbRace's AlltoAll traffic vs AllGather's
 // N-fold payload) validate the Table-2 cost model with measured data.
 package metrics
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"embrace/internal/comm"
+	"embrace/internal/wire"
 )
 
 // Stats is a snapshot of one rank's communication counters.
@@ -44,66 +44,17 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Transport decorates a comm.Transport with counters. Safe for concurrent
-// use, like the transport it wraps.
-type Transport struct {
-	inner comm.Transport
-
-	sendNS  atomic.Int64
-	recvNS  atomic.Int64
-	msgs    atomic.Int64
-	payload atomic.Int64
-}
-
-// Wrap instruments t.
-func Wrap(t comm.Transport) *Transport {
-	return &Transport{inner: t}
-}
-
-// Rank implements comm.Transport.
-func (m *Transport) Rank() int { return m.inner.Rank() }
-
-// Size implements comm.Transport.
-func (m *Transport) Size() int { return m.inner.Size() }
-
-// Send implements comm.Transport, recording duration and payload size.
-func (m *Transport) Send(to, tag int, payload any) error {
-	start := time.Now()
-	err := m.inner.Send(to, tag, payload)
-	m.sendNS.Add(time.Since(start).Nanoseconds())
-	m.msgs.Add(1)
-	m.payload.Add(PayloadSize(payload))
-	return err
-}
-
-// Recv implements comm.Transport, recording blocked time.
-func (m *Transport) Recv(from, tag int) (any, error) {
-	start := time.Now()
-	payload, err := m.inner.Recv(from, tag)
-	m.recvNS.Add(time.Since(start).Nanoseconds())
-	return payload, err
-}
-
-// Stats returns the counters accumulated so far.
-func (m *Transport) Stats() Stats {
-	return Stats{
-		SendSeconds:  float64(m.sendNS.Load()) / 1e9,
-		RecvSeconds:  float64(m.recvNS.Load()) / 1e9,
-		Messages:     m.msgs.Load(),
-		PayloadBytes: m.payload.Load(),
-	}
-}
-
-// PayloadSize is the payload's size in bytes as comm.SizeOf reports it:
-// framing and control values count zero, and so does a payload outside the
-// wire's set, which no fabric would have carried.
+// PayloadSize is the payload's size in bytes as wire.SizeOf reports it,
+// looking through a comm.SeqFrame: framing and control values count zero,
+// and so does a payload outside the wire's set, which no fabric would have
+// carried.
 func PayloadSize(payload any) int64 {
-	n, _ := comm.SizeOf(payload)
+	if f, ok := payload.(comm.SeqFrame); ok {
+		payload = f.Payload
+	}
+	n, _ := wire.SizeOf(payload)
 	return n
 }
-
-// Compile-time check.
-var _ comm.Transport = (*Transport)(nil)
 
 // OpStats is per-logical-operation traffic: what one rank sent and received
 // under a single Communicator op name.
@@ -143,9 +94,8 @@ func (s OpStats) Add(o OpStats) OpStats {
 
 // OpRecorder aggregates traffic per logical operation name. It satisfies
 // collective.Observer structurally, so a Communicator built with
-// collective.WithObserver(rec) attributes every byte to the op that moved it
-// — the per-op refinement of the transport-level Wrap counters. Safe for
-// concurrent use.
+// collective.WithObserver(rec) attributes every byte (as PayloadSize counts
+// it) to the op that moved it. Safe for concurrent use.
 type OpRecorder struct {
 	mu  sync.Mutex
 	ops map[string]*OpStats
@@ -223,7 +173,7 @@ func (r *OpRecorder) PerOp() map[string]OpStats {
 }
 
 // Total folds the per-op counters into one transport-level snapshot,
-// comparable with Wrap's Stats.
+// comparable across ranks and runs.
 func (r *OpRecorder) Total() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -38,70 +38,12 @@ func TestPayloadSize(t *testing.T) {
 	}
 }
 
-func TestTransportCountsTraffic(t *testing.T) {
-	w, err := comm.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	m0 := Wrap(w.Rank(0))
-	m1 := Wrap(w.Rank(1))
-	if m0.Rank() != 0 || m0.Size() != 2 {
-		t.Fatal("wrapper must forward rank/size")
-	}
-	go func() {
-		_ = m0.Send(1, 1, []float32{1, 2, 3, 4})
-		_ = m0.Send(1, 1, []float32{5})
-	}()
-	for i := 0; i < 2; i++ {
-		if _, err := m1.Recv(0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := m0.Stats()
-	if st.Messages != 2 {
-		t.Fatalf("messages = %d", st.Messages)
-	}
-	if st.PayloadBytes != 20 {
-		t.Fatalf("payload = %d", st.PayloadBytes)
-	}
-	if m1.Stats().RecvSeconds <= 0 {
-		t.Fatal("recv time not recorded")
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{SendSeconds: 1, RecvSeconds: 2, Messages: 3, PayloadBytes: 4}
 	b := Stats{SendSeconds: 10, RecvSeconds: 20, Messages: 30, PayloadBytes: 40}
 	sum := a.Add(b)
 	if sum.SendSeconds != 11 || sum.RecvSeconds != 22 || sum.Messages != 33 || sum.PayloadBytes != 44 {
 		t.Fatalf("sum = %+v", sum)
-	}
-}
-
-func TestCollectivesThroughWrappedTransport(t *testing.T) {
-	// The wrapper must be drop-in for real collectives, and the measured
-	// traffic of a ring allreduce must match its 2(N-1)/N * M law.
-	const n, m = 4, 1000
-	totals := make([]int64, n)
-	err := comm.RunRanks(n, func(raw comm.Transport) error {
-		tr := Wrap(raw)
-		buf := make([]float32, m)
-		if err := collective.NewCommunicator(tr).AllReduce("test/allreduce", 0, buf); err != nil {
-			return err
-		}
-		totals[tr.Rank()] = tr.Stats().PayloadBytes
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each rank sends 2(N-1) chunks of ~M/N elements.
-	want := int64(2 * (n - 1) * (m / n) * tensor.BytesPerElem)
-	for r, got := range totals {
-		if got < want*9/10 || got > want*11/10 {
-			t.Fatalf("rank %d sent %d bytes, want ~%d", r, got, want)
-		}
 	}
 }
 
@@ -150,6 +92,9 @@ func TestOpRecorderAttributesTrafficPerOp(t *testing.T) {
 				r, sparse.Messages, sparse.PayloadBytes, 2*(n-1), (3*8+2*4)*(n-1))
 		}
 		total := rec.Total()
+		if total.RecvSeconds <= 0 {
+			t.Fatalf("rank %d recorded no receive time", r)
+		}
 		if total.Messages != dense.Messages+sparse.Messages {
 			t.Fatalf("rank %d total messages %d != sum of per-op", r, total.Messages)
 		}

@@ -127,20 +127,3 @@ func (c ConsistentHash) ShardLoads(tokens []int64, n int) []float64 {
 	}
 	return loads
 }
-
-// Moved reports the fraction of the sampled tokens whose owner changes when
-// the ring resizes from oldN to newN shards — the disruption a serving
-// plane's replicas and caches absorb on a driver-set resize. For modulo
-// hashing this approaches 1; for the ring it approaches |newN-oldN|/max.
-func (c ConsistentHash) Moved(tokens []int64, oldN, newN int) float64 {
-	if len(tokens) == 0 {
-		return 0
-	}
-	moved := 0
-	for _, tok := range tokens {
-		if c.Owner(tok, oldN) != c.Owner(tok, newN) {
-			moved++
-		}
-	}
-	return float64(moved) / float64(len(tokens))
-}

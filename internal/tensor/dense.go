@@ -217,27 +217,6 @@ func (t *Dense) Sum() float64 {
 	return s
 }
 
-// Dot returns the inner product of two equally shaped tensors.
-func (t *Dense) Dot(o *Dense) (float64, error) {
-	if err := t.sameShape(o); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i, v := range t.data {
-		s += float64(v) * float64(o.data[i])
-	}
-	return s, nil
-}
-
-// Norm2 returns the Euclidean norm.
-func (t *Dense) Norm2() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // AllClose reports whether t and o agree element-wise within tol.
 func (t *Dense) AllClose(o *Dense, tol float64) bool {
 	if len(t.data) != len(o.data) {
@@ -268,8 +247,6 @@ func (t *Dense) MaxAbsDiff(o *Dense) float64 {
 }
 
 // CountNonZero returns the number of elements that are exactly non-zero.
-// The paper's density α of a gradient is CountNonZero rows over total rows;
-// see Sparse.Density for the row-level variant.
 func (t *Dense) CountNonZero() int {
 	n := 0
 	for _, v := range t.data {
@@ -278,18 +255,6 @@ func (t *Dense) CountNonZero() int {
 		}
 	}
 	return n
-}
-
-// Reshape returns a view of t with a new shape covering the same elements.
-func (t *Dense) Reshape(shape ...int) (*Dense, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		return nil, fmt.Errorf("%w: cannot reshape %v to %v", ErrShapeMismatch, t.shape, shape)
-	}
-	return &Dense{shape: append([]int(nil), shape...), data: t.data}, nil
 }
 
 // String renders a short human-readable description.

@@ -1,9 +1,6 @@
 package tensor
 
 import (
-	"bytes"
-	"encoding/gob"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,8 +32,8 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
-// Wire frames and checkpoints build tensors through FromSlice and
-// Dense.GobDecode, so hostile shapes must be rejected there, not panic later
+// Wire values, in frames and checkpoints alike, build tensors through
+// FromSlice, so hostile shapes must be rejected there, not panic later
 // in Row or a column shard: element counts that overflow int and wrap to the
 // data length, negative sizes, and data that does not fill the shape.
 func TestFromSliceRejectsHostileShapes(t *testing.T) {
@@ -53,13 +50,6 @@ func TestFromSliceRejectsHostileShapes(t *testing.T) {
 	} {
 		if _, err := FromSlice(tc.data, tc.shape...); err == nil {
 			t.Errorf("%s: FromSlice accepted it", tc.name)
-		}
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(denseWire{Shape: tc.shape, Data: tc.data}); err != nil {
-			t.Fatal(err)
-		}
-		if err := new(Dense).GobDecode(body.Bytes()); err == nil {
-			t.Errorf("%s: GobDecode accepted it", tc.name)
 		}
 	}
 }
@@ -130,13 +120,6 @@ func TestSumDotNorm(t *testing.T) {
 	if a.Sum() != 7 {
 		t.Fatalf("Sum = %v", a.Sum())
 	}
-	d, err := a.Dot(a)
-	if err != nil || d != 25 {
-		t.Fatalf("Dot = %v err %v", d, err)
-	}
-	if math.Abs(a.Norm2()-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v", a.Norm2())
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -159,21 +142,6 @@ func TestAllCloseAndMaxAbsDiff(t *testing.T) {
 	}
 	if d := a.MaxAbsDiff(b); d < 9e-5 || d > 2e-4 {
 		t.Fatalf("MaxAbsDiff = %v", d)
-	}
-}
-
-func TestReshape(t *testing.T) {
-	a := Full(1, 2, 6)
-	b, err := a.Reshape(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Set(5, 0, 0)
-	if a.At(0, 0) != 5 {
-		t.Fatal("Reshape must share storage")
-	}
-	if _, err := a.Reshape(5); err == nil {
-		t.Fatal("expected reshape error")
 	}
 }
 

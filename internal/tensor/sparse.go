@@ -41,11 +41,6 @@ func NewSparse(numRows, dim int, indices []int64, vals []float32) (*Sparse, erro
 	return &Sparse{NumRows: numRows, Dim: dim, Indices: indices, Vals: vals}, nil
 }
 
-// EmptySparse returns a sparse tensor with no stored rows.
-func EmptySparse(numRows, dim int) *Sparse {
-	return &Sparse{NumRows: numRows, Dim: dim, coalesced: true}
-}
-
 // NNZ returns the number of stored rows (including duplicates).
 func (s *Sparse) NNZ() int { return len(s.Indices) }
 
@@ -53,23 +48,6 @@ func (s *Sparse) NNZ() int { return len(s.Indices) }
 // 8 bytes per index plus the packed float32 rows. This is the αM quantity in
 // the paper's Table 2 cost analysis.
 func (s *Sparse) SizeBytes() int { return len(s.Indices)*8 + len(s.Vals)*BytesPerElem }
-
-// DenseSizeBytes returns the size the same gradient would occupy in dense
-// format (the M of Table 2), i.e. NumRows*Dim elements.
-func (s *Sparse) DenseSizeBytes() int { return s.NumRows * s.Dim * BytesPerElem }
-
-// Density returns the fraction of logical rows stored after coalescing —
-// the α of the paper's analysis. Sparsity is 1-Density.
-func (s *Sparse) Density() float64 {
-	if s.NumRows == 0 {
-		return 0
-	}
-	seen := make(map[int64]struct{}, len(s.Indices))
-	for _, ix := range s.Indices {
-		seen[ix] = struct{}{}
-	}
-	return float64(len(seen)) / float64(s.NumRows)
-}
 
 // Row returns a view of the i-th stored row.
 //
@@ -131,24 +109,6 @@ func (s *Sparse) Coalesce() *Sparse {
 		outVals = append(outVals, row...)
 	}
 	return &Sparse{NumRows: s.NumRows, Dim: s.Dim, Indices: outIdx, Vals: outVals, coalesced: true}
-}
-
-// IndexSelect returns the stored rows whose logical index occurs in keep,
-// preserving the receiver's row order. keep must be sorted ascending
-// (duplicates are harmless); membership is a binary search, so no per-call
-// map needs to be built. It corresponds to INDEX_SELECT in Algorithm 1. The
-// receiver should be coalesced for the Algorithm-1 use, but any sparse
-// tensor is accepted.
-func (s *Sparse) IndexSelect(keep []int64) *Sparse {
-	outIdx := make([]int64, 0, len(keep))
-	outVals := make([]float32, 0, len(keep)*s.Dim)
-	for i, ix := range s.Indices {
-		if ContainsSorted(keep, ix) {
-			outIdx = append(outIdx, ix)
-			outVals = append(outVals, s.Row(i)...)
-		}
-	}
-	return &Sparse{NumRows: s.NumRows, Dim: s.Dim, Indices: outIdx, Vals: outVals, coalesced: s.coalesced}
 }
 
 // Partition splits the receiver into the rows whose index occurs in prior
@@ -234,18 +194,6 @@ func Concat(parts ...*Sparse) (*Sparse, error) {
 	return &Sparse{NumRows: first.NumRows, Dim: first.Dim, Indices: idx, Vals: vals}, nil
 }
 
-// FromDenseRows gathers the given logical rows of a dense [NumRows x Dim]
-// matrix into a sparse tensor. It is the inverse of ToDense restricted to
-// the selected rows, used by embedding lookups.
-func FromDenseRows(d *Dense, rows []int64) *Sparse {
-	dim := d.Dim(1)
-	vals := make([]float32, len(rows)*dim)
-	for i, r := range rows {
-		copy(vals[i*dim:(i+1)*dim], d.Row(int(r)))
-	}
-	return &Sparse{NumRows: d.Dim(0), Dim: dim, Indices: append([]int64(nil), rows...), Vals: vals}
-}
-
 // UniqueIndices returns the sorted set of logical row indices present in s.
 // It corresponds to the UNIQUE step of Algorithm 1.
 func (s *Sparse) UniqueIndices() []int64 {
@@ -285,23 +233,6 @@ func Intersect(a, b []int64) []int64 {
 			i++
 			j++
 		}
-	}
-	return out
-}
-
-// Difference returns the sorted elements of a not present in b; both inputs
-// must be sorted unique slices. Algorithm 1 line 5 (i_delayed = D_u \ i_prior).
-func Difference(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) {
-		for j < len(b) && b[j] < a[i] {
-			j++
-		}
-		if j >= len(b) || b[j] != a[i] {
-			out = append(out, a[i])
-		}
-		i++
 	}
 	return out
 }
